@@ -260,9 +260,10 @@ def propagate_lindblad(model: LindbladModel, rho0: np.ndarray, grid: TimeGrid,
                        substeps: int | None = None) -> Trajectory:
     """Integrate the master equation d rho/dt = L(rho) across the grid.
 
-    Each RK4 substep symmetrizes rho; the removed defect must stay below
-    1e-10 and the trace drift below 1e-8 (states are trace-renormalized
-    at grid points). Eigenvalues dipping under -1e-6 abort with
+    The state is propagated unsymmetrized. At every grid point its
+    asymmetry 0.5 * max|rho - rho^dag| must stay below 1e-10 and its
+    trace drift below 1e-8; the stored states are then symmetrized and
+    trace-renormalized. Eigenvalues dipping under -1e-6 abort with
     IntegrationError.
     """
     rho0 = np.asarray(rho0, dtype=complex)
@@ -293,8 +294,7 @@ def propagate_lindblad(model: LindbladModel, rho0: np.ndarray, grid: TimeGrid,
         drift = float(np.max(np.abs(traces - 1.0)))
         if drift <= _DRIFT_BUDGET and max_asym <= _ASYM_BUDGET:
             out /= traces[:, None, None]
-            lo = min(operators.min_eigenvalue_hermitian(out[i])
-                     for i in range(out.shape[0]))
+            lo = float(np.min(np.linalg.eigvalsh(out)))
             if lo < _EIG_FLOOR:
                 raise IntegrationError(
                     f"density matrix eigenvalue {lo:.3e} below {_EIG_FLOOR:.0e}"

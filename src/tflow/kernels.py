@@ -1,48 +1,45 @@
 """Fixed-step RK4 kernels behind the propagators.
 
-The time-stepping loops dominate the toolkit's runtime, so they come in
-two interchangeable backends: numba ``@njit`` loop kernels (the default
-whenever numba imports) and a pure-numpy fallback. Set
-``TFLOW_NO_NUMBA=1`` in the environment to force the numpy path;
-``benchmarks/bench_propagators.py`` compares the two. The jitted kernels
-spell out the tiny (dim 2 or 3) matrix products to avoid per-step BLAS
-dispatch; the fallback uses ordinary array expressions.
+RK4 applied to a linear ODE y' = A(t) y advances the state by one fixed
+matrix per step,
+
+    M = I + h/6 (K1 + 2 K2 + 2 K3 + K4),
+    K1 = A0,  K2 = Am (I + h/2 K1),  K3 = Am (I + h/2 K2),  K4 = A1 (I + h K3),
+
+with A0, Am and A1 the generator at the start, middle and end of the
+step. The kernels build these maps for a batch of steps in one broadcast
+expression, fold the ``substeps`` maps of each grid interval into one
+with pairwise batched products, and apply the interval maps to the state
+in order: one small matrix-vector product per grid point. At most
+``_BATCH_STEPS`` step maps are held at a time; an interval with more
+substeps than that is folded batch by batch. Closed systems use A = -iH
+on the state vector; open systems use the d^2 x d^2 Lindblad
+superoperator on the row-major vectorized density matrix.
 
 Kernels consume a pre-sampled generator table ``h_table`` holding H(t)
 at every half-step node (2*n_steps + 1 matrices for n_steps RK4 steps),
-so no Python callback happens inside the hot loop. They do the
-arithmetic only: drift accounting, renormalization and retries live in
+so no Python callback happens during stepping. They do the arithmetic
+only: drift accounting, renormalization and retries live in
 ``tflow.dynamics``.
+
+The density matrix is not symmetrized while it is propagated. The
+asymmetry that ``lindblad_steps`` returns is measured at the grid points,
+on the unsymmetrized states, and only the stored grid states are then
+symmetrized.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-
-def env_disables_numba(value) -> bool:
-    return str(value).strip().lower() in {"1", "true", "yes", "on"}
-
-
-_FORCED_OFF = env_disables_numba(os.environ.get("TFLOW_NO_NUMBA", ""))
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAS_NUMBA = False
-
-USING_NUMBA = HAS_NUMBA and not _FORCED_OFF
+_BATCH_STEPS = 2048  # RK4 step maps held at once; bounds the kernels' memory
 
 
 def lindblad_rhs_dense(hmat, rho, jump_ops, jump_dags, half_b):
     """-i[H, rho] + sum_j A_j rho A_j^dag - (B/2) rho - rho (B/2).
 
-    One-shot evaluation used outside the stepping loops (adjoint duality
-    checks, diagnostics); always plain numpy.
+    One-shot evaluation used outside the stepping kernels (adjoint
+    duality checks, diagnostics).
     """
     dr = -1j * (hmat @ rho - rho @ hmat) - (half_b @ rho + rho @ half_b)
     for j in range(jump_ops.shape[0]):
@@ -50,176 +47,90 @@ def lindblad_rhs_dense(hmat, rho, jump_ops, jump_dags, half_b):
     return dr
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy backend
+def _step_maps(gens, h):
+    """RK4 step maps (n, D, D) from generators at 2n + 1 half-step nodes."""
+    a0, am, a1 = gens[:-1:2], gens[1::2], gens[2::2]
+    k2 = am + (0.5 * h) * (am @ a0)
+    k3 = am + (0.5 * h) * (am @ k2)
+    k4 = a1 + h * (a1 @ k3)
+    maps = (h / 6.0) * (a0 + 2.0 * (k2 + k3) + k4)
+    diag = np.arange(maps.shape[-1])
+    maps[:, diag, diag] += 1.0
+    return maps
 
 
-def _schrodinger_steps_numpy(h_table, psi0, substeps, h, out):
-    n_grid = out.shape[0]
-    psi = psi0.copy()
-    out[0] = psi
-    for g in range(n_grid - 1):
-        for s in range(substeps):
-            b = 2 * (g * substeps + s)
-            h0 = h_table[b]
-            hm = h_table[b + 1]
-            h1 = h_table[b + 2]
-            k1 = -1j * (h0 @ psi)
-            k2 = -1j * (hm @ (psi + (0.5 * h) * k1))
-            k3 = -1j * (hm @ (psi + (0.5 * h) * k2))
-            k4 = -1j * (h1 @ (psi + h * k3))
-            psi = psi + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        out[g + 1] = psi
+def _fold(maps):
+    """Time-ordered product of each row of an (m, r, D, D) stack of maps.
+
+    Returns (m, D, D) with out[i] = maps[i, r-1] @ ... @ maps[i, 0],
+    formed by pairwise batched products. On a level with an odd count,
+    the last map is set aside and applied after the rest.
+    """
+    tail = None
+    while maps.shape[1] > 1:
+        if maps.shape[1] % 2:
+            tail = maps[:, -1] if tail is None else tail @ maps[:, -1]
+            maps = maps[:, :-1]
+        maps = maps[:, 1::2] @ maps[:, ::2]
+    return maps[:, 0] if tail is None else tail @ maps[:, 0]
 
 
-def _lindblad_steps_numpy(h_table, jump_ops, jump_dags, half_b, rho0,
-                          substeps, h, out):
-    n_grid = out.shape[0]
-    rho = rho0.copy()
-    out[0] = rho
-    max_asym = 0.0
-    for g in range(n_grid - 1):
-        for s in range(substeps):
-            b = 2 * (g * substeps + s)
-            k1 = lindblad_rhs_dense(h_table[b], rho, jump_ops, jump_dags, half_b)
-            k2 = lindblad_rhs_dense(
-                h_table[b + 1], rho + (0.5 * h) * k1, jump_ops, jump_dags, half_b
-            )
-            k3 = lindblad_rhs_dense(
-                h_table[b + 1], rho + (0.5 * h) * k2, jump_ops, jump_dags, half_b
-            )
-            k4 = lindblad_rhs_dense(
-                h_table[b + 2], rho + h * k3, jump_ops, jump_dags, half_b
-            )
-            rho = rho + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            asym = 0.5 * float(np.max(np.abs(rho - rho.conj().T)))
-            if asym > max_asym:
-                max_asym = asym
-            rho = 0.5 * (rho + rho.conj().T)
-        out[g + 1] = rho
-    return max_asym
+def _interval_maps(generators, g0, g1, r, h):
+    """Maps across grid intervals g0..g1-1, each folded from r RK4 steps.
+
+    ``generators(lo, hi)`` returns the generators at half-step nodes
+    lo..hi-1.
+    """
+    if r <= _BATCH_STEPS:
+        maps = _step_maps(generators(2 * g0 * r, 2 * g1 * r + 1), h)
+        return _fold(maps.reshape((g1 - g0, r) + maps.shape[1:]))
+    # one interval longer than a batch (g1 == g0 + 1): fold it batch by batch
+    total = None
+    for k0 in range(g0 * r, g1 * r, _BATCH_STEPS):
+        k1 = min(k0 + _BATCH_STEPS, g1 * r)
+        part = _fold(_step_maps(generators(2 * k0, 2 * k1 + 1), h)[None])[0]
+        total = part if total is None else part @ total
+    return total[None]
 
 
-# ---------------------------------------------------------------------------
-# numba backend: explicit small-matrix loops
+def _propagate(generators, y0, r, h, out):
+    """Fill out[g] (shape (n_grid, D)) with the state at grid point g."""
+    n_intervals = out.shape[0] - 1
+    per_batch = max(1, _BATCH_STEPS // r)
+    y = out[0] = y0
+    for g0 in range(0, n_intervals, per_batch):
+        g1 = min(g0 + per_batch, n_intervals)
+        for g, m in enumerate(_interval_maps(generators, g0, g1, r, h), g0 + 1):
+            y = out[g] = m @ y
 
 
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _schrodinger_steps_numba(h_table, psi0, substeps, h, out):
-        n_grid = out.shape[0]
-        d = psi0.shape[0]
-        psi = psi0.copy()
-        k = np.empty((4, d), np.complex128)
-        stage = np.empty(d, np.complex128)
-        out[0] = psi
-        coeff = (0.5 * h, 0.5 * h, h)
-        for g in range(n_grid - 1):
-            for s in range(substeps):
-                b = 2 * (g * substeps + s)
-                # stage nodes use H at b, b+1, b+1, b+2
-                for a in range(d):
-                    acc = 0j
-                    for c in range(d):
-                        acc += h_table[b, a, c] * psi[c]
-                    k[0, a] = -1j * acc
-                for stage_i in range(1, 4):
-                    node = b + 2 if stage_i == 3 else b + 1
-                    w = coeff[stage_i - 1]
-                    for a in range(d):
-                        stage[a] = psi[a] + w * k[stage_i - 1, a]
-                    for a in range(d):
-                        acc = 0j
-                        for c in range(d):
-                            acc += h_table[node, a, c] * stage[c]
-                        k[stage_i, a] = -1j * acc
-                for a in range(d):
-                    psi[a] = psi[a] + (h / 6.0) * (
-                        k[0, a] + 2.0 * (k[1, a] + k[2, a]) + k[3, a]
-                    )
-            out[g + 1] = psi
-
-    @njit(cache=True)
-    def _lindblad_rhs_into(hm, rho, jump_ops, jump_dags, half_b, tmp, dr):
-        d = rho.shape[0]
-        for a in range(d):
-            for c in range(d):
-                herm = 0j
-                damp = 0j
-                for e in range(d):
-                    herm += hm[a, e] * rho[e, c] - rho[a, e] * hm[e, c]
-                    damp += half_b[a, e] * rho[e, c] + rho[a, e] * half_b[e, c]
-                dr[a, c] = -1j * herm - damp
-        for j in range(jump_ops.shape[0]):
-            for a in range(d):
-                for c in range(d):
-                    acc = 0j
-                    for e in range(d):
-                        acc += rho[a, e] * jump_dags[j, e, c]
-                    tmp[a, c] = acc
-            for a in range(d):
-                for c in range(d):
-                    acc = 0j
-                    for e in range(d):
-                        acc += jump_ops[j, a, e] * tmp[e, c]
-                    dr[a, c] += acc
-
-    @njit(cache=True)
-    def _lindblad_steps_numba(h_table, jump_ops, jump_dags, half_b, rho0,
-                              substeps, h, out):
-        n_grid = out.shape[0]
-        d = rho0.shape[0]
-        rho = rho0.copy()
-        k = np.empty((4, d, d), np.complex128)
-        stage = np.empty((d, d), np.complex128)
-        tmp = np.empty((d, d), np.complex128)
-        out[0] = rho
-        max_asym = 0.0
-        coeff = (0.5 * h, 0.5 * h, h)
-        for g in range(n_grid - 1):
-            for s in range(substeps):
-                b = 2 * (g * substeps + s)
-                _lindblad_rhs_into(
-                    h_table[b], rho, jump_ops, jump_dags, half_b, tmp, k[0]
-                )
-                for stage_i in range(1, 4):
-                    node = b + 2 if stage_i == 3 else b + 1
-                    w = coeff[stage_i - 1]
-                    for a in range(d):
-                        for c in range(d):
-                            stage[a, c] = rho[a, c] + w * k[stage_i - 1, a, c]
-                    _lindblad_rhs_into(
-                        h_table[node], stage, jump_ops, jump_dags, half_b,
-                        tmp, k[stage_i]
-                    )
-                for a in range(d):
-                    for c in range(d):
-                        rho[a, c] = rho[a, c] + (h / 6.0) * (
-                            k[0, a, c] + 2.0 * (k[1, a, c] + k[2, a, c]) + k[3, a, c]
-                        )
-                asym = 0.0
-                for a in range(d):
-                    for c in range(d):
-                        diff = abs(rho[a, c] - np.conj(rho[c, a]))
-                        if diff > asym:
-                            asym = diff
-                if 0.5 * asym > max_asym:
-                    max_asym = 0.5 * asym
-                for a in range(d):
-                    for c in range(a, d):
-                        sym = 0.5 * (rho[a, c] + np.conj(rho[c, a]))
-                        rho[a, c] = sym
-                        rho[c, a] = np.conj(sym)
-            out[g + 1] = rho
-        return max_asym
+def schrodinger_steps(h_table, psi0, substeps, h, out):
+    """RK4 for i dpsi/dt = H(t) psi; out (n_grid, d) receives psi at grid points."""
+    _propagate(lambda lo, hi: -1j * h_table[lo:hi], psi0, substeps, h, out)
 
 
-if USING_NUMBA:
-    schrodinger_steps = _schrodinger_steps_numba
-    lindblad_steps = _lindblad_steps_numba
-else:
-    schrodinger_steps = _schrodinger_steps_numpy
-    lindblad_steps = _lindblad_steps_numpy
+def lindblad_steps(h_table, jump_ops, jump_dags, half_b, rho0, substeps, h, out):
+    """RK4 for the master equation; out (n_grid, d, d) receives rho at grid points.
 
-BACKEND = "numba" if USING_NUMBA else "numpy"
+    Returns the largest asymmetry 0.5 * max|rho - rho^dag| over the grid
+    states, measured before they are symmetrized.
+    """
+    d = rho0.shape[0]
+    eye = np.eye(d)
+    # row-major vec: vec(X rho Y) = (X kron Y^T) vec(rho)
+    dissipator = -np.kron(half_b, eye) - np.kron(eye, half_b.T)
+    for a, a_dag in zip(jump_ops, jump_dags):
+        dissipator = dissipator + np.kron(a, a_dag.T)
+
+    def superoperators(lo, hi):
+        hs = h_table[lo:hi]
+        comm = (np.einsum("nac,bd->nabcd", hs, eye)
+                - np.einsum("ac,ndb->nabcd", eye, hs))
+        return -1j * comm.reshape(-1, d * d, d * d) + dissipator
+
+    flat = np.empty((out.shape[0], d * d), dtype=complex)
+    _propagate(superoperators, rho0.reshape(d * d), substeps, h, flat)
+    rhos = flat.reshape(out.shape)
+    rhos_dag = rhos.conj().transpose(0, 2, 1)
+    out[:] = 0.5 * (rhos + rhos_dag)
+    return 0.5 * float(np.max(np.abs(rhos - rhos_dag)))

@@ -77,6 +77,15 @@ def test_explicit_substeps_drift_failure():
         )
 
 
+def test_lindblad_eigenvalue_floor_failure():
+    # RK4 keeps the trace exactly, but with 2 gamma h = 3 each step scales the
+    # coherence by 1.375; after two steps rho has eigenvalue 0.5 - 0.5 * 1.375^2
+    grid = TimeGrid(0.0, 3.0, 3)
+    with pytest.raises(IntegrationError, match="eigenvalue -4.453e-01"):
+        dynamics.propagate_lindblad(models.dephasing_model(1.0), M_PLUS, grid,
+                                    substeps=1)
+
+
 def test_fourth_order_convergence():
     omega0 = 3.0
     grid = TimeGrid(0.0, np.pi, 101)

@@ -3,56 +3,163 @@ import pytest
 
 from tflow import dynamics, kernels, models, operators
 
-
-def test_env_flag_parsing():
-    assert kernels.env_disables_numba("1")
-    assert kernels.env_disables_numba("TRUE")
-    assert kernels.env_disables_numba(" yes ")
-    assert not kernels.env_disables_numba("")
-    assert not kernels.env_disables_numba("0")
-    assert not kernels.env_disables_numba("off")
+# ---------------------------------------------------------------------------
+# reference: plain per-step RK4 loops, one stage at a time
 
 
-def test_active_backend_is_consistent():
-    assert kernels.BACKEND in ("numba", "numpy")
-    assert (kernels.BACKEND == "numba") == kernels.USING_NUMBA
+def reference_schrodinger_steps(h_table, psi0, substeps, h, out):
+    n_grid = out.shape[0]
+    psi = psi0.copy()
+    out[0] = psi
+    for g in range(n_grid - 1):
+        for s in range(substeps):
+            b = 2 * (g * substeps + s)
+            h0 = h_table[b]
+            hm = h_table[b + 1]
+            h1 = h_table[b + 2]
+            k1 = -1j * (h0 @ psi)
+            k2 = -1j * (hm @ (psi + (0.5 * h) * k1))
+            k3 = -1j * (hm @ (psi + (0.5 * h) * k2))
+            k4 = -1j * (h1 @ (psi + h * k3))
+            psi = psi + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        out[g + 1] = psi
 
 
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
-def test_schrodinger_backends_agree():
-    cfg = models.LambdaConfig(2 * np.pi, 2 * np.pi, -20 * np.pi, 20 * np.pi, 4.0)
-    schedule = models.lambda_hamiltonian(cfg)
-    grid = dynamics.TimeGrid(0.0, 4.0, 201)
-    r = 4
+def reference_lindblad_steps(h_table, jump_ops, jump_dags, half_b, rho0,
+                             substeps, h, out):
+    """Symmetrizes rho after every step; returns the largest removed defect."""
+    n_grid = out.shape[0]
+    rho = rho0.copy()
+    out[0] = rho
+    max_asym = 0.0
+
+    def rhs(node, x):
+        return kernels.lindblad_rhs_dense(h_table[node], x, jump_ops, jump_dags,
+                                          half_b)
+
+    for g in range(n_grid - 1):
+        for s in range(substeps):
+            b = 2 * (g * substeps + s)
+            k1 = rhs(b, rho)
+            k2 = rhs(b + 1, rho + (0.5 * h) * k1)
+            k3 = rhs(b + 1, rho + (0.5 * h) * k2)
+            k4 = rhs(b + 2, rho + h * k3)
+            rho = rho + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            max_asym = max(max_asym, 0.5 * float(np.max(np.abs(rho - rho.conj().T))))
+            rho = 0.5 * (rho + rho.conj().T)
+        out[g + 1] = rho
+    return max_asym
+
+
+def _half_step_table(schedule, grid, r):
     half = grid.dt / (2 * r)
-    table = np.ascontiguousarray(
-        schedule.sample(grid.t_start + half * np.arange(2 * (grid.n_points - 1) * r + 1))
-    )
+    ts = grid.t_start + half * np.arange(2 * (grid.n_points - 1) * r + 1)
+    return np.ascontiguousarray(schedule.sample(ts))
+
+
+def _lambda_case(n_points):
+    cfg = models.LambdaConfig(2 * np.pi, 2 * np.pi, -20 * np.pi, 20 * np.pi, 4.0)
+    return models.lambda_hamiltonian(cfg), dynamics.TimeGrid(0.0, 4.0, n_points)
+
+
+def _run_schrodinger(n_points, r):
+    schedule, grid = _lambda_case(n_points)
+    table = _half_step_table(schedule, grid, r)
     psi0 = operators.basis_state(3, 0)
-    out_a = np.empty((grid.n_points, 3), dtype=complex)
-    out_b = np.empty_like(out_a)
-    kernels._schrodinger_steps_numba(table, psi0, r, grid.dt / r, out_a)
-    kernels._schrodinger_steps_numpy(table, psi0, r, grid.dt / r, out_b)
-    assert np.max(np.abs(out_a - out_b)) <= 1e-12
+    got = np.empty((grid.n_points, 3), dtype=complex)
+    want = np.empty_like(got)
+    kernels.schrodinger_steps(table, psi0, r, grid.dt / r, got)
+    reference_schrodinger_steps(table, psi0, r, grid.dt / r, want)
+    return got, want
 
 
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
-def test_lindblad_backends_agree():
-    bundle = models.hadamard_model(2 * np.pi, 3.0)
-    jumps, jump_dags, half_b = bundle.model.scaled_jumps()
-    grid = dynamics.TimeGrid(0.0, 0.5, 151)
-    r = 2
-    table = np.ascontiguousarray(
-        bundle.model.hamiltonian.sample(np.zeros(2 * (grid.n_points - 1) * r + 1))
-    )
-    rho0 = operators.projector(2, 0).astype(complex)
-    out_a = np.empty((grid.n_points, 2, 2), dtype=complex)
-    out_b = np.empty_like(out_a)
-    asym_a = kernels._lindblad_steps_numba(
-        table, jumps, jump_dags, half_b, rho0, r, grid.dt / r, out_a
-    )
-    asym_b = kernels._lindblad_steps_numpy(
-        table, jumps, jump_dags, half_b, rho0, r, grid.dt / r, out_b
-    )
-    assert np.max(np.abs(out_a - out_b)) <= 1e-12
-    assert abs(asym_a - asym_b) <= 1e-14
+def _hadamard_case(n_points):
+    model = models.hadamard_model(2 * np.pi, 3.0).model
+    return model, dynamics.TimeGrid(0.0, 0.5, n_points)
+
+
+def _run_lindblad(model, grid, r):
+    jumps, jump_dags, half_b = model.scaled_jumps()
+    table = _half_step_table(model.hamiltonian, grid, r)
+    rho0 = operators.projector(model.dim, 0).astype(complex)
+    got = np.empty((grid.n_points, model.dim, model.dim), dtype=complex)
+    want = np.empty_like(got)
+    args = (jumps, jump_dags, half_b, rho0, r, grid.dt / r)
+    asym = kernels.lindblad_steps(table, *args, got)
+    reference_lindblad_steps(table, *args, want)
+    return got, want, asym
+
+
+# ---------------------------------------------------------------------------
+# batched kernels against the reference
+
+
+def test_schrodinger_lambda_ramp_matches_reference():
+    got, want = _run_schrodinger(201, 4)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_lindblad_hadamard_matches_reference():
+    got, want, asym = _run_lindblad(*_hadamard_case(151), 2)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert asym <= 1e-12
+    assert np.array_equal(got, got.conj().transpose(0, 2, 1))
+
+
+def test_lindblad_time_dependent_three_level_matches_reference():
+    schedule, grid = _lambda_case(101)
+    model = dynamics.LindbladModel(schedule, ((operators.projector(3, 1), 2.0),))
+    got, want, asym = _run_lindblad(model, grid, 3)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert asym <= 1e-12
+
+
+@pytest.mark.parametrize("r", [3, 14])
+def test_odd_refinement_matches_reference(r):
+    got, want = _run_schrodinger(201, r)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    got, want, asym = _run_lindblad(*_hadamard_case(151), r)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert asym <= 1e-12
+
+
+def test_interval_count_off_batch_multiple_matches_reference():
+    # r = 4 gives 512 intervals per batch: 1200 = 512 + 512 + 176
+    assert 1200 % (kernels._BATCH_STEPS // 4)
+    got, want = _run_schrodinger(1201, 4)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("r", [3, 10])
+def test_batch_edges_match_reference(monkeypatch, r):
+    # with 7 steps per batch, r = 3 packs 2 intervals per batch, so the 31
+    # intervals end on a partial batch; r = 10 splits each interval into
+    # batches of 7 and 3 steps
+    monkeypatch.setattr(kernels, "_BATCH_STEPS", 7)
+    got, want = _run_schrodinger(32, r)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    got, want, asym = _run_lindblad(*_hadamard_case(32), r)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert asym <= 1e-12
+
+
+def test_fold_orders_products_in_time():
+    rng = np.random.default_rng(7)
+    for r in range(1, 12):
+        maps = rng.normal(size=(3, r, 2, 2)) + 1j * rng.normal(size=(3, r, 2, 2))
+        want = np.broadcast_to(np.eye(2), (3, 2, 2))
+        for s in range(r):
+            want = maps[:, s] @ want
+        assert np.allclose(kernels._fold(maps), want, rtol=1e-13, atol=1e-12)
+
+
+def test_batched_eigenvalue_floor_matches_closed_form():
+    gamma = 1.0
+    grid = dynamics.TimeGrid(0.0, 5.0, 401)
+    rho0 = operators.projector_from_state(operators.plus_state())
+    traj = dynamics.propagate_lindblad(models.dephasing_model(gamma), rho0, grid)
+    batched = np.linalg.eigvalsh(traj.states).min(axis=1)
+    closed = np.array([operators.min_eigenvalue_hermitian(rho) for rho in traj.states])
+    assert np.max(np.abs(batched - closed)) <= 1e-12
+    exact = 0.5 * (1.0 - np.exp(-2.0 * gamma * grid.times))
+    assert np.max(np.abs(batched - exact)) <= 1e-7
