@@ -43,11 +43,16 @@ def _fmt(value) -> str:
     return f"{float(value):.16g}"
 
 
+def _column_strings(column) -> list[str]:
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return [f"{v:.16g}" for v in column.tolist()]
+    return [_fmt(v) for v in column]
+
+
 def _write_csv(path: Path, manifest_name: str, header: list[str],
                columns: list) -> None:
     lines = [f"# manifest: {manifest_name}", ",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(v) for v in row))
+    lines += map(",".join, zip(*map(_column_strings, columns)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -15,17 +15,22 @@ Four families are bundled:
 
 Frequencies are angular (rad per time unit, hbar = 1); helpers accepting
 cyclic MHz multiply by 2*pi at the boundary.
+
+The closed-form moments of the constant drive and of the counterdiabatic
+sweep are exact sums: closed forms over the pieces between the analytic
+roots of the rate, and term-by-term integrals of Taylor series. Only
+drives without analytic roots (polynomial, gaussian, custom) use scipy's
+adaptive quadrature, which is imported there and nowhere else in this
+module.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
-from scipy.special import ndtr
 
 from . import operators
 from .dynamics import (
@@ -38,11 +43,14 @@ from .dynamics import (
     constant_hamiltonian,
     propagate_schrodinger,
 )
-from .errors import DegenerateDistributionError
+from .errors import DegenerateDistributionError, IntegrationError
 from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z
 from .tf import KIND_TF, KIND_TOA, Moments, PopulationSeries, TFDistribution
 
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
+
+# signed Taylor coefficients of cos (even n) and sin (odd n): (-1)^(n//2)/n!
+_TAYLOR = np.array([(-1.0) ** (n // 2) / math.factorial(n) for n in range(50)])
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +109,8 @@ class ControlWaveform:
         """Normalized gaussian drive of total angle ``area`` centered at t0."""
         if sigma <= 0:
             raise ValueError("sigma must be positive")
+        from scipy.special import ndtr
+
         norm = area / np.sqrt(2.0 * np.pi * sigma * sigma)
 
         def omega(t):
@@ -117,6 +127,8 @@ class ControlWaveform:
                cumulative: Callable[[float], float] | None = None) -> "ControlWaveform":
         omega_v = np.vectorize(omega, otypes=[float])
         if cumulative is None:
+            from scipy.integrate import quad
+
             def cumulative_v(t):
                 flat = np.atleast_1d(np.asarray(t, dtype=float))
                 out = np.array([quad(omega, 0.0, x, **_QUAD_OPTS)[0] for x in flat])
@@ -175,10 +187,13 @@ def two_level_population(waveform: ControlWaveform, init: TwoLevelInitial, t):
 
 def two_level_rate(waveform: ControlWaveform, init: TwoLevelInitial, t):
     """Signed dp_1/dt = (w/2)[cos(theta) sin(W) - sin(theta) cos(W) sin(phi)]."""
-    w = waveform.cumulative(t)
-    return 0.5 * waveform.omega(t) * (
-        np.cos(init.theta) * np.sin(w)
-        - np.sin(init.theta) * np.cos(w) * np.sin(init.phi)
+    return _rate(waveform.omega(t), waveform.cumulative(t), init)
+
+
+def _rate(omega, angle, init: TwoLevelInitial):
+    return 0.5 * omega * (
+        np.cos(init.theta) * np.sin(angle)
+        - np.sin(init.theta) * np.cos(angle) * np.sin(init.phi)
     )
 
 
@@ -200,49 +215,144 @@ def two_level_tf_closed(waveform: ControlWaveform, init: TwoLevelInitial,
 
 
 def two_level_moments_closed(waveform: ControlWaveform, init: TwoLevelInitial,
-                             t_start: float, t_end: float,
-                             max_order: int = 2) -> Moments:
-    """Moments of the closed-form flow density by adaptive quadrature.
+                             t_start: float, t_end: float) -> Moments:
+    """Mean and spread of the closed-form flow density |dp_1/dt| on a window.
 
-    The signed rate is integrated piecewise between its sign changes
-    (bracketed on a dense probe grid, refined by brentq), so the absolute
-    value never degrades the quadrature order.
+    The rate is (w/2) R sin(W - delta) with R cos(delta) = cos(theta) and
+    R sin(delta) = sin(theta) sin(phi), so it changes sign where W crosses
+    delta + k pi and where w does. For a constant drive those roots are
+    t = (delta + k pi)/w and the integrals of t^p |rate| (p = 0, 1, 2) are
+    exact sums (``_constant_drive_integrals``), whatever the number of sign
+    changes. Other drives are probed on a grid fine enough that W moves by
+    at most pi/8 between neighbouring points; each sign change found is
+    refined by brentq and each piece integrated by adaptive quadrature.
+    ``IntegrationError`` is raised when that needs more than 2^20 probe
+    intervals.
     """
     if t_start < 0:
         raise ValueError("transfer windows start at t >= 0")
+    if waveform.kind == "constant":
+        integrals = _constant_drive_integrals(waveform.params["omega0"], init,
+                                              t_start, t_end)
+    else:
+        integrals = _probed_integrals(waveform, init, t_start, t_end)
+    total = integrals[0]
+    if total <= 1e-14:
+        raise DegenerateDistributionError("flow density vanishes on this window")
+    mus = integrals[1:] / total
+    var = max(mus[1] - mus[0] ** 2, 0.0)
+    return Moments(mean=float(mus[0]), std=float(np.sqrt(var)), raw=mus)
+
+
+def _constant_drive_integrals(omega: float, init: TwoLevelInitial, t0: float,
+                              t1: float) -> np.ndarray:
+    """Integrals of t^p |rate| over [t0, t1], p = 0, 1, 2, for a constant drive.
+
+    The rate is (omega/2) R sin(omega t - delta). Its roots
+    t = (delta + k pi)/omega cut the window into pieces on which the sine
+    keeps its sign. The interior pieces are full half periods whose centres
+    form an arithmetic progression, so their sums are closed forms in the
+    number of pieces; the two end pieces go through
+    ``_sine_piece_integrals``. Time and memory do not grow with the number
+    of sign changes.
+    """
+    if omega == 0.0:
+        raise DegenerateDistributionError("a zero drive never moves the population")
+    amplitude = np.hypot(np.cos(init.theta), np.sin(init.theta) * np.sin(init.phi))
+    delta = np.arctan2(np.sin(init.theta) * np.sin(init.phi), np.cos(init.theta))
+    w = abs(omega)
+    d = delta if omega > 0 else -delta  # sin(omega t - delta) = -sin(w t + delta)
+    k_lo = np.ceil((w * t0 - d) / np.pi)
+    k_hi = np.floor((w * t1 - d) / np.pi)
+    if k_hi < k_lo:
+        sums = _sine_piece_integrals(np.array([t0]), np.array([t1]), w, d)
+    else:
+        r_lo, r_hi = np.clip((d + np.pi * np.array([k_lo, k_hi])) / w, t0, t1)
+        ends = _sine_piece_integrals(np.array([t0, r_hi]), np.array([r_lo, t1]), w, d)
+        # interior: m pieces of half-width pi/(2w), centred where |sin| = 1
+        m = k_hi - k_lo
+        a0, _, a2 = _even_part_integrals(np.array([0.5 * np.pi / w]), w)[:, 0]
+        centre = 0.5 * (r_lo + r_hi)
+        sum_c2 = m * centre * centre + (np.pi / w) ** 2 * (m ** 3 - m) / 12.0
+        sums = ends + np.array([m * a0, m * centre * a0, sum_c2 * a0 + m * a2])
+    return 0.5 * w * amplitude * sums
+
+
+def _sine_piece_integrals(lo: np.ndarray, hi: np.ndarray, w: float,
+                          d: float) -> np.ndarray:
+    """Sums over pieces [lo, hi], on which sin(w t - d) keeps its sign, of
+    the integrals of t^p |sin(w t - d)|, p = 0, 1, 2.
+
+    With centre c, half-width h and t = c + x, sin(w t - d) is
+    sin(u) cos(w x) + cos(u) sin(w x) with u = w c - d, and only the even
+    parts of x^j cos(w x), x sin(w x), x^2 cos(w x) survive on [-h, h].
+    """
+    c, h = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    sin_u, cos_u = np.sin(w * c - d), np.cos(w * c - d)
+    s, k = np.abs(sin_u), np.sign(sin_u) * cos_u
+    a0, a1, a2 = _even_part_integrals(h, w)
+    return np.array([
+        np.sum(s * a0),
+        np.sum(c * s * a0 + k * a1),
+        np.sum(c * c * s * a0 + 2.0 * c * k * a1 + s * a2),
+    ])
+
+
+def _even_part_integrals(h: np.ndarray, w: float) -> np.ndarray:
+    """Integrals over [-h, h] of cos(w x), x sin(w x) and x^2 cos(w x).
+
+    Each is 2 h^(j+1) sum_n T_n z^n / (n + j + 1) over the n of the parity
+    of j, with z = w h and T_n the Taylor coefficients of cos and sin. The
+    pieces have z <= pi/2, where 50 terms reach rounding error; unlike the
+    antiderivatives in sin and cos, the series does not cancel at small z.
+    """
+    n = np.arange(_TAYLOR.size)
+    powers = np.power.outer(w * h, n)
+    return np.array([
+        2.0 * h ** (j + 1)
+        * (powers[:, j % 2::2] @ (_TAYLOR[j % 2::2] / (n[j % 2::2] + j + 1)))
+        for j in range(3)
+    ])
+
+
+def _probed_integrals(waveform: ControlWaveform, init: TwoLevelInitial,
+                      t0: float, t1: float) -> np.ndarray:
+    """Integrals of t^p |rate| (p = 0, 1, 2) for a drive without closed-form
+    roots, between sign changes bracketed on a probe grid."""
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
+    intervals = 4096
+    while True:
+        probe = np.linspace(t0, t1, intervals + 1)
+        angle = waveform.cumulative(probe)
+        if np.max(np.abs(np.diff(angle))) <= np.pi / 8.0:
+            break
+        intervals *= 2
+        if intervals > 2 ** 20:
+            raise IntegrationError(
+                "the drive angle moves by more than pi/8 between points of a "
+                f"2^20-interval probe on [{t0}, {t1}]"
+            )
 
     def rate(t):
         return two_level_rate(waveform, init, t)
 
-    probe = np.linspace(t_start, t_end, 4097)
-    signs = np.sign(np.atleast_1d(rate(probe)))
-    cuts = [t_start]
-    last_sign, last_idx = 0.0, 0
-    for i in range(probe.size):
-        if signs[i] == 0.0:
-            continue
-        if last_sign != 0.0 and signs[i] != last_sign:
-            cuts.append(float(brentq(rate, probe[last_idx], probe[i], xtol=1e-14)))
-        last_sign, last_idx = signs[i], i
-    cuts.append(t_end)
-    cuts = sorted(set(cuts))
+    signs = np.sign(_rate(waveform.omega(probe), angle, init))
+    nonzero = np.flatnonzero(signs)
+    flips = signs[nonzero[1:]] != signs[nonzero[:-1]]
+    roots = [brentq(rate, probe[i], probe[j], xtol=1e-14)
+             for i, j in zip(nonzero[:-1][flips], nonzero[1:][flips])]
+    cuts = sorted({t0, t1, *roots})
 
     # within a segment t^p * rate has the constant sign of rate (t >= 0),
     # so |rate| integrals are signed integrals flipped segment-wise
-    total = 0.0
-    mus = np.zeros(max_order)
+    integrals = np.zeros(3)
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        seg0, _ = quad(rate, lo, hi, **_QUAD_OPTS)
-        sgn = 1.0 if seg0 >= 0 else -1.0
-        total += abs(seg0)
-        for p in range(1, max_order + 1):
-            val, _ = quad(lambda t, p=p: t ** p * rate(t), lo, hi, **_QUAD_OPTS)
-            mus[p - 1] += sgn * val
-    if total <= 1e-14:
-        raise DegenerateDistributionError("flow density vanishes on this window")
-    mus /= total
-    var = max(mus[1] - mus[0] ** 2, 0.0)
-    return Moments(mean=float(mus[0]), std=float(np.sqrt(var)), raw=mus)
+        seg = np.array([quad(lambda t, p=p: t ** p * rate(t), lo, hi, **_QUAD_OPTS)[0]
+                        for p in range(3)])
+        integrals += seg if seg[0] >= 0 else -seg
+    return integrals
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +425,7 @@ def sta_flow_cdf(config: STAConfig, t):
 
 
 def sta_tf_closed(config: STAConfig, grid: TimeGrid) -> tuple[TFDistribution, Moments]:
-    """Arrival distribution of the sweep plus its quadrature moments.
+    """Arrival distribution of the sweep plus its closed-form moments.
 
     The density on the grid is assigned as exact per-interval flow mass
     (differences of the closed-form accumulated flow), which stays finite
@@ -340,15 +450,23 @@ def sta_tf_closed(config: STAConfig, grid: TimeGrid) -> tuple[TFDistribution, Mo
 
 
 def sta_moments_closed(config: STAConfig) -> Moments:
-    """Mean and spread of the arrival distribution by quadrature.
+    """Mean and spread of the arrival distribution, as exact series.
 
     Integration by parts against the accumulated flow avoids the
     integrable density singularity at t = 0 for alpha < 1:
-    mu1 = T - int F, mu2 = T^2 - 2 int t F.
+    mu1 = T - int F, mu2 = T^2 - 2 int t F. In u = (t/T)^alpha the Taylor
+    series of F = sin(pi u/2) integrates term by term:
+
+        int_0^T t^q F dt = T^(q+1) sum_k (-1)^k (pi/2)^(2k+1)
+                           / ((2k+1)! (alpha (2k+1) + q + 1)),
+
+    25 terms reach rounding error, and alpha = 0 gives the frozen limit.
     """
     big_t = config.t_final
-    i0, _ = quad(lambda t: sta_flow_cdf(config, t), 0.0, big_t, **_QUAD_OPTS)
-    i1, _ = quad(lambda t: t * sta_flow_cdf(config, t), 0.0, big_t, **_QUAD_OPTS)
+    n = np.arange(1, _TAYLOR.size, 2)
+    terms = _TAYLOR[n] * (0.5 * np.pi) ** n
+    i0 = big_t * float(np.sum(terms / (config.alpha * n + 1.0)))
+    i1 = big_t * big_t * float(np.sum(terms / (config.alpha * n + 2.0)))
     mu1 = big_t - i0
     mu2 = big_t * big_t - 2.0 * i1
     var = max(mu2 - mu1 * mu1, 0.0)

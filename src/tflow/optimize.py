@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import models
 from .dynamics import TimeGrid
@@ -111,6 +110,8 @@ def optimize_polynomial(config: OptimizeConfig) -> OptimizationResult:
     simplex size below ``tolerance`` or on the iteration cap; the best
     point found so far is returned either way, flagged by ``converged``.
     """
+    from scipy.optimize import minimize
+
     x0 = np.asarray(config.initial_coefficients, dtype=float)
     scales = np.array([
         config.simplex_scale * config.omega0 / config.t_horizon ** (p + 1)
@@ -157,7 +158,7 @@ class AlphaRow:
 def sta_alpha_report(alphas, t_final: float,
                      omega0: float = 1.0) -> list[AlphaRow]:
     """Arrival mean/spread of the counterdiabatic sweep per exponent,
-    sorted by alpha; moments by quadrature."""
+    sorted by alpha; moments from the closed-form series."""
     rows = []
     for alpha in sorted(float(a) for a in alphas):
         if alpha <= 0:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tflow
 from tflow.cli import main
 
 THREE_ROOT_SIX = 3.0 * np.sqrt(6.0)
@@ -273,3 +278,27 @@ def test_csv_numeric_format_sixteen_digits(tmp_path):
                  "--outdir", str(tmp_path)]) == 0
     row = _csv_lines(tmp_path / "two_level_series.csv")[3].split(",")
     assert row[0] == f"{np.pi / 9:.16g}"
+
+
+def test_csv_columns_format_like_per_value(tmp_path):
+    from tflow.cli import _fmt, _write_csv
+
+    floats = np.array([np.pi, -0.0, 1e-300, 2.5e17, np.nan, np.inf, 1.0, 1 / 3])
+    columns = [floats, np.arange(8) - 3, ["TOA", "TOD", "neutral"] * 2 + ["a", "b"],
+               np.array([True, False] * 4), floats.astype(np.float32)]
+    path = tmp_path / "mixed.csv"
+    _write_csv(path, "m.json", ["f", "i", "s", "b", "f32"], columns)
+    want = ["# manifest: m.json", "f,i,s,b,f32"]
+    want += [",".join(_fmt(v) for v in row) for row in zip(*columns)]
+    assert path.read_bytes() == ("\n".join(want) + "\n").encode("utf-8")
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, tflow, tflow.cli, tflow.models, tflow.optimize; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    src = str(Path(tflow.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

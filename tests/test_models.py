@@ -4,7 +4,7 @@ from scipy.integrate import quad
 
 from tflow import dynamics, models, operators, tf
 from tflow.dynamics import TimeGrid
-from tflow.errors import DegenerateDistributionError
+from tflow.errors import DegenerateDistributionError, IntegrationError
 
 M_PLUS = operators.projector_from_state(operators.plus_state())
 
@@ -147,6 +147,78 @@ def test_two_level_moments_closed_with_sign_changes():
     assert quad_m.std == pytest.approx(grid_m.std, abs=1e-4)
 
 
+def test_two_level_moments_closed_many_sign_changes():
+    # 6366 sign changes; a fixed 4097-point probe returned 5.000797 / 2.884047
+    m = models.two_level_moments_closed(
+        models.ControlWaveform.constant(2000.0), models.TwoLevelInitial(), 0.0, 10.0
+    )
+    assert m.mean == pytest.approx(4.999918066, abs=1e-9)
+    assert m.std == pytest.approx(2.886704028, abs=1e-9)
+
+
+def _moments_by_segment_quad(omega0, init, t0, t1):
+    """Reference: quad of t^p |rate| between the analytic roots."""
+    a = np.cos(init.theta)
+    b = np.sin(init.theta) * np.sin(init.phi)
+    delta = np.arctan2(b, a)
+    w, d = abs(omega0), (delta if omega0 > 0 else -delta)
+    k = np.arange(np.ceil((w * t0 - d) / np.pi), np.floor((w * t1 - d) / np.pi) + 1)
+    cuts = sorted({t0, t1, *((d + np.pi * k) / w)})
+
+    def rate(t):
+        return 0.5 * omega0 * (a * np.sin(omega0 * t) - b * np.cos(omega0 * t))
+
+    mu = [sum(abs(quad(lambda t: t ** p * rate(t), lo, hi,
+                       epsabs=1e-14, epsrel=1e-13)[0])
+              for lo, hi in zip(cuts[:-1], cuts[1:])) for p in range(3)]
+    mean = mu[1] / mu[0]
+    return mean, np.sqrt(mu[2] / mu[0] - mean ** 2)
+
+
+@pytest.mark.parametrize("theta, phi", [(0.0, 0.0), (np.pi / 3, np.pi / 2), (2.0, 4.0)])
+@pytest.mark.parametrize("omega0, t0, t1", [
+    (1.0, 0.0, 2.0 * np.pi),
+    (7.3, 0.4, 5.0),
+    (-2.5, 0.0, 3.0),
+    (0.01, 0.0, 1.0),  # 0.01 rad of phase: sin/cos antiderivatives cancel here
+])
+def test_two_level_moments_closed_matches_segment_quadrature(theta, phi, omega0, t0, t1):
+    init = models.TwoLevelInitial(theta=theta, phi=phi)
+    m = models.two_level_moments_closed(models.ControlWaveform.constant(omega0),
+                                        init, t0, t1)
+    mean, std = _moments_by_segment_quad(omega0, init, t0, t1)
+    assert m.mean == pytest.approx(mean, rel=1e-12)
+    assert m.std == pytest.approx(std, rel=1e-12)
+
+
+def test_two_level_moments_closed_zero_drive_degenerate():
+    with pytest.raises(DegenerateDistributionError):
+        models.two_level_moments_closed(models.ControlWaveform.constant(0.0),
+                                        models.TwoLevelInitial(), 0.0, 1.0)
+
+
+def test_probed_moments_resolve_every_sign_change():
+    # a polynomial drive with zero coefficients is the constant drive, but
+    # goes through the probe: 3183 sign changes on [0, 10]
+    init = models.TwoLevelInitial()
+    probed = models.two_level_moments_closed(
+        models.ControlWaveform.polynomial(1000.0, [0.0, 0.0, 0.0, 0.0]), init, 0.0, 10.0
+    )
+    exact = models.two_level_moments_closed(
+        models.ControlWaveform.constant(1000.0), init, 0.0, 10.0
+    )
+    assert probed.mean == pytest.approx(exact.mean, abs=1e-8)
+    assert probed.std == pytest.approx(exact.std, abs=1e-8)
+
+
+def test_probed_moments_refuse_an_unresolvable_drive():
+    with pytest.raises(IntegrationError):
+        models.two_level_moments_closed(
+            models.ControlWaveform.polynomial(1e6, [0.0, 0.0, 0.0, 0.0]),
+            models.TwoLevelInitial(), 0.0, 10.0,
+        )
+
+
 # ---------------------------------------------------------------------------
 # counterdiabatic sweep
 
@@ -199,6 +271,20 @@ def test_sta_moments_linear_schedule():
     m = models.sta_moments_closed(config)
     assert m.mean == pytest.approx(1.0 - 2.0 / np.pi, rel=1e-9)
     assert m.std == pytest.approx(np.sqrt(4.0 / np.pi - 12.0 / np.pi ** 2), rel=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.75, 1.0, 2.0, 7.0])
+def test_sta_moments_match_quadrature(alpha):
+    big_t = 1.3
+    config = models.STAConfig(alpha=alpha, t_final=big_t, omega0=1.0)
+    opts = dict(epsabs=1e-14, epsrel=1e-13, limit=500)
+    i0 = quad(lambda t: models.sta_flow_cdf(config, t), 0.0, big_t, **opts)[0]
+    i1 = quad(lambda t: t * models.sta_flow_cdf(config, t), 0.0, big_t, **opts)[0]
+    mean = big_t - i0
+    std = np.sqrt(big_t * big_t - 2.0 * i1 - mean * mean)
+    m = models.sta_moments_closed(config)
+    assert m.mean == pytest.approx(mean, rel=1e-12)
+    assert m.std == pytest.approx(std, rel=1e-12)
 
 
 def test_sta_tf_closed_normalized_and_consistent():
