@@ -86,15 +86,6 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """AB + BA."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"anticommutator shapes {a.shape} vs {b.shape}")
-    return a @ b + b @ a
-
-
 def su2_exponential(phi: float, axis: str) -> np.ndarray:
     """exp(-i*phi*sigma_axis) = cos(phi) I - i sin(phi) sigma_axis.
 

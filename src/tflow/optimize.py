@@ -10,6 +10,12 @@ not increase. N_false is an integer count, so the cost is deliberately
 non-smooth; a Nelder-Mead simplex handles it where gradient methods
 would stall. Runs are deterministic for a given configuration (the
 initial simplex is built explicitly).
+
+The simplex is a private numpy transcription of scipy's unbounded,
+non-adaptive Nelder-Mead (``scipy.optimize.minimize(method="Nelder-Mead")``),
+so shaping a drive imports no scipy. It takes the same steps in the same
+floating-point order, and tests/test_optimize.py checks that its
+coefficients, cost, iteration count and success flag equal scipy's.
 """
 
 from __future__ import annotations
@@ -90,6 +96,77 @@ def cost(coefficients, config: OptimizeConfig) -> float:
     )
 
 
+class _EvaluationLimit(Exception):
+    """The next cost evaluation would exceed the evaluation budget."""
+
+
+def _nelder_mead(func, simplex, xatol: float, fatol: float, maxiter: int,
+                 maxfev: int) -> tuple[np.ndarray, float, int, int, bool]:
+    """Minimize ``func`` from an (n+1, n) simplex; (x, fun, nit, nfev, success).
+
+    Reflection, expansion, outside and inside contraction and shrink use
+    rho = 1, chi = 2, psi = sigma = 1/2 in the arithmetic form scipy
+    uses, the vertices are re-sorted with ``np.argsort`` after each step,
+    and an evaluation that would exceed ``maxfev`` ends the run before it
+    is made, as in scipy.
+    """
+    sim = np.array(simplex, dtype=float)
+    n = sim.shape[1]
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _EvaluationLimit
+        nfev += 1
+        return func(x)
+
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _EvaluationLimit:
+        pass
+    order = np.argsort(fsim)
+    sim, fsim = sim[order], fsim[order]
+    nit = 1
+    while nfev < maxfev and nit < maxiter:
+        try:
+            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+            nit += 1
+        except _EvaluationLimit:
+            pass
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    return sim[0], float(np.min(fsim)), nit, nfev, nfev < maxfev and nit < maxiter
+
+
 @dataclass(frozen=True)
 class OptimizationResult:
     coefficients: np.ndarray
@@ -110,8 +187,6 @@ def optimize_polynomial(config: OptimizeConfig) -> OptimizationResult:
     simplex size below ``tolerance`` or on the iteration cap; the best
     point found so far is returned either way, flagged by ``converged``.
     """
-    from scipy.optimize import minimize
-
     x0 = np.asarray(config.initial_coefficients, dtype=float)
     scales = np.array([
         config.simplex_scale * config.omega0 / config.t_horizon ** (p + 1)
@@ -119,18 +194,14 @@ def optimize_polynomial(config: OptimizeConfig) -> OptimizationResult:
     ])
     simplex = np.vstack([x0] + [x0 + np.eye(4)[i] * scales[i] for i in range(4)])
 
-    res = minimize(
-        cost, x0, args=(config,), method="Nelder-Mead",
-        options=dict(
-            initial_simplex=simplex,
-            xatol=config.tolerance,
-            fatol=1e-15,
-            maxiter=config.max_iterations,
-            maxfev=max(4 * config.max_iterations, 1000),
-        ),
+    a, fun, nit, _, success = _nelder_mead(
+        lambda x: cost(x, config), simplex,
+        xatol=config.tolerance,
+        fatol=1e-15,
+        maxiter=config.max_iterations,
+        maxfev=max(4 * config.max_iterations, 1000),
     )
 
-    a = np.asarray(res.x, dtype=float)
     grid = TimeGrid(0.0, config.t_horizon, config.grid_points)
     ts = grid.times
     p1 = _population(a, config, ts)
@@ -138,11 +209,11 @@ def optimize_polynomial(config: OptimizeConfig) -> OptimizationResult:
     dist = models.two_level_tf_closed(waveform, models.TwoLevelInitial(), grid)
     return OptimizationResult(
         coefficients=a,
-        cost=float(res.fun),
+        cost=fun,
         p1_final=float(p1[-1]),
         n_false=int(np.sum(np.diff(p1) <= 0.0)),
-        iterations=int(res.nit),
-        converged=bool(res.success),
+        iterations=nit,
+        converged=success,
         population=PopulationSeries(grid, p1),
         distribution=dist,
     )

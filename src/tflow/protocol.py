@@ -8,14 +8,13 @@ their forward differences |Delta f|/dt, normalized, estimate the flow
 density.
 
 Sampling draws a Binomial(N, p(t_j)) count per time point from a
-counter-based Philox stream keyed by (seed, j), which makes the result
-bit-identical for a given (seed, grid, N) no matter how the points are
-scheduled across workers.
+counter-based Philox stream keyed by (seed, j), so each point's draw
+depends on (seed, j, N, p(t_j)) alone and the result is bit-identical
+for a given (seed, grid, N).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,35 +57,27 @@ class EmpiricalTF:
     def midpoint_times(self) -> np.ndarray:
         return self.grid.midpoints
 
-    def as_distribution(self) -> TFDistribution:
-        return TFDistribution(
-            times=self.grid.midpoints,
-            density=self.density,
-            dt=self.grid.dt,
-            normalization=self.normalization,
-            kind="TF",
-        )
 
+def sample_frequencies(p: np.ndarray, n_trials: int, seed: int) -> np.ndarray:
+    """Per-point binomial frequencies from independent (seed, j) streams.
 
-def _draw_point(seed: int, j: int, n_trials: int, p: float) -> float:
-    rng = np.random.Generator(np.random.Philox(key=[seed, j]))
-    return rng.binomial(n_trials, p) / n_trials
-
-
-def sample_frequencies(p: np.ndarray, n_trials: int, seed: int,
-                       workers: int = 1) -> np.ndarray:
-    """Per-point binomial frequencies from independent (seed, j) streams."""
+    Point j draws from ``Generator(Philox(key=[seed, j]))``. One bit
+    generator is re-keyed per point instead of built anew (construction
+    draws OS entropy it then discards): before each draw it gets back
+    the state it had when fresh, counter 0 and an empty buffer, with the
+    key's second word set to j. The seed word comes from Philox's own key
+    conversion, so out-of-range seeds wrap or raise exactly as they do
+    there (-1 keys as 2**64 - 1).
+    """
     p = np.asarray(p, dtype=float)
     out = np.empty_like(p)
-    if workers <= 1:
-        for j in range(p.size):
-            out[j] = _draw_point(seed, j, n_trials, p[j])
-        return out
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for j, f in enumerate(
-            pool.map(lambda j: _draw_point(seed, j, n_trials, p[j]), range(p.size))
-        ):
-            out[j] = f
+    bit_generator = np.random.Philox(key=[seed, 0])
+    rng = np.random.Generator(bit_generator)
+    fresh = bit_generator.state
+    for j in range(p.size):
+        fresh["state"]["key"][1] = j
+        bit_generator.state = fresh
+        out[j] = rng.binomial(n_trials, p[j]) / n_trials
     return out
 
 
@@ -108,7 +99,7 @@ def exact_populations(model, initial_state, config: ProtocolConfig,
 
 
 def empirical_from_populations(p: np.ndarray, config: ProtocolConfig,
-                               workers: int = 1, sample: bool = True) -> EmpiricalTF:
+                               sample: bool = True) -> EmpiricalTF:
     """Sample the protocol against known exact populations.
 
     With ``sample=False`` the exact populations stand in for the
@@ -116,7 +107,7 @@ def empirical_from_populations(p: np.ndarray, config: ProtocolConfig,
     the finite-difference distribution of the exact series.
     """
     p = np.asarray(p, dtype=float)
-    f = sample_frequencies(p, config.n_trials, config.seed, workers) if sample else p
+    f = sample_frequencies(p, config.n_trials, config.seed) if sample else p
     series = PopulationSeries(config.grid, f)
     try:
         dist = tf_from_population(series)
@@ -136,11 +127,11 @@ def empirical_from_populations(p: np.ndarray, config: ProtocolConfig,
 
 
 def simulate_protocol(model, initial_state, config: ProtocolConfig,
-                      workers: int = 1, sample: bool = True,
+                      sample: bool = True,
                       substeps: int | None = None) -> EmpiricalTF:
     """Run the measurement protocol against propagated exact dynamics."""
     p = exact_populations(model, initial_state, config, substeps)
-    return empirical_from_populations(p, config, workers, sample)
+    return empirical_from_populations(p, config, sample)
 
 
 @dataclass(frozen=True)

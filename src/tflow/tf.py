@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dynamics, operators
+from . import dynamics
 from .dynamics import TimeGrid, Trajectory
 from .errors import DegenerateDistributionError, DimensionMismatchError
 
@@ -264,9 +264,3 @@ def step_model_statistics(steps: list[tuple[float, float]]) -> StepModelStats:
     if tf is None:
         raise DegenerateDistributionError("all step weights are zero")
     return StepModelStats(toa=toa, tod=tod, tf=tf)
-
-
-def population_from_projector(traj: Trajectory, m: np.ndarray) -> PopulationSeries:
-    """Convenience: population series of a projector along a trajectory."""
-    operators.assert_hermitian(m, name="measurement operator")
-    return PopulationSeries.from_trajectory(traj, m)

@@ -186,12 +186,17 @@ def test_criterion_07_protocol_convergence_and_determinism():
     assert report.mean_abs_distance <= 0.05
     assert report.l1_distance <= 0.16
 
-    serial = protocol.empirical_from_populations(p, config, workers=1)
-    threaded = protocol.empirical_from_populations(p, config, workers=8)
-    assert np.array_equal(serial.frequencies, threaded.frequencies)
-    assert np.array_equal(serial.density, threaded.density)
+    # each point draws from its own Philox stream keyed (seed, j)
+    per_point = np.array([
+        np.random.Generator(np.random.Philox(key=[config.seed, j])).binomial(
+            n_trials, p[j]) / n_trials
+        for j in range(grid.n_points)
+    ])
+    assert np.array_equal(empirical.frequencies, per_point)
+    again = protocol.empirical_from_populations(p, config)
+    assert np.array_equal(empirical.density, again.density)
     _pass(7, f"L1 {report.l1_distance:.3f} (normalized "
-             f"{report.mean_abs_distance:.3f}); threads bit-identical")
+             f"{report.mean_abs_distance:.3f}); per-point streams bit-identical")
 
 
 def test_criterion_08_lambda_sweep_properties():

@@ -60,6 +60,15 @@ def test_two_level_protocol_outputs(tmp_path):
     assert (tmp_path / "two_level_frequencies.csv").exists()
 
 
+def test_two_level_protocol_negative_seed(tmp_path):
+    # Philox wraps the seed word, so -1 keys the streams as 2**64 - 1
+    rc = main(["two-level", "--omega0", "1.0", "--points", "100",
+               "--protocol", "1000", "--seed", "-1", "--outdir", str(tmp_path)])
+    assert rc == 0
+    report = _read_report(tmp_path / "two_level_report.json")
+    assert report["diagnostics"]["protocol"]["n_trials"] == 1000
+
+
 def test_missing_required_flag_exits_2(tmp_path, capsys):
     rc = main(["lambda", "--omega1", "1.0", "--outdir", str(tmp_path)])
     assert rc == 2
@@ -293,12 +302,25 @@ def test_csv_columns_format_like_per_value(tmp_path):
     assert path.read_bytes() == ("\n".join(want) + "\n").encode("utf-8")
 
 
-def test_import_loads_no_scipy():
-    code = ("import sys, tflow, tflow.cli, tflow.models, tflow.optimize; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+def _scipy_modules_after(code):
+    """scipy modules loaded in a fresh interpreter after running ``code``."""
+    code += "; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     src = str(Path(tflow.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_import_loads_no_scipy():
+    assert _scipy_modules_after(
+        "import sys, tflow, tflow.cli, tflow.models, tflow.optimize") == "[]"
+
+
+def test_optimize_loads_no_scipy():
+    code = ("import sys, math; from tflow import optimize; "
+            "optimize.optimize_polynomial(optimize.OptimizeConfig("
+            "t_horizon=1.0, omega0=0.8 * math.pi, lambda_mono=1.0, "
+            "lambda_reg=1e-8, max_iterations=2000))")
+    assert _scipy_modules_after(code) == "[]"

@@ -150,3 +150,74 @@ def test_sta_alpha_report_rows():
     assert rows[2].mean > rows[0].mean
     with pytest.raises(ValueError):
         optimize.sta_alpha_report([0.0], t_final=1.0)
+
+
+def _initial_simplex(config):
+    x0 = np.asarray(config.initial_coefficients, dtype=float)
+    scales = [config.simplex_scale * config.omega0 / config.t_horizon ** (p + 1)
+              for p in range(4)]
+    return x0, np.vstack([x0] + [x0 + np.eye(4)[i] * scales[i] for i in range(4)])
+
+
+def _scipy_nelder_mead(config, simplex, x0, maxiter, maxfev):
+    from scipy.optimize import minimize
+
+    return minimize(optimize.cost, x0, args=(config,), method="Nelder-Mead",
+                    options=dict(initial_simplex=simplex, xatol=config.tolerance,
+                                 fatol=1e-15, maxiter=maxiter, maxfev=maxfev))
+
+
+SIMPLEX_CASES = {
+    # the CLI test suite's and the benchmark's config
+    "cli": optimize.OptimizeConfig(t_horizon=1.0, omega0=0.8 * np.pi,
+                                   lambda_mono=1.0, lambda_reg=1e-8),
+    "iteration_cap": optimize.OptimizeConfig(t_horizon=1.0, omega0=0.8 * np.pi,
+                                             lambda_mono=1.0, lambda_reg=1e-8,
+                                             max_iterations=50),
+    "nonzero_start": optimize.OptimizeConfig(
+        t_horizon=2.0, omega0=1.3, lambda_mono=0.5, lambda_reg=1e-4,
+        initial_coefficients=(0.3, -0.1, 0.05, 0.01)),
+    "shrinks": optimize.OptimizeConfig(t_horizon=1.0, omega0=2.0 * np.pi,
+                                       lambda_mono=1.0, lambda_reg=0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMPLEX_CASES))
+def test_simplex_matches_scipy_nelder_mead(name):
+    config = SIMPLEX_CASES[name]
+    x0, simplex = _initial_simplex(config)
+    maxfev = max(4 * config.max_iterations, 1000)
+    want = _scipy_nelder_mead(config, simplex, x0, config.max_iterations, maxfev)
+    result = optimize.optimize_polynomial(config)
+    assert np.array_equal(result.coefficients, want.x)
+    assert result.cost == want.fun
+    assert result.iterations == want.nit
+    assert result.converged == want.success
+
+    evals = []
+    x, fun, nit, nfev, success = optimize._nelder_mead(
+        lambda a: evals.append(1) or optimize.cost(a, config), simplex,
+        config.tolerance, 1e-15, config.max_iterations, maxfev)
+    assert nfev == len(evals) == want.nfev
+    if name == "shrinks":
+        # a step without a shrink costs one or two evaluations, so more than
+        # the initial 5 plus 2 per step means a shrink was taken
+        assert nfev > 5 + 2 * (nit - 1)
+    if name == "iteration_cap":
+        assert nit == 50 and not success
+
+
+@pytest.mark.parametrize("maxfev", [3, 5, 6, 41, 50, 52, 83])
+def test_simplex_evaluation_cap_matches_scipy(maxfev):
+    # the cap falls in the initial simplex (3), right after it (5), after a
+    # step (6, 41) or inside a shrink: evaluations 51-54 and 81-84 of this
+    # run are shrink evaluations
+    config = SIMPLEX_CASES["shrinks"]
+    x0, simplex = _initial_simplex(config)
+    want = _scipy_nelder_mead(config, simplex, x0, 1000, maxfev)
+    x, fun, nit, nfev, success = optimize._nelder_mead(
+        lambda a: optimize.cost(a, config), simplex, config.tolerance, 1e-15,
+        1000, maxfev)
+    assert np.array_equal(x, want.x)
+    assert fun == want.fun
+    assert (nit, nfev, success) == (want.nit, want.nfev, want.success)

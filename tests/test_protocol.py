@@ -24,14 +24,39 @@ def test_config_validation():
         protocol.ProtocolConfig(5, TimeGrid(0.0, 1.0, 2), 0, M1)
 
 
-def test_sampling_deterministic_across_workers():
+def _per_point_reference(p, n_trials, seed):
+    # the stream contract: point j draws from a fresh Philox keyed (seed, j)
+    return np.array([
+        np.random.Generator(np.random.Philox(key=[seed, j])).binomial(n_trials, p[j])
+        / n_trials
+        for j in range(len(p))
+    ])
+
+
+def test_sampling_matches_per_point_streams():
     grid = TimeGrid(0.0, np.pi, 101)
     p = _constant_drive_populations(grid)
-    f1 = protocol.sample_frequencies(p, 2000, seed=42, workers=1)
-    f8 = protocol.sample_frequencies(p, 2000, seed=42, workers=8)
-    assert np.array_equal(f1, f8)
-    f_other = protocol.sample_frequencies(p, 2000, seed=43, workers=1)
-    assert not np.array_equal(f1, f_other)
+    f = protocol.sample_frequencies(p, 2000, seed=42)
+    assert np.array_equal(f, _per_point_reference(p, 2000, 42))
+    f_other = protocol.sample_frequencies(p, 2000, seed=43)
+    assert not np.array_equal(f, f_other)
+
+
+@pytest.mark.parametrize("seed", [-1, 0, 2 ** 63, 2 ** 63 + 12345, 2 ** 64 - 2 ** 11])
+@pytest.mark.parametrize("n_trials", [1, 7, 1000])
+def test_sampling_stream_edges(seed, n_trials):
+    # negative seeds wrap (-1 keys as 2**64 - 1), seeds >= 2**63 pass
+    # through Philox's own key conversion; p of exactly 0 and 1 included
+    p = np.array([0.0, 1.0, 0.5, 1.0, 0.0, 0.25, 1e-9, 1.0 - 1e-9])
+    want = _per_point_reference(p, n_trials, seed)
+    got = protocol.sample_frequencies(p, n_trials, seed)
+    assert np.array_equal(got, want)
+    assert got[0] == got[4] == 0.0 and got[1] == got[3] == 1.0
+
+
+def test_sampling_seed_out_of_philox_range_raises():
+    with pytest.raises(OverflowError):
+        protocol.sample_frequencies(np.full(3, 0.5), 10, seed=2 ** 64)
 
 
 def test_simulate_protocol_from_propagated_model():
