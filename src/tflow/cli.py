@@ -385,11 +385,6 @@ def _run_dephasing(args) -> int:
         pi_max=2.0 * gamma,
         mt_bound=qsl.mt_dephasing_bound(gamma),
     ).to_dict()
-    bounds["mt_bound"] = qsl.mt_dephasing_bound(gamma)
-    bounds["std_over_qsl_spread_bound"] = analytics.exact_std / (
-        qsl.CHEBYSHEV_FACTOR * analytics.delta_theta
-        / np.sqrt(analytics.trace_term)
-    )
 
     manifest_name = "dephasing_report.json"
     series_path = out / "dephasing_series.csv"
@@ -445,11 +440,9 @@ def _run_hadamard(args) -> int:
         trace_term=bundle.trace_term,
         measured=fd_moments,
         pi_max=fd.peak,
-        hamiltonian_deviation=qsl.hamiltonian_std(
-            bundle.model.hamiltonian(0.0), operators.plus_state()
-        ),
+        hamiltonian=bundle.model.hamiltonian(0.0),
+        target=operators.plus_state(),
     ).to_dict()
-    bounds["trace_term"] = bundle.trace_term
 
     manifest_name = "hadamard_report.json"
     series_path = out / "hadamard_series.csv"

@@ -71,7 +71,8 @@ class HamiltonianSchedule:
 
     ``func(t)`` returns the (d, d) matrix at a scalar time. An optional
     ``batch(ts)`` evaluator returning (n, d, d) speeds up table sampling;
-    ``constant=True`` short-circuits sampling entirely.
+    ``constant=True`` short-circuits sampling entirely, and the
+    propagators then build the map of one grid interval and reuse it.
     """
 
     def __init__(self, dim: int, func: Callable[[float], np.ndarray], *,
@@ -183,7 +184,8 @@ class Trajectory:
 
 def _generator_table(schedule: HamiltonianSchedule, grid: TimeGrid,
                      substeps: int) -> np.ndarray:
-    n_steps = (grid.n_points - 1) * substeps
+    """H at every half-step node; a constant H needs one grid interval's."""
+    n_steps = substeps if schedule.constant else (grid.n_points - 1) * substeps
     half = grid.dt / (2 * substeps)
     ts = grid.t_start + half * np.arange(2 * n_steps + 1)
     table = schedule.sample(ts)
@@ -240,7 +242,8 @@ def propagate_schrodinger(schedule: HamiltonianSchedule, psi0: np.ndarray,
     for _ in range(attempts):
         table = _generator_table(schedule, grid, r)
         out = np.empty((grid.n_points, schedule.dim), dtype=complex)
-        kernels.schrodinger_steps(table, psi0, r, grid.dt / r, out)
+        kernels.schrodinger_steps(table, psi0, r, grid.dt / r, out,
+                                  constant=schedule.constant)
         norms = np.linalg.norm(out, axis=1)
         drift = float(np.max(np.abs(norms - 1.0)))
         if drift <= _DRIFT_BUDGET:
@@ -288,7 +291,8 @@ def propagate_lindblad(model: LindbladModel, rho0: np.ndarray, grid: TimeGrid,
         table = _generator_table(model.hamiltonian, grid, r)
         out = np.empty((grid.n_points, model.dim, model.dim), dtype=complex)
         max_asym = kernels.lindblad_steps(
-            table, jumps, jump_dags, half_b, rho0, r, grid.dt / r, out
+            table, jumps, jump_dags, half_b, rho0, r, grid.dt / r, out,
+            constant=model.hamiltonian.constant,
         )
         traces = np.real(np.trace(out, axis1=1, axis2=2))
         drift = float(np.max(np.abs(traces - 1.0)))

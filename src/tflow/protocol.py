@@ -8,9 +8,9 @@ their forward differences |Delta f|/dt, normalized, estimate the flow
 density.
 
 Sampling draws a Binomial(N, p(t_j)) count per time point from a
-counter-based Philox stream keyed by (seed, j), so each point's draw
-depends on (seed, j, N, p(t_j)) alone and the result is bit-identical
-for a given (seed, grid, N).
+counter-based Philox stream keyed by (seed mod 2**64, j), so each
+point's draw depends on (seed, j, N, p(t_j)) alone and the result is
+bit-identical for a given (seed, grid, N).
 """
 
 from __future__ import annotations
@@ -61,17 +61,20 @@ class EmpiricalTF:
 def sample_frequencies(p: np.ndarray, n_trials: int, seed: int) -> np.ndarray:
     """Per-point binomial frequencies from independent (seed, j) streams.
 
-    Point j draws from ``Generator(Philox(key=[seed, j]))``. One bit
-    generator is re-keyed per point instead of built anew (construction
-    draws OS entropy it then discards): before each draw it gets back
-    the state it had when fresh, counter 0 and an empty buffer, with the
-    key's second word set to j. The seed word comes from Philox's own key
-    conversion, so out-of-range seeds wrap or raise exactly as they do
-    there (-1 keys as 2**64 - 1).
+    Point j draws from a Philox whose 128-bit key has the words
+    (seed mod 2**64, j), as uint64, so every seed in [-2**63, 2**64) has
+    its own stream (-1 keys as 2**64 - 1); other seeds raise
+    OverflowError. One bit generator is re-keyed per point instead of
+    built anew (construction draws OS entropy it then discards): before
+    each draw it gets back the state it had when fresh, counter 0 and an
+    empty buffer, with the key's second word set to j.
     """
+    seed = int(seed)
+    if not -2 ** 63 <= seed < 2 ** 64:
+        raise OverflowError(f"seed {seed} lies outside [-2**63, 2**64)")
     p = np.asarray(p, dtype=float)
     out = np.empty_like(p)
-    bit_generator = np.random.Philox(key=[seed, 0])
+    bit_generator = np.random.Philox(key=np.array([seed % 2 ** 64, 0], dtype=np.uint64))
     rng = np.random.Generator(bit_generator)
     fresh = bit_generator.state
     for j in range(p.size):

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import dynamics, operators
 from .dynamics import LindbladModel
+from .errors import DimensionMismatchError
 from .tf import Moments
 
 CHEBYSHEV_FACTOR = 1.0 / (3.0 * np.sqrt(3.0))
@@ -62,8 +63,11 @@ def tf_qsl_open(model: LindbladModel, m: np.ndarray, delta_theta: float,
 
     For time-dependent Hamiltonians supply ``times``; the largest trace
     term along them is used, which keeps the bound valid over the whole
-    window. A vanishing trace term means M is frozen by the dynamics and
-    the bound is +inf.
+    window. H is sampled at all of them in one call and L^dag(M) =
+    i[H, M] + D^dag(M) is formed for the whole stack, so the result is
+    the maximum of ``liouvillian_trace_term`` over the times (up to
+    rounding). A vanishing trace term means M is frozen by the dynamics
+    and the bound is +inf.
     """
     if not 0.0 < delta_theta <= 1.0:
         raise ValueError("delta_theta must lie in (0, 1]")
@@ -71,7 +75,12 @@ def tf_qsl_open(model: LindbladModel, m: np.ndarray, delta_theta: float,
     if times is None:
         term = liouvillian_trace_term(model, m)
     else:
-        term = max(liouvillian_trace_term(model, m, float(t)) for t in np.asarray(times))
+        m = np.asarray(m, dtype=complex)
+        if m.shape != (model.dim, model.dim):
+            raise DimensionMismatchError("measurement operator dimension mismatch")
+        hs = model.hamiltonian.sample(times)
+        adj = 1j * (hs @ m - m @ hs) + dynamics.dissipator_adjoint(model, m)
+        term = float(np.max(np.abs(np.real(np.einsum("nij,nji->n", adj, adj)))))
     if term <= 0.0:
         return np.inf
     return delta_theta / np.sqrt(term)
@@ -164,6 +173,8 @@ class BoundsReport:
     measured_std: float
     measured_pi_max: float
     satisfied: dict
+    mt_bound: float | None = None
+    std_over_qsl_spread_bound: float | None = None
 
     def to_dict(self) -> dict:
         def clean(x):
@@ -172,7 +183,7 @@ class BoundsReport:
             x = float(x)
             return x if np.isfinite(x) else None
 
-        return {
+        out = {
             "delta_theta": clean(self.delta_theta),
             "trace_term": clean(self.trace_term),
             "tau_tf": clean(self.tau_tf),
@@ -189,29 +200,37 @@ class BoundsReport:
             },
             "satisfied": dict(self.satisfied),
         }
+        if self.mt_bound is not None:
+            out["mt_bound"] = clean(self.mt_bound)
+            out["std_over_qsl_spread_bound"] = clean(self.std_over_qsl_spread_bound)
+        return out
 
 
 def build_bounds_report(*, delta_theta: float, trace_term: float,
                         measured: Moments, pi_max: float,
-                        hamiltonian_deviation: float | None = None,
+                        hamiltonian: np.ndarray | None = None, target=None,
                         mt_bound: float | None = None) -> BoundsReport:
     """Assemble the bound set from precomputed scalars.
 
-    ``hamiltonian_deviation`` enables the closed-system variants and the
-    product check; leave it None for purely dissipative generators, where
-    those forms do not apply.
+    ``hamiltonian``, with the ``target`` basis index or state of the
+    transfer, enables the closed-system variants and the product check;
+    leave it None for purely dissipative generators, where those forms do
+    not apply. ``mt_bound`` adds the fidelity-based comparison value and
+    the ratio of the measured spread to the QSL spread bound.
     """
     tau = delta_theta / np.sqrt(trace_term) if trace_term > 0 else np.inf
     cheb = chebyshev_spread_bound(pi_max)
-    qsl_spread = CHEBYSHEV_FACTOR * tau if np.isfinite(tau) else 0.0
+    qsl_spread = spread_bound_from_qsl(tau) if 0.0 < tau < np.inf else 0.0
     eta = abs(delta_theta) / (6.0 * np.sqrt(3.0))
 
-    closed_printed = closed_derived = None
-    product = None
-    if hamiltonian_deviation is not None and hamiltonian_deviation > 0:
-        closed_printed = delta_theta / (2.0 * hamiltonian_deviation)
-        closed_derived = delta_theta / (np.sqrt(2.0) * hamiltonian_deviation)
-        product = measured.std * hamiltonian_deviation
+    closed_printed = closed_derived = product = None
+    if hamiltonian is not None:
+        deviation = hamiltonian_std(hamiltonian, target)
+        if deviation > 0:
+            product = measured.std * deviation
+            if delta_theta > 0:
+                closed = tf_qsl_closed(hamiltonian, target, delta_theta)
+                closed_printed, closed_derived = closed.printed, closed.derived
 
     satisfied = {
         "spread_chebyshev": bool(measured.std >= cheb * (1.0 - 1e-9)),
@@ -219,7 +238,14 @@ def build_bounds_report(*, delta_theta: float, trace_term: float,
     }
     if product is not None:
         satisfied["uncertainty"] = bool(product >= eta * (1.0 - 1e-9))
-    report = BoundsReport(
+    std_over_spread = None
+    if mt_bound is not None:
+        satisfied["mt_comparison_ratio_half"] = bool(abs(tau / mt_bound - 0.5) < 1e-9)
+        # rounded as std / (C dtheta / sqrt(trace)), not std / qsl_spread, so
+        # the ratio repeats bit for bit across report versions
+        std_over_spread = measured.std / (
+            CHEBYSHEV_FACTOR * delta_theta / np.sqrt(trace_term))
+    return BoundsReport(
         delta_theta=delta_theta,
         trace_term=trace_term,
         tau_tf=tau,
@@ -233,9 +259,6 @@ def build_bounds_report(*, delta_theta: float, trace_term: float,
         measured_std=measured.std,
         measured_pi_max=pi_max,
         satisfied=satisfied,
+        mt_bound=mt_bound,
+        std_over_qsl_spread_bound=std_over_spread,
     )
-    if mt_bound is not None:
-        report.satisfied["mt_comparison_ratio_half"] = bool(
-            abs(tau / mt_bound - 0.5) < 1e-9
-        )
-    return report

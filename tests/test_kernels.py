@@ -163,3 +163,84 @@ def test_batched_eigenvalue_floor_matches_closed_form():
     assert np.max(np.abs(batched - closed)) <= 1e-12
     exact = 0.5 * (1.0 - np.exp(-2.0 * gamma * grid.times))
     assert np.max(np.abs(batched - exact)) <= 1e-7
+
+
+# ---------------------------------------------------------------------------
+# constant generators fold one interval map
+
+
+def _unflagged(schedule):
+    """The same H as a schedule that does not declare itself constant."""
+    h = schedule(0.0)
+    return dynamics.HamiltonianSchedule(
+        schedule.dim, schedule,
+        batch=lambda ts: np.repeat(h[None], np.size(ts), axis=0))
+
+
+def _constant_schrodinger_cases():
+    two = dynamics.constant_hamiltonian(0.5 * 7.0 * operators.SIGMA_X
+                                        + 0.3 * operators.SIGMA_Z)
+    three = dynamics.constant_hamiltonian(np.array(
+        [[0.0, 1.0, 0.2j], [1.0, 0.5, 0.7], [-0.2j, 0.7, -1.3]]))
+    return [(two, dynamics.TimeGrid(0.0, 2.0, 61)),
+            (three, dynamics.TimeGrid(0.0, 3.0, 41))]
+
+
+def _constant_lindblad_cases():
+    return [(models.hadamard_model(2 * np.pi, 3.0).model, dynamics.TimeGrid(0.0, 0.5, 51)),
+            (models.dephasing_model(1.3), dynamics.TimeGrid(0.0, 2.0, 41))]
+
+
+@pytest.mark.parametrize("substeps", [None, 3, 4, 10])
+def test_constant_schedule_matches_unflagged_schrodinger(monkeypatch, substeps):
+    if substeps == 10:  # longer than a batch of 7: one interval folded 7 + 3
+        monkeypatch.setattr(kernels, "_BATCH_STEPS", 7)
+    for schedule, grid in _constant_schrodinger_cases():
+        psi0 = operators.basis_state(schedule.dim, 0)
+        got = dynamics.propagate_schrodinger(schedule, psi0, grid, substeps)
+        want = dynamics.propagate_schrodinger(_unflagged(schedule), psi0, grid, substeps)
+        assert np.array_equal(got.states, want.states)
+
+
+@pytest.mark.parametrize("substeps", [None, 3, 4, 10])
+def test_constant_schedule_matches_unflagged_lindblad(monkeypatch, substeps):
+    if substeps == 10:
+        monkeypatch.setattr(kernels, "_BATCH_STEPS", 7)
+    for model, grid in _constant_lindblad_cases():
+        unflagged = dynamics.LindbladModel(_unflagged(model.hamiltonian),
+                                           model.channels, model.form)
+        rho0 = operators.projector(model.dim, 0).astype(complex)
+        got = dynamics.propagate_lindblad(model, rho0, grid, substeps)
+        want = dynamics.propagate_lindblad(unflagged, rho0, grid, substeps)
+        assert np.array_equal(got.states, want.states)
+
+
+def test_constant_table_holds_one_interval(monkeypatch):
+    lengths = []
+    steps = kernels.schrodinger_steps
+
+    def recording(table, *args, **kwargs):
+        lengths.append(len(table))
+        return steps(table, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "schrodinger_steps", recording)
+    schedule, grid = _constant_schrodinger_cases()[0]
+    psi0 = operators.basis_state(2, 0)
+    dynamics.propagate_schrodinger(schedule, psi0, grid, 5)
+    dynamics.propagate_schrodinger(_unflagged(schedule), psi0, grid, 5)
+    assert lengths == [2 * 5 + 1, 2 * 5 * (grid.n_points - 1) + 1]
+
+
+# ---------------------------------------------------------------------------
+# unrolled products of tiny matrices
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_unrolled_product_matches_matmul(d):
+    rng = np.random.default_rng(d)
+    a = rng.normal(size=(4, 1, d, d)) + 1j * rng.normal(size=(4, 1, d, d))
+    b = rng.normal(size=(1, 5, d, d)) + 1j * rng.normal(size=(1, 5, d, d))
+    for x, y in ((a, b), (a[:, 0], b[0, :4]), (a[0, 0], b)):
+        got, want = kernels._mm(x, y), x @ y
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15 * max(1.0, np.max(np.abs(want)))

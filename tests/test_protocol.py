@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -25,9 +27,11 @@ def test_config_validation():
 
 
 def _per_point_reference(p, n_trials, seed):
-    # the stream contract: point j draws from a fresh Philox keyed (seed, j)
+    # the stream contract: point j draws from a fresh Philox keyed by the
+    # uint64 words (seed mod 2**64, j)
     return np.array([
-        np.random.Generator(np.random.Philox(key=[seed, j])).binomial(n_trials, p[j])
+        np.random.Generator(np.random.Philox(
+            key=np.array([seed % 2 ** 64, j], dtype=np.uint64))).binomial(n_trials, p[j])
         / n_trials
         for j in range(len(p))
     ])
@@ -45,8 +49,8 @@ def test_sampling_matches_per_point_streams():
 @pytest.mark.parametrize("seed", [-1, 0, 2 ** 63, 2 ** 63 + 12345, 2 ** 64 - 2 ** 11])
 @pytest.mark.parametrize("n_trials", [1, 7, 1000])
 def test_sampling_stream_edges(seed, n_trials):
-    # negative seeds wrap (-1 keys as 2**64 - 1), seeds >= 2**63 pass
-    # through Philox's own key conversion; p of exactly 0 and 1 included
+    # negative seeds wrap (-1 keys as 2**64 - 1), seeds >= 2**63 key as
+    # exact uint64 words; p of exactly 0 and 1 included
     p = np.array([0.0, 1.0, 0.5, 1.0, 0.0, 0.25, 1e-9, 1.0 - 1e-9])
     want = _per_point_reference(p, n_trials, seed)
     got = protocol.sample_frequencies(p, n_trials, seed)
@@ -55,8 +59,26 @@ def test_sampling_stream_edges(seed, n_trials):
 
 
 def test_sampling_seed_out_of_philox_range_raises():
-    with pytest.raises(OverflowError):
-        protocol.sample_frequencies(np.full(3, 0.5), 10, seed=2 ** 64)
+    for seed in (2 ** 64, -2 ** 63 - 1):
+        with pytest.raises(OverflowError):
+            protocol.sample_frequencies(np.full(3, 0.5), 10, seed=seed)
+
+
+def test_sampling_high_seeds_have_distinct_streams():
+    # through a key list [seed, j], numpy casts seeds >= 2**63 via float64:
+    # 2**63 and 2**63 + 5 would share one stream and 2**64 - 1 would warn
+    p = np.full(64, 0.5)
+    for seed in (-1, -2 ** 63, 0, 42, 2 ** 63 - 1):
+        list_keyed = np.array([
+            np.random.Generator(np.random.Philox(key=[seed, j])).binomial(1000, 0.5)
+            / 1000 for j in range(p.size)])
+        assert np.array_equal(protocol.sample_frequencies(p, 1000, seed), list_keyed)
+    low = protocol.sample_frequencies(p, 1000, 2 ** 63)
+    assert not np.array_equal(low, protocol.sample_frequencies(p, 1000, 2 ** 63 + 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        top = protocol.sample_frequencies(p, 1000, 2 ** 64 - 1)
+    assert np.array_equal(top, protocol.sample_frequencies(p, 1000, -1))
 
 
 def test_simulate_protocol_from_propagated_model():

@@ -3,6 +3,7 @@ import pytest
 
 from tflow import dynamics, models, operators, qsl, tf
 from tflow.dynamics import TimeGrid
+from tflow.errors import DimensionMismatchError
 
 M_PLUS = operators.projector_from_state(operators.plus_state())
 M_MINUS = operators.projector_from_state(operators.minus_state())
@@ -36,6 +37,45 @@ def test_tf_qsl_open_validates_inputs():
         qsl.tf_qsl_open(model, M_MINUS, 0.0)
     with pytest.raises(Exception):
         qsl.tf_qsl_open(model, operators.SIGMA_X, 0.5)  # not a projector
+
+
+def _time_dependent_models():
+    lam = models.LambdaConfig(2 * np.pi, 2 * np.pi, -5 * np.pi, 5 * np.pi, 2.0)
+    schedule = models.lambda_hamiltonian(lam)
+    decay = np.zeros((3, 3))
+    decay[1, 0] = 1.0
+    psi = np.array([1.0, 1.0j, 1.0]) / np.sqrt(3.0)
+    # no batch evaluator: sample() calls the function once per time
+    scalar = dynamics.HamiltonianSchedule(
+        2, lambda t: 0.5 * np.cos(3.0 * t) * operators.SIGMA_X
+        + 0.2 * t * operators.SIGMA_Z + 0.3 * operators.SIGMA_Y)
+    phi = np.array([np.cos(0.4), np.exp(0.7j) * np.sin(0.4)])
+    # generic channels and targets, so the cross term 2 Tr(i[H, M] D^dag(M))
+    # is nonzero and the sign of the commutator matters
+    return [
+        (dynamics.LindbladModel(schedule), operators.projector(3, 1), lam.t_final),
+        (dynamics.LindbladModel(schedule, ((decay, 2.0),), form=dynamics.GKS),
+         np.outer(psi, psi.conj()), lam.t_final),
+        (dynamics.LindbladModel(scalar, ((np.array([[0.2, 1.0], [0.3j, -0.1]]), 0.7),),
+                                form=dynamics.GKS),
+         np.outer(phi, phi.conj()), 4.0),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_tf_qsl_open_times_matches_per_time_trace_terms(case):
+    model, m, t_end = _time_dependent_models()[case]
+    times = np.linspace(0.0, t_end, 401)
+    want = max(qsl.liouvillian_trace_term(model, m, float(t)) for t in times)
+    got = qsl.tf_qsl_open(model, m, 0.5, times=times)
+    assert got == pytest.approx(0.5 / np.sqrt(want), rel=1e-12)
+
+
+def test_tf_qsl_open_times_checks_dimension():
+    model = dynamics.LindbladModel(models.lambda_hamiltonian(
+        models.LambdaConfig(1.0, 1.0, -1.0, 1.0, 1.0)))
+    with pytest.raises(DimensionMismatchError):
+        qsl.tf_qsl_open(model, M_PLUS, 0.5, times=[0.0, 0.5])
 
 
 def test_hamiltonian_std_direct_evaluation():
@@ -169,6 +209,32 @@ def test_build_bounds_report_dephasing():
     assert report.tau_tf_closed_printed is None
     payload = report.to_dict()
     assert payload["measured"]["std"] == 0.5
+    assert payload["mt_bound"] == qsl.mt_dephasing_bound(gamma)
+    assert payload["std_over_qsl_spread_bound"] == pytest.approx(
+        0.5 / report.spread_bound_qsl, rel=1e-15)
+    assert list(payload)[-2:] == ["mt_bound", "std_over_qsl_spread_bound"]
+
+
+def test_build_bounds_report_closed_variants():
+    omega0 = 2.0 * np.pi
+    h = models.hadamard_model(omega0, 0.0).model.hamiltonian(0.0)
+    measured = tf.Moments(mean=0.3, std=0.2, raw=np.array([0.3, 0.13]))
+    report = qsl.build_bounds_report(
+        delta_theta=0.5, trace_term=omega0 ** 2 / 4.0, measured=measured,
+        pi_max=2.0, hamiltonian=h, target=operators.plus_state())
+    closed = qsl.tf_qsl_closed(h, operators.plus_state(), 0.5)
+    assert report.tau_tf_closed_printed == closed.printed
+    assert report.tau_tf_closed_derived == closed.derived
+    assert report.tau_tf_closed_derived == pytest.approx(report.tau_tf, rel=1e-12)
+    assert report.spread_bound_qsl == qsl.spread_bound_from_qsl(report.tau_tf)
+    assert report.uncertainty_product == 0.2 * qsl.hamiltonian_std(h, operators.plus_state())
+    assert "mt_bound" not in report.to_dict()
+    # an eigenstate target has no closed-system bound and no product
+    eigen = qsl.build_bounds_report(
+        delta_theta=0.5, trace_term=1.0, measured=measured, pi_max=2.0,
+        hamiltonian=operators.SIGMA_Z, target=0)
+    assert eigen.tau_tf_closed_printed is None and eigen.uncertainty_product is None
+    assert "uncertainty" not in eigen.satisfied
 
 
 # ---------------------------------------------------------------------------
