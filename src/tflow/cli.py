@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import itertools
 import json
 import os
 import sys
@@ -43,17 +44,22 @@ def _fmt(value) -> str:
     return f"{float(value):.16g}"
 
 
-def _column_strings(column) -> list[str]:
-    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-        return [f"{v:.16g}" for v in column.tolist()]
-    return [_fmt(v) for v in column]
-
-
 def _write_csv(path: Path, manifest_name: str, header: list[str],
                columns: list) -> None:
-    lines = [f"# manifest: {manifest_name}", ",".join(header)]
-    lines += map(",".join, zip(*map(_column_strings, columns)))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write the table with one ``%`` template: ``%.16g`` for float arrays,
+    ``%s`` of ``_fmt`` for every other column."""
+    fields, values = [], []
+    for column in columns:
+        if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+            fields.append("%.16g")
+            values.append(column.tolist())
+        else:
+            fields.append("%s")
+            values.append([_fmt(v) for v in column])
+    flat = tuple(itertools.chain.from_iterable(zip(*values)))
+    body = (",".join(fields) + "\n") * (len(flat) // len(fields)) % flat
+    path.write_text(f"# manifest: {manifest_name}\n{','.join(header)}\n{body}",
+                    encoding="utf-8")
 
 
 def _jsonable(obj):
@@ -116,11 +122,9 @@ def _outdir(args) -> Path:
     return out
 
 
-def _point_kinds(rate: np.ndarray, dead_band: float) -> list[str]:
-    return [
-        tf.KIND_TOA if r > dead_band else (tf.KIND_TOD if r < -dead_band else tf.KIND_NEUTRAL)
-        for r in rate
-    ]
+def _point_kinds(rate: np.ndarray, dead_band: float) -> np.ndarray:
+    return np.where(rate > dead_band, tf.KIND_TOA,
+                    np.where(rate < -dead_band, tf.KIND_TOD, tf.KIND_NEUTRAL))
 
 
 def _segments_json(series: tf.PopulationSeries) -> tuple[list[dict], list[float]]:

@@ -18,14 +18,16 @@ cyclic MHz multiply by 2*pi at the boundary.
 
 The closed-form moments of the constant drive and of the counterdiabatic
 sweep are exact sums: closed forms over the pieces between the analytic
-roots of the rate, and term-by-term integrals of Taylor series. Only
-drives without analytic roots (polynomial, gaussian, custom) use scipy's
-adaptive quadrature, which is imported there and nowhere else in this
-module.
+roots of the rate, and term-by-term integrals of Taylor series. The
+polynomial and gaussian drives enumerate every sign change of the rate
+exactly (zeros of the drive, and inversions of the monotone pieces of W)
+and integrate between them with one fixed Gauss-Legendre rule. Custom
+drives are probed on a grid. Nothing here imports scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -47,7 +49,19 @@ from .errors import DegenerateDistributionError, IntegrationError
 from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z
 from .tf import KIND_TF, KIND_TOA, Moments, PopulationSeries, TFDistribution
 
-_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
+# Gauss-Legendre order of every quadrature below: the moment integrals
+# over pieces spanning at most pi/8 of W, and the panels of a custom
+# drive's cumulative (at most _PANEL long). 8 is the smallest order that
+# holds the moments of the old adaptive quadrature to 1e-13 relative;
+# 6 is off by up to 2e-9.
+_GL_ORDER = 8
+_PANEL = 2.0 ** -6
+# W may span at most this much on a moment window: 2^20 pieces of pi/8
+_MAX_ANGLE_SPAN = 2.0 ** 17 * np.pi
+# pieces integrated per numpy pass, which bounds the memory of a long window
+_CHUNK = 2 ** 14
+_SQRT_HALF = math.sqrt(0.5)
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 # signed Taylor coefficients of cos (even n) and sin (odd n): (-1)^(n//2)/n!
 _TAYLOR = np.array([(-1.0) ** (n // 2) / math.factorial(n) for n in range(50)])
@@ -60,9 +74,9 @@ _TAYLOR = np.array([(-1.0) ** (n // 2) / math.factorial(n) for n in range(50)])
 class ControlWaveform:
     """Drive frequency w(t) together with its accumulated angle W(t).
 
-    W is in closed form for the constant, polynomial and gaussian kinds;
-    custom waveforms without a supplied antiderivative fall back to
-    adaptive quadrature (absolute error <= 1e-10).
+    W is in closed form for the constant, polynomial and gaussian kinds
+    (the gaussian through ``_ndtr``); custom waveforms without a supplied
+    antiderivative use composite Gauss-Legendre quadrature.
     """
 
     def __init__(self, kind: str, omega: Callable, cumulative: Callable,
@@ -109,15 +123,14 @@ class ControlWaveform:
         """Normalized gaussian drive of total angle ``area`` centered at t0."""
         if sigma <= 0:
             raise ValueError("sigma must be positive")
-        from scipy.special import ndtr
-
         norm = area / np.sqrt(2.0 * np.pi * sigma * sigma)
+        clipped = float(_ndtr(-t0 / sigma))
 
         def omega(t):
             return norm * np.exp(-((t - t0) ** 2) / (2.0 * sigma * sigma))
 
         def cumulative(t):
-            return area * (ndtr((t - t0) / sigma) - ndtr(-t0 / sigma))
+            return area * (_ndtr((t - t0) / sigma) - clipped)
 
         return cls("gaussian", omega, cumulative,
                    {"t0": t0, "sigma": sigma, "area": area})
@@ -125,17 +138,76 @@ class ControlWaveform:
     @classmethod
     def custom(cls, omega: Callable[[float], float],
                cumulative: Callable[[float], float] | None = None) -> "ControlWaveform":
+        """A drive given by a scalar callable w(t).
+
+        Without ``cumulative``, W(t) is composite Gauss-Legendre quadrature
+        from 0 (``_GL_ORDER`` points on panels at most 2^-6 long), exact to
+        rounding for drives smooth on that scale. The moments of a custom drive
+        find its sign changes only where a probe grid brackets them (see
+        ``two_level_moments_closed``).
+        """
         omega_v = np.vectorize(omega, otypes=[float])
         if cumulative is None:
-            from scipy.integrate import quad
-
             def cumulative_v(t):
-                flat = np.atleast_1d(np.asarray(t, dtype=float))
-                out = np.array([quad(omega, 0.0, x, **_QUAD_OPTS)[0] for x in flat])
-                return out.reshape(np.shape(t)) if np.ndim(t) else float(out[0])
+                out = _composite_cumulative(omega_v, t)
+                return out if np.ndim(t) else float(out)
         else:
             cumulative_v = np.vectorize(cumulative, otypes=[float])
         return cls("custom", omega_v, cumulative_v, {})
+
+
+def _ndtr(x):
+    """Standard normal CDF 0.5 erfc(-x/sqrt 2), element-wise through
+    ``math.erfc``; the lower tail keeps its relative accuracy."""
+    z = np.asarray(x, dtype=float) * -_SQRT_HALF
+    return 0.5 * np.asarray(_ERFC(z), dtype=float)
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes and weights of the _GL_ORDER-point rule on [-1, 1], and its
+    integration matrix: row j integrates the interpolant of the node values
+    from -1 to node j."""
+    from numpy.polynomial import legendre
+
+    nodes, weights = legendre.leggauss(_GL_ORDER)
+    to_coeffs = np.linalg.inv(legendre.legvander(nodes, _GL_ORDER - 1))
+    partial = legendre.legvander(nodes, _GL_ORDER) @ legendre.legint(to_coeffs, lbnd=-1)
+    return nodes, weights, partial
+
+
+def _panel_integrals(omega: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """int_lo^hi omega for every pair, by one Gauss-Legendre panel each."""
+    nodes, weights, _ = _gauss_legendre()
+    half = 0.5 * (hi - lo)
+    return omega(0.5 * (hi + lo)[:, None] + half[:, None] * nodes) @ weights * half
+
+
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c - 1 for every entry c of counts, concatenated."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _composite_cumulative(omega: Callable, t) -> np.ndarray:
+    """int_0^t omega for every entry of t, by composite Gauss-Legendre.
+
+    0 and the sorted times cut the line into gaps; each gap is split into
+    equal panels at most _PANEL long, and the panel integrals are summed
+    cumulatively.
+    """
+    t = np.asarray(t, dtype=float)
+    knots = np.concatenate(([0.0], t.ravel()))
+    order = np.argsort(knots, kind="stable")
+    gaps = np.diff(knots[order])
+    panels = np.maximum(np.ceil(gaps / _PANEL), 1).astype(int)
+    gap = np.repeat(np.arange(gaps.size), panels)
+    width = (gaps / panels)[gap]
+    start = knots[order][gap] + width * _ranks(panels)
+    per_gap = np.bincount(gap, _panel_integrals(omega, start, start + width),
+                          minlength=gaps.size)
+    out = np.empty_like(knots)
+    out[order] = np.concatenate(([0.0], np.cumsum(per_gap)))
+    return (out[1:] - out[0]).reshape(t.shape)
 
 
 @dataclass(frozen=True)
@@ -223,24 +295,34 @@ def two_level_moments_closed(waveform: ControlWaveform, init: TwoLevelInitial,
     delta + k pi and where w does. For a constant drive those roots are
     t = (delta + k pi)/w and the integrals of t^p |rate| (p = 0, 1, 2) are
     exact sums (``_constant_drive_integrals``), whatever the number of sign
-    changes. Other drives are probed on a grid fine enough that W moves by
-    at most pi/8 between neighbouring points; each sign change found is
-    refined by brentq and each piece integrated by adaptive quadrature.
-    ``IntegrationError`` is raised when that needs more than 2^20 probe
-    intervals.
+    changes. For polynomial and gaussian drives ``_drive_cuts`` finds every
+    sign change: the real roots of w, and the solutions of
+    W = delta + k pi on each piece where W is monotone. A custom drive is
+    probed on a grid on which W moves by at most pi/8 between points
+    (``_probed_cuts``); its sign changes are found only where the probe
+    brackets them, so two within one probe interval are missed. Between the
+    cuts ``_piece_moments`` applies one Gauss-Legendre rule, and no scipy
+    is involved. ``IntegrationError`` is raised when that needs more than
+    2^20 pieces of pi/8: W spans more than 2^17 pi on the window, or a
+    custom drive's probe needs more than 2^20 intervals.
     """
     if t_start < 0:
         raise ValueError("transfer windows start at t >= 0")
     if waveform.kind == "constant":
         integrals = _constant_drive_integrals(waveform.params["omega0"], init,
                                               t_start, t_end)
+        mus = integrals[1:] / _flow_total(integrals[0])
+        var = mus[1] - mus[0] ** 2
     else:
-        integrals = _probed_integrals(waveform, init, t_start, t_end)
-    total = integrals[0]
-    if total <= 1e-14:
-        raise DegenerateDistributionError("flow density vanishes on this window")
-    mus = integrals[1:] / total
-    var = max(mus[1] - mus[0] ** 2, 0.0)
+        if waveform.kind == "custom":
+            cuts = _probed_cuts(waveform, init, t_start, t_end)
+        else:
+            delta = np.arctan2(np.sin(init.theta) * np.sin(init.phi),
+                               np.cos(init.theta))
+            cuts = (_drive_cuts(waveform, delta, t_start, t_end),)
+        mean, var = _piece_moments(waveform, init, *cuts)
+        mus = np.array([mean, var + mean * mean])
+    var = max(var, 0.0)
     return Moments(mean=float(mus[0]), std=float(np.sqrt(var)), raw=mus)
 
 
@@ -315,13 +397,82 @@ def _even_part_integrals(h: np.ndarray, w: float) -> np.ndarray:
     ])
 
 
-def _probed_integrals(waveform: ControlWaveform, init: TwoLevelInitial,
-                      t0: float, t1: float) -> np.ndarray:
-    """Integrals of t^p |rate| (p = 0, 1, 2) for a drive without closed-form
-    roots, between sign changes bracketed on a probe grid."""
-    from scipy.integrate import quad
-    from scipy.optimize import brentq
+def _drive_cuts(waveform: ControlWaveform, delta: float, t0: float,
+                t1: float) -> np.ndarray:
+    """Sorted cuts of [t0, t1] for a polynomial or gaussian drive: between
+    neighbours the rate keeps its sign and W moves by at most pi/8.
 
+    Breaks first cut the window into pieces on which W is monotone: the
+    real roots of the quartic w (``np.roots``), or, for the gaussian
+    (w > 0), the points t0 + j sigma with |j| <= 40, which resolve a pulse
+    narrower than the window (beyond 38.6 sigma w underflows to 0). On
+    each piece every solution of W(t) = delta + j pi/8 is added; those
+    with j divisible by 8 are the sign changes of sin(W - delta).
+    """
+    if waveform.kind == "polynomial":
+        # real parts of all roots: a near-double real root can come back as a
+        # complex pair, and an extra break costs one piece. A root off by e
+        # moves the integrals by O(e^2), so np.roots needs no polishing.
+        inner = np.roots([*waveform.params["coefficients"][::-1],
+                          waveform.params["omega0"]]).real
+    else:
+        p = waveform.params
+        inner = p["t0"] + p["sigma"] * np.arange(-40.0, 41.0)
+    breaks = np.concatenate(([t0], np.sort(inner[(inner > t0) & (inner < t1)]), [t1]))
+    angle = waveform.cumulative(breaks)
+    span = float(np.sum(np.abs(np.diff(angle))))
+    if span > _MAX_ANGLE_SPAN:
+        raise IntegrationError(
+            f"the drive angle spans {span:.6g} rad on [{t0}, {t1}], more than 2^17 pi"
+        )
+    step = np.pi / 8.0
+    low, high = np.minimum(angle[:-1], angle[1:]), np.maximum(angle[:-1], angle[1:])
+    k_lo = np.ceil((low - delta) / step)
+    counts = np.maximum(np.floor((high - delta) / step) - k_lo + 1, 0).astype(int)
+    piece = np.repeat(np.arange(counts.size), counts)
+    roots = _invert_angle(waveform, delta + step * (k_lo[piece] + _ranks(counts)),
+                          breaks[piece], breaks[piece + 1],
+                          angle[piece], angle[piece + 1])
+    return np.sort(np.concatenate((breaks, roots)))
+
+
+def _invert_angle(waveform: ControlWaveform, target: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray, angle_lo: np.ndarray,
+                  angle_hi: np.ndarray) -> np.ndarray:
+    """Solve W(t) = target for every target at once, each on a bracket
+    [lo, hi] over which W is monotone and covers it.
+
+    Safeguarded Newton (W' = w): every iterate shrinks its bracket, and a
+    step that leaves the bracket is replaced by bisection.
+    """
+    direction = np.where(angle_hi >= angle_lo, 1.0, -1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.clip((target - angle_lo) / (angle_hi - angle_lo), 0.0, 1.0)
+        t = lo + (hi - lo) * frac
+    t = np.where(np.isfinite(t), t, 0.5 * (lo + hi))
+    for _ in range(100):
+        f = (waveform.cumulative(t) - target) * direction
+        lo, hi = np.where(f <= 0, t, lo), np.where(f >= 0, t, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = t - f / (waveform.omega(t) * direction)
+        newton = np.where((newton > lo) & (newton < hi), newton, 0.5 * (lo + hi))
+        done = np.abs(newton - t) <= 4.0 * np.spacing(np.abs(t))
+        t = newton
+        if np.all(done):
+            break
+    return t
+
+
+def _probed_cuts(waveform: ControlWaveform, init: TwoLevelInitial, t0: float,
+                 t1: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cuts of [t0, t1] for a custom drive, and W at the cuts.
+
+    The cuts are a probe grid on which W moves by at most pi/8 between
+    points, plus the sign changes of the rate that it brackets, refined by
+    50 bisections (below the rounding of t for any probe interval). Two
+    sign changes inside one probe interval leave no trace on the probe and
+    are missed.
+    """
     intervals = 4096
     while True:
         probe = np.linspace(t0, t1, intervals + 1)
@@ -334,25 +485,67 @@ def _probed_integrals(waveform: ControlWaveform, init: TwoLevelInitial,
                 "the drive angle moves by more than pi/8 between points of a "
                 f"2^20-interval probe on [{t0}, {t1}]"
             )
-
-    def rate(t):
-        return two_level_rate(waveform, init, t)
-
     signs = np.sign(_rate(waveform.omega(probe), angle, init))
     nonzero = np.flatnonzero(signs)
-    flips = signs[nonzero[1:]] != signs[nonzero[:-1]]
-    roots = [brentq(rate, probe[i], probe[j], xtol=1e-14)
-             for i, j in zip(nonzero[:-1][flips], nonzero[1:][flips])]
-    cuts = sorted({t0, t1, *roots})
+    flips = np.flatnonzero(signs[nonzero[1:]] != signs[nonzero[:-1]])
+    left = nonzero[flips]
+    lo, hi, side = probe[left], probe[nonzero[flips + 1]], signs[left]
 
-    # within a segment t^p * rate has the constant sign of rate (t >= 0),
-    # so |rate| integrals are signed integrals flipped segment-wise
-    integrals = np.zeros(3)
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        seg = np.array([quad(lambda t, p=p: t ** p * rate(t), lo, hi, **_QUAD_OPTS)[0]
-                        for p in range(3)])
-        integrals += seg if seg[0] >= 0 else -seg
-    return integrals
+    def angle_at(t):
+        return angle[left] + _panel_integrals(waveform.omega, probe[left], t)
+
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        same = np.sign(_rate(waveform.omega(mid), angle_at(mid), init)) == side
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    roots = 0.5 * (lo + hi)
+    order = np.argsort(np.concatenate((probe, roots)), kind="stable")
+    return (np.concatenate((probe, roots))[order],
+            np.concatenate((angle, angle_at(roots)))[order])
+
+
+def _piece_moments(waveform: ControlWaveform, init: TwoLevelInitial,
+                   cuts: np.ndarray,
+                   cut_angles: np.ndarray | None = None) -> tuple[float, float]:
+    """Mean and variance of |rate| on [cuts[0], cuts[-1]], by one
+    Gauss-Legendre rule on each piece between neighbouring cuts.
+
+    The rate keeps its sign on each piece, so |rate| is smooth there. Each
+    piece gives the integrals of (t - c)^p |rate| about its own centre c,
+    and the variance sums them about the mean (parallel axes), so a pulse
+    far narrower than its distance from t = 0 keeps its spread to rounding.
+    W at the nodes is ``waveform.cumulative``, or, when ``cut_angles``
+    gives W at the cuts, that plus the rule's integration matrix applied
+    to w.
+    """
+    nodes, weights, partial = _gauss_legendre()
+    centre, half = 0.5 * (cuts[1:] + cuts[:-1]), 0.5 * (cuts[1:] - cuts[:-1])
+    if cut_angles is not None:
+        cut_angles = cut_angles[:-1]  # W at the left end of each piece
+    chunks = []
+    for s in range(0, centre.size, _CHUNK):
+        h = half[s:s + _CHUNK, None]
+        x = h * nodes
+        t = centre[s:s + _CHUNK, None] + x
+        omega = waveform.omega(t)
+        if cut_angles is None:
+            angle = waveform.cumulative(t)
+        else:
+            angle = cut_angles[s:s + _CHUNK, None] + h * (omega @ partial.T)
+        f = np.abs(_rate(omega, angle, init)) * (h * weights)
+        chunks.append([np.sum(f, axis=1), np.sum(x * f, axis=1),
+                       np.sum(x * x * f, axis=1)])
+    j0, j1, j2 = np.concatenate(chunks, axis=1)
+    total = _flow_total(np.sum(j0))
+    mean = (np.sum(centre * j0) + np.sum(j1)) / total
+    d = centre - mean
+    return float(mean), float(np.sum(j2 + d * (2.0 * j1 + d * j0)) / total)
+
+
+def _flow_total(total: float) -> float:
+    if total <= 1e-14:
+        raise DegenerateDistributionError("flow density vanishes on this window")
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ KIND_TF = "TF"
 KIND_TOA = "TOA"
 KIND_TOD = "TOD"
 KIND_NEUTRAL = "neutral"
+_KIND_OF_CODE = {1: KIND_TOA, -1: KIND_TOD, 0: KIND_NEUTRAL}
 
 _FLAT_TOL = 1e-12
 
@@ -137,15 +138,14 @@ def split_toa_tod(series: PopulationSeries,
     dt = series.grid.dt
     tol = (1e-9 / dt) if slope_tolerance is None else float(slope_tolerance)
     dp = np.diff(p)
-    kinds = np.where(dp > tol * dt, KIND_TOA,
-                     np.where(dp < -tol * dt, KIND_TOD, KIND_NEUTRAL))
-
-    segments: list[tuple[int, int, str]] = []
-    start = 0
-    for j in range(1, kinds.size + 1):
-        if j == kinds.size or kinds[j] != kinds[start]:
-            segments.append((start, j, str(kinds[start])))
-            start = j
+    # 1 arrival, -1 departure, 0 neutral; runs end where the code changes
+    code = (dp > tol * dt).astype(np.int8) - (dp < -tol * dt)
+    ends = np.flatnonzero(code[1:] != code[:-1]) + 1
+    starts = np.concatenate(([0], ends))
+    segments: list[tuple[int, int, str]] = [
+        (i0, i1, _KIND_OF_CODE[c]) for i0, i1, c in
+        zip(starts.tolist(), [*ends.tolist(), code.size], code[starts].tolist())
+    ]
 
     mid = series.grid.midpoints
 
@@ -162,8 +162,8 @@ def split_toa_tod(series: PopulationSeries,
         )
         return dist, 1.0 / weight
 
-    toa, n_a = _build(kinds == KIND_TOA, KIND_TOA)
-    tod, n_d = _build(kinds == KIND_TOD, KIND_TOD)
+    toa, n_a = _build(code == 1, KIND_TOA)
+    tod, n_d = _build(code == -1, KIND_TOD)
     return SplitResult(segments=segments, toa=toa, tod=tod, n_a=n_a, n_d=n_d)
 
 

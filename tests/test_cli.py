@@ -302,6 +302,94 @@ def test_csv_columns_format_like_per_value(tmp_path):
     assert path.read_bytes() == ("\n".join(want) + "\n").encode("utf-8")
 
 
+def test_csv_template_edge_cases(tmp_path):
+    from tflow.cli import _fmt, _write_csv
+
+    path = tmp_path / "empty.csv"
+    _write_csv(path, "m.json", ["a", "b"], [np.array([]), []])
+    assert path.read_bytes() == b"# manifest: m.json\na,b\n"
+    columns = [np.array([1.5, np.pi]), ["100%", "%s%d%%"], np.array([2, 3])]
+    path = tmp_path / "percent.csv"
+    _write_csv(path, "m%s.json", ["x%", "s", "i"], columns)
+    want = ["# manifest: m%s.json", "x%,s,i"]
+    want += [",".join(_fmt(v) for v in row) for row in zip(*columns)]
+    assert path.read_bytes() == ("\n".join(want) + "\n").encode("utf-8")
+
+
+def test_point_kinds_match_per_point_reference():
+    from tflow.cli import _point_kinds
+
+    rate = np.array([1.0, -1.0, 0.0, 1e-12, -1e-12, 2e-9, -2e-9, 1e-9, -1e-9, np.nan])
+    want = [tflow.tf.KIND_TOA if r > 1e-9 else
+            (tflow.tf.KIND_TOD if r < -1e-9 else tflow.tf.KIND_NEUTRAL) for r in rate]
+    assert _point_kinds(rate, 1e-9).tolist() == want
+
+
+# report moments of the scipy path these runs used before, recorded then:
+# (closed_form_mean, closed_form_std, grid_mean, grid_std, segment kinds)
+@pytest.mark.parametrize("argv, want", [
+    (["--waveform", "polynomial", "--omega0", "1.1", "--coefficients", "0.4", "-0.2",
+      "0.05", "0.01", "--t-end", "3", "--points", "500"],
+     (1.7533065364141673, 0.8361134335252313, 1.7533031555659684, 0.836111825714534,
+      ["TOA", "TOD"])),
+    (["--waveform", "polynomial", "--omega0", "2.94", "--coefficients", "-5.6", "2.294",
+      "-0.56", "0.2", "--theta", "2.0", "--phi", "4.0", "--t-end", "3", "--points", "800"],
+     (2.0347598332893, 1.0060153674602268, 2.0347486113698032, 1.006014836846518,
+      ["TOA", "TOD", "TOA", "TOD"])),
+    (["--waveform", "gaussian", "--t0", "0.5", "--sigma", "0.05", "--t-end", "1"],
+     (0.5, 0.03236201272402105, 0.5, 0.03236330279498719, ["neutral", "TOA", "neutral"])),
+    (["--waveform", "gaussian", "--t0", "1.0", "--sigma", "0.2", "--theta", "1.0471975512",
+      "--phi", "1.5707963268", "--t-end", "2", "--points", "2000"],
+     (1.0475837510299515, 0.21958740420504927, 1.0475840957853262, 0.21958777265575455,
+      ["TOD", "TOA"])),
+])
+def test_two_level_polynomial_and_gaussian_runs(tmp_path, argv, want):
+    assert main(["two-level", *argv, "--outdir", str(tmp_path)]) == 0
+    results = _read_report(tmp_path / "two_level_report.json")["results"]
+    assert results["closed_form_mean"] == pytest.approx(want[0], rel=1e-11)
+    assert results["closed_form_std"] == pytest.approx(want[1], rel=1e-11)
+    assert results["grid_mean"] == pytest.approx(want[2], rel=1e-12)
+    assert results["grid_std"] == pytest.approx(want[3], rel=1e-12)
+    assert [seg["kind"] for seg in results["segments"]] == want[4]
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    config = tmp_path / "opt.json"
+    config.write_text(json.dumps({"t_horizon": 1.0, "omega0": 0.8 * np.pi,
+                                  "lambda_mono": 1.0, "lambda_reg": 1e-8,
+                                  "max_iterations": 2000}), encoding="utf-8")
+    runs = [
+        ["two-level", "--omega0", "1.0", "--points", "100", "--protocol", "100"],
+        ["two-level", "--waveform", "polynomial", "--coefficients", "0.4", "-0.2",
+         "0.05", "0.01", "--t-end", "3", "--points", "100"],
+        ["two-level", "--waveform", "gaussian", "--t0", "0.5", "--sigma", "0.05",
+         "--t-end", "1", "--points", "100"],
+        ["sta", "--alpha", "0.5", "--points", "100", "--numeric"],
+        ["lambda", "--omega1", "1", "--omega2", "1", "--delta-i", "-5", "--delta-f", "5",
+         "--t-final", "1", "--points", "100"],
+        ["dephasing", "--gamma", "1", "--points", "100"],
+        ["hadamard", "--omega0", "5", "--gamma", "1", "--points", "100"],
+        ["optimize", "--config", str(config)],
+    ]
+    code = (
+        "import sys, json; sys.modules['scipy'] = None\n"
+        "import numpy as np\n"
+        "from tflow import models\n"
+        "from tflow.cli import main\n"
+        "codes = [main(argv + ['--outdir', sys.argv[1]]) for argv in json.loads(sys.argv[2])]\n"
+        "wf = models.ControlWaveform.custom(np.cos)\n"
+        "assert abs(wf.cumulative(1.3) - np.sin(1.3)) <= 1e-14\n"
+        "models.two_level_moments_closed(wf, models.TwoLevelInitial(), 0.0, 4.0)\n"
+        "print(codes)\n"
+    )
+    src = str(Path(tflow.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path), json.dumps(runs)],
+                         env=dict(os.environ, PYTHONPATH=path), check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == str([0] * len(runs))
+
+
 def _scipy_modules_after(code):
     """scipy modules loaded in a fresh interpreter after running ``code``."""
     code += "; print(sorted(m for m in sys.modules if m.startswith('scipy')))"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from tflow import dynamics, models, operators, tf
 from tflow.dynamics import TimeGrid
@@ -217,6 +218,234 @@ def test_probed_moments_refuse_an_unresolvable_drive():
             models.ControlWaveform.polynomial(1e6, [0.0, 0.0, 0.0, 0.0]),
             models.TwoLevelInitial(), 0.0, 10.0,
         )
+
+
+# 20 (t - 1)(t - 1.0001)(t + 1)(t + 2): w changes sign twice, 1e-4 apart
+CLOSE_ROOTS = (40.004, (-19.998, -60.004, 19.998, 20.0))
+# 2 (t - 0.7)(t - 2.1)(1 + t^2 / 10)
+APART_ROOTS = (2.94, (-5.6, 2.294, -0.56, 0.2))
+DRIVES = {
+    "poly": (lambda: models.ControlWaveform.polynomial(1.1, (0.4, -0.2, 0.05, 0.01)),
+             0.0, 3.0),
+    "poly-apart": (lambda: models.ControlWaveform.polynomial(*APART_ROOTS), 0.0, 3.0),
+    "poly-close": (lambda: models.ControlWaveform.polynomial(*CLOSE_ROOTS), 0.5, 1.5),
+    "poly-1000": (lambda: models.ControlWaveform.polynomial(1000.0, [0.0] * 4), 0.0, 10.0),
+    "gauss": (lambda: models.ControlWaveform.gaussian_pulse(1.0, 0.2), 0.0, 2.0),
+    "gauss-narrow": (lambda: models.ControlWaveform.gaussian_pulse(0.505, 0.001), 0.0, 1.0),
+    # clipped at t = 0, 2.5 sigma after the peak
+    "gauss-clipped": (lambda: models.ControlWaveform.gaussian_pulse(0.05, 0.02), 0.0, 1.0),
+    "custom-cos": (lambda: models.ControlWaveform.custom(np.cos), 0.0, 4.0),
+}
+INITS = ((0.0, 0.0), (np.pi / 3, np.pi / 2), (2.0, 4.0))
+
+# (mean, std) from the scipy path these moments replaced (a probe grid,
+# brentq at each bracketed sign change and quad on each piece), recorded
+# before the change, for the initial states of INITS in order
+SCIPY_MOMENTS = {
+    "poly": [(1.7533065364141673, 0.8361134335252313),
+             (1.67628411508951, 0.7944531918204631),
+             (1.6801332630120596, 0.7910980233922055)],
+    "poly-apart": [(2.199140669735632, 0.9774760907150393),
+                   (2.0190650876742637, 1.0093683699810434),
+                   (2.0347598332893, 1.0060153674602268)],
+    "poly-close": [(1.1276872731008625, 0.36188274525677355),
+                   (1.129962805450055, 0.36765786343584334),
+                   (1.1302411668383578, 0.36745224692292894)],
+    "poly-1000": [(4.999882286545195, 2.886683324021098),
+                  (5.000295578803233, 2.8867708532994576),
+                  (5.000299592283126, 2.886769041548276)],
+    "gauss": [(1.000000189732724, 0.12944805089434144),
+              (1.0475837510301804, 0.21958740420478434),
+              (1.0489210894815066, 0.21798316060898532)],
+    "gauss-narrow": [(0.505000000000001, 0.0006472402544295103),
+                     (0.5052379188725932, 0.0010979458275752192),
+                     (0.5052446055494678, 0.0010899245639708086)],
+    "gauss-clipped": [(0.050405362923238835, 0.012951024219169445),
+                      (0.05514801070428028, 0.02145740095564581),
+                      (0.055282072067012626, 0.0212999624235287)],
+    "custom-cos": [(2.052906590431869, 1.1742844620057586),
+                   (2.4077159238956507, 1.354576464926761),
+                   (2.423154184873231, 1.3559907699327518)],
+}
+
+# the narrow pulse by 30-digit mpmath quadrature between its exact sign
+# changes, with the pulse split at t0 + j sigma
+NARROW_PULSE_MOMENTS = [(0.505, 0.0006472402544804118),
+                        (0.5052379188725931, 0.0010979458276388757),
+                        (0.5052446055494679, 0.0010899245639087818)]
+
+
+def _drive_moments(name, k):
+    make, t0, t1 = DRIVES[name]
+    return models.two_level_moments_closed(make(), models.TwoLevelInitial(*INITS[k]),
+                                           t0, t1)
+
+
+@pytest.mark.parametrize("k", range(len(INITS)))
+@pytest.mark.parametrize("name", [n for n in DRIVES if n != "gauss-narrow"])
+def test_drive_moments_match_the_scipy_path(name, k):
+    m = _drive_moments(name, k)
+    mean, std = SCIPY_MOMENTS[name][k]
+    assert m.mean == pytest.approx(mean, rel=1e-11)
+    assert m.std == pytest.approx(std, rel=1e-11)
+
+
+@pytest.mark.parametrize("k", range(len(INITS)))
+def test_narrow_pulse_keeps_its_spread(k):
+    # a pulse 505 sigma from t = 0: raw moments about 0 leave the variance
+    # to a difference that cancels 6e5-fold, which put the scipy path off
+    # by up to 7.9e-11 in the spread; moments about piece centres do not
+    m = _drive_moments("gauss-narrow", k)
+    mean, std = NARROW_PULSE_MOMENTS[k]
+    assert m.mean == pytest.approx(mean, rel=1e-13)
+    assert m.std == pytest.approx(std, rel=1e-12)
+    assert m.std == pytest.approx(SCIPY_MOMENTS["gauss-narrow"][k][1], rel=2e-10)
+
+
+def _moments_by_exact_roots(waveform, init, t0, t1):
+    """Reference: quad of t^p |rate| between the exact sign changes of a
+    polynomial drive's rate: the real roots of w and, on each piece between
+    them where W is monotone, brentq on W - delta - k pi."""
+    a = np.cos(init.theta)
+    b = np.sin(init.theta) * np.sin(init.phi)
+    delta = np.arctan2(b, a)
+    coeffs = [waveform.params["omega0"], *waveform.params["coefficients"]]
+    roots = np.polynomial.polynomial.polyroots(coeffs)
+    roots = roots.real[(roots.imag == 0) & (roots.real > t0) & (roots.real < t1)]
+    breaks = sorted({t0, t1, *roots})
+    cuts = set(breaks)
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        w_lo, w_hi = sorted([float(waveform.cumulative(lo)), float(waveform.cumulative(hi))])
+        for k in np.arange(np.ceil((w_lo - delta) / np.pi),
+                           np.floor((w_hi - delta) / np.pi) + 1):
+            cuts.add(brentq(lambda t: waveform.cumulative(t) - delta - k * np.pi, lo, hi,
+                            xtol=1e-15, rtol=1e-15))
+    cuts = sorted(cuts)
+
+    def rate(t):
+        return float(models.two_level_rate(waveform, init, t))
+
+    mu = [sum(abs(quad(lambda t: t ** p * rate(t), lo, hi, epsabs=1e-15, epsrel=1e-13)[0])
+              for lo, hi in zip(cuts[:-1], cuts[1:])) for p in range(3)]
+    mean = mu[1] / mu[0]
+    return mean, np.sqrt(mu[2] / mu[0] - mean ** 2)
+
+
+@pytest.mark.parametrize("k", range(len(INITS)))
+@pytest.mark.parametrize("name", ["poly", "poly-apart", "poly-close"])
+def test_polynomial_moments_match_exact_root_quadrature(name, k):
+    # the two roots of poly-close are 1e-4 apart, inside one interval of
+    # the old probe grid, which missed them: it was off by up to 2.1e-12
+    make, t0, t1 = DRIVES[name]
+    init = models.TwoLevelInitial(*INITS[k])
+    m = models.two_level_moments_closed(make(), init, t0, t1)
+    mean, std = _moments_by_exact_roots(make(), init, t0, t1)
+    assert m.mean == pytest.approx(mean, rel=1e-13)
+    assert m.std == pytest.approx(std, rel=1e-13)
+
+
+def test_custom_moments_with_and_without_antiderivative():
+    init = models.TwoLevelInitial(2.0, 4.0)
+    quadrature = models.two_level_moments_closed(
+        models.ControlWaveform.custom(np.cos), init, 0.0, 4.0)
+    exact = models.two_level_moments_closed(
+        models.ControlWaveform.custom(np.cos, np.sin), init, 0.0, 4.0)
+    assert quadrature.mean == pytest.approx(exact.mean, rel=1e-14)
+    assert quadrature.std == pytest.approx(exact.std, rel=1e-14)
+
+
+def test_custom_moments_match_the_polynomial_path():
+    # the same drive as a custom callable: its two probe-bracketed sign
+    # changes, refined by bisection, land on the exactly enumerated ones
+    make, t0, t1 = DRIVES["poly"]
+    exact = make()
+    custom = models.ControlWaveform.custom(
+        lambda t: 1.1 + t * (0.4 + t * (-0.2 + t * (0.05 + t * 0.01))),
+        lambda t: t * (1.1 + t * (0.2 + t * (-0.2 / 3 + t * (0.0125 + t * 0.002)))))
+    for theta, phi in INITS:
+        init = models.TwoLevelInitial(theta, phi)
+        want = models.two_level_moments_closed(exact, init, t0, t1)
+        got = models.two_level_moments_closed(custom, init, t0, t1)
+        assert got.mean == pytest.approx(want.mean, rel=1e-13)
+        assert got.std == pytest.approx(want.std, rel=1e-13)
+
+
+def test_custom_cumulative_composite_quadrature():
+    t = np.array([[2.5, -0.7, 0.0], [1e-9, 7.3, 2.5]])
+    wf = models.ControlWaveform.custom(np.cos)
+    assert np.max(np.abs(wf.cumulative(t) - np.sin(t))) <= 1e-14
+    assert isinstance(wf.cumulative(1.3), float)
+    # 20 rad per time unit: resolved only by panels at most 2^-6 long
+    fast = models.ControlWaveform.custom(lambda x: np.cos(20.0 * x))
+    assert np.max(np.abs(fast.cumulative(t) - np.sin(20.0 * t) / 20.0)) <= 1e-14
+
+
+def test_ndtr_matches_scipy():
+    from scipy.special import ndtr
+
+    x = np.concatenate([np.linspace(-38.0, 38.0, 76001),
+                        np.random.default_rng(7).normal(0.0, 10.0, 100000)])
+    assert np.max(np.abs(models._ndtr(x) - ndtr(x))) <= 1e-15
+    assert np.array_equal(models._ndtr([-np.inf, 0.0, np.inf]), [0.0, 0.5, 1.0])
+
+
+@pytest.mark.parametrize("t0, sigma, t_end, points, theta, phi", [
+    (0.5, 0.05, 1.0, 1000, 0.0, 0.0),
+    (1.0, 0.2, 2.0, 2000, np.pi / 3, np.pi / 2),
+    (0.505, 0.001, 1.0, 101, 0.0, 0.0),
+])
+def test_gaussian_outputs_move_by_rounding_only(t0, sigma, t_end, points, theta, phi):
+    # the same pulse with scipy's ndtr in W: p_1 may move by 1e-15 and the
+    # closed-form density by 1e-14 of its peak, no more
+    from scipy.special import ndtr
+
+    wf = models.ControlWaveform.gaussian_pulse(t0, sigma)
+    ref = models.ControlWaveform(
+        "custom", wf.omega,
+        lambda t: np.pi * (ndtr((t - t0) / sigma) - ndtr(-t0 / sigma)), {})
+    init = models.TwoLevelInitial(theta, phi)
+    grid = TimeGrid(0.0, t_end, points)
+    p_ref = models.two_level_population(ref, init, grid.times)
+    assert np.max(np.abs(models.two_level_population(wf, init, grid.times) - p_ref)) <= 1e-15
+    pi_ref = models.two_level_tf_closed(ref, init, grid).density
+    pi = models.two_level_tf_closed(wf, init, grid).density
+    assert np.max(np.abs(pi - pi_ref)) <= 1e-14 * np.max(pi_ref)
+
+
+def test_seeded_cross_route_sweep():
+    """Random constant, polynomial and gaussian drives from random Bloch
+    states: propagation against the closed-form population, and the
+    closed-form moments against those of a 200,001-point grid. Pulses are
+    at least 5 grid steps wide; narrower ones are the integrator's known
+    narrow-pulse fault and are not drawn here."""
+    rng = np.random.default_rng(20261018)
+    for case in range(40):
+        big_t = rng.uniform(1.0, 4.0)
+        kind = case % 3
+        if kind == 0:
+            wf = models.ControlWaveform.constant(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 8.0))
+        elif kind == 1:
+            wf = models.ControlWaveform.polynomial(
+                rng.uniform(-4.0, 4.0), rng.uniform(-2.0, 2.0, 4) / big_t ** np.arange(1, 5))
+        else:
+            wf = models.ControlWaveform.gaussian_pulse(
+                rng.uniform(0.1, 0.9) * big_t, rng.uniform(0.05, 0.3) * big_t,
+                area=rng.uniform(0.5, 3.0) * np.pi)
+        init = models.TwoLevelInitial(rng.uniform(0.0, np.pi), rng.uniform(0.0, 2.0 * np.pi))
+
+        grid = TimeGrid(0.0, big_t, 101)
+        traj = dynamics.propagate_schrodinger(models.two_level_hamiltonian(wf),
+                                              init.state(), grid)
+        p_num = dynamics.population_series(traj, operators.projector(2, 1))
+        p_closed = models.two_level_population(wf, init, grid.times)
+        assert np.max(np.abs(p_num - p_closed)) <= 1e-9, case
+
+        fine = TimeGrid(0.0, big_t, 200001)
+        p_fine = np.clip(models.two_level_population(wf, init, fine.times), 0.0, 1.0)
+        grid_m = tf.moments(tf.tf_from_population(tf.PopulationSeries(fine, p_fine)))
+        m = models.two_level_moments_closed(wf, init, 0.0, big_t)
+        assert abs(m.mean - grid_m.mean) <= 2e-6 * big_t, case
+        assert abs(m.std - grid_m.std) <= 2e-6 * big_t, case
 
 
 # ---------------------------------------------------------------------------

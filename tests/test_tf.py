@@ -89,6 +89,34 @@ def test_split_alternating_phases_match_rate_roots():
         assert abs(got - want) <= 2 * grid.dt
 
 
+def _runs_per_point(kinds):
+    """Reference segmentation: one pass over the per-interval kinds."""
+    segments, start = [], 0
+    for j in range(1, len(kinds) + 1):
+        if j == len(kinds) or kinds[j] != kinds[start]:
+            segments.append((start, j, kinds[start]))
+            start = j
+    return segments
+
+
+@pytest.mark.parametrize("values", [
+    [0.0, 0.1, 0.2, 0.2, 0.2, 0.3, 0.25, 0.25, 0.4, 0.4],  # plateaus
+    [0.0, 0.2, 0.1, 0.3, 0.3, 0.2, 0.4, 0.5, 0.3],  # one-interval runs
+    [0.3] * 6,  # all neutral
+    np.cumsum(np.random.default_rng(3).choice([-0.01, 0.0, 0.01], 2000)),
+])
+def test_split_segments_match_per_point_reference(values):
+    values = np.asarray(values, dtype=float)
+    series = tf.PopulationSeries(TimeGrid(0.0, 1.0, values.size), values)
+    band = 1e-9
+    kinds = [tf.KIND_TOA if d > band else (tf.KIND_TOD if d < -band else tf.KIND_NEUTRAL)
+             for d in np.diff(values)]
+    segments = tf.split_toa_tod(series).segments
+    assert segments == _runs_per_point(kinds)
+    assert all(type(i0) is int and type(i1) is int and type(k) is str
+               for i0, i1, k in segments)
+
+
 def test_moments_sine_distribution():
     grid = TimeGrid(0.0, np.pi, 4001)
     density = 0.5 * np.sin(grid.times)
