@@ -58,7 +58,8 @@ _GL_ORDER = 8
 _PANEL = 2.0 ** -6
 # W may span at most this much on a moment window: 2^20 pieces of pi/8
 _MAX_ANGLE_SPAN = 2.0 ** 17 * np.pi
-# pieces integrated per numpy pass, which bounds the memory of a long window
+# pieces (or cumulative panels) integrated per numpy pass, which bounds the
+# memory of a long window
 _CHUNK = 2 ** 14
 _SQRT_HALF = math.sqrt(0.5)
 _ERFC = np.frompyfunc(math.erfc, 1, 1)
@@ -164,21 +165,16 @@ def _ndtr(x):
 
 
 @functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes and weights of the _GL_ORDER-point rule on [-1, 1], and its
-    integration matrix: row j integrates the interpolant of the node values
-    from -1 to node j."""
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the _GL_ORDER-point rule on [-1, 1]."""
     from numpy.polynomial import legendre
 
-    nodes, weights = legendre.leggauss(_GL_ORDER)
-    to_coeffs = np.linalg.inv(legendre.legvander(nodes, _GL_ORDER - 1))
-    partial = legendre.legvander(nodes, _GL_ORDER) @ legendre.legint(to_coeffs, lbnd=-1)
-    return nodes, weights, partial
+    return legendre.leggauss(_GL_ORDER)
 
 
 def _panel_integrals(omega: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """int_lo^hi omega for every pair, by one Gauss-Legendre panel each."""
-    nodes, weights, _ = _gauss_legendre()
+    nodes, weights = _gauss_legendre()
     half = 0.5 * (hi - lo)
     return omega(0.5 * (hi + lo)[:, None] + half[:, None] * nodes) @ weights * half
 
@@ -193,18 +189,25 @@ def _composite_cumulative(omega: Callable, t) -> np.ndarray:
 
     0 and the sorted times cut the line into gaps; each gap is split into
     equal panels at most _PANEL long, and the panel integrals are summed
-    cumulatively.
+    cumulatively. Panels are integrated _CHUNK at a time, so memory does
+    not grow with |t|.
     """
     t = np.asarray(t, dtype=float)
     knots = np.concatenate(([0.0], t.ravel()))
     order = np.argsort(knots, kind="stable")
-    gaps = np.diff(knots[order])
+    left = knots[order]
+    gaps = np.diff(left)
     panels = np.maximum(np.ceil(gaps / _PANEL), 1).astype(int)
-    gap = np.repeat(np.arange(gaps.size), panels)
-    width = (gaps / panels)[gap]
-    start = knots[order][gap] + width * _ranks(panels)
-    per_gap = np.bincount(gap, _panel_integrals(omega, start, start + width),
-                          minlength=gaps.size)
+    width = gaps / panels
+    ends = np.cumsum(panels)
+    first = ends - panels  # index of each gap's first panel
+    per_gap = np.zeros(gaps.size)
+    for s in range(0, int(panels.sum()), _CHUNK):
+        index = np.arange(s, min(s + _CHUNK, ends[-1]))
+        gap = np.searchsorted(ends, index, side="right")
+        start = left[gap] + width[gap] * (index - first[gap])
+        per_gap += np.bincount(gap, _panel_integrals(omega, start, start + width[gap]),
+                               minlength=gaps.size)
     out = np.empty_like(knots)
     out[order] = np.concatenate(([0.0], np.cumsum(per_gap)))
     return (out[1:] - out[0]).reshape(t.shape)
@@ -319,8 +322,8 @@ def two_level_moments_closed(waveform: ControlWaveform, init: TwoLevelInitial,
         else:
             delta = np.arctan2(np.sin(init.theta) * np.sin(init.phi),
                                np.cos(init.theta))
-            cuts = (_drive_cuts(waveform, delta, t_start, t_end),)
-        mean, var = _piece_moments(waveform, init, *cuts)
+            cuts = _drive_cuts(waveform, delta, t_start, t_end)
+        mean, var = _piece_moments(waveform, init, cuts)
         mus = np.array([mean, var + mean * mean])
     var = max(var, 0.0)
     return Moments(mean=float(mus[0]), std=float(np.sqrt(var)), raw=mus)
@@ -464,8 +467,8 @@ def _invert_angle(waveform: ControlWaveform, target: np.ndarray, lo: np.ndarray,
 
 
 def _probed_cuts(waveform: ControlWaveform, init: TwoLevelInitial, t0: float,
-                 t1: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cuts of [t0, t1] for a custom drive, and W at the cuts.
+                 t1: float) -> np.ndarray:
+    """Cuts of [t0, t1] for a custom drive.
 
     The cuts are a probe grid on which W moves by at most pi/8 between
     points, plus the sign changes of the rate that it brackets, refined by
@@ -488,25 +491,17 @@ def _probed_cuts(waveform: ControlWaveform, init: TwoLevelInitial, t0: float,
     signs = np.sign(_rate(waveform.omega(probe), angle, init))
     nonzero = np.flatnonzero(signs)
     flips = np.flatnonzero(signs[nonzero[1:]] != signs[nonzero[:-1]])
-    left = nonzero[flips]
-    lo, hi, side = probe[left], probe[nonzero[flips + 1]], signs[left]
-
-    def angle_at(t):
-        return angle[left] + _panel_integrals(waveform.omega, probe[left], t)
-
+    lo, hi = probe[nonzero[flips]], probe[nonzero[flips + 1]]
+    side = signs[nonzero[flips]]
     for _ in range(50):
         mid = 0.5 * (lo + hi)
-        same = np.sign(_rate(waveform.omega(mid), angle_at(mid), init)) == side
+        same = np.sign(two_level_rate(waveform, init, mid)) == side
         lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
-    roots = 0.5 * (lo + hi)
-    order = np.argsort(np.concatenate((probe, roots)), kind="stable")
-    return (np.concatenate((probe, roots))[order],
-            np.concatenate((angle, angle_at(roots)))[order])
+    return np.sort(np.concatenate((probe, 0.5 * (lo + hi))))
 
 
 def _piece_moments(waveform: ControlWaveform, init: TwoLevelInitial,
-                   cuts: np.ndarray,
-                   cut_angles: np.ndarray | None = None) -> tuple[float, float]:
+                   cuts: np.ndarray) -> tuple[float, float]:
     """Mean and variance of |rate| on [cuts[0], cuts[-1]], by one
     Gauss-Legendre rule on each piece between neighbouring cuts.
 
@@ -514,25 +509,15 @@ def _piece_moments(waveform: ControlWaveform, init: TwoLevelInitial,
     piece gives the integrals of (t - c)^p |rate| about its own centre c,
     and the variance sums them about the mean (parallel axes), so a pulse
     far narrower than its distance from t = 0 keeps its spread to rounding.
-    W at the nodes is ``waveform.cumulative``, or, when ``cut_angles``
-    gives W at the cuts, that plus the rule's integration matrix applied
-    to w.
     """
-    nodes, weights, partial = _gauss_legendre()
+    nodes, weights = _gauss_legendre()
     centre, half = 0.5 * (cuts[1:] + cuts[:-1]), 0.5 * (cuts[1:] - cuts[:-1])
-    if cut_angles is not None:
-        cut_angles = cut_angles[:-1]  # W at the left end of each piece
     chunks = []
     for s in range(0, centre.size, _CHUNK):
         h = half[s:s + _CHUNK, None]
         x = h * nodes
-        t = centre[s:s + _CHUNK, None] + x
-        omega = waveform.omega(t)
-        if cut_angles is None:
-            angle = waveform.cumulative(t)
-        else:
-            angle = cut_angles[s:s + _CHUNK, None] + h * (omega @ partial.T)
-        f = np.abs(_rate(omega, angle, init)) * (h * weights)
+        rate = two_level_rate(waveform, init, centre[s:s + _CHUNK, None] + x)
+        f = np.abs(rate) * (h * weights)
         chunks.append([np.sum(f, axis=1), np.sum(x * f, axis=1),
                        np.sum(x * x * f, axis=1)])
     j0, j1, j2 = np.concatenate(chunks, axis=1)
