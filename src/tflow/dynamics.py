@@ -3,7 +3,9 @@
 The integrators are classic fixed-step RK4 with a substep refinement
 factor chosen automatically from the generator's magnitude (and doubled
 on retry if the measured norm/trace drift exceeds budget), so results
-are reproducible for a given grid. Trajectories are immutable value
+are reproducible for a given grid. Each doubling, with the drift that
+caused it, and a final failure are logged at INFO level by the
+``tflow.dynamics`` logger. Trajectories are immutable value
 objects: a grid plus one state per grid point.
 
 Current-like operators: for a projector M and generator L, the rate of
@@ -15,6 +17,7 @@ practice and only the magnitude matters for flow distributions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -36,6 +39,13 @@ _EIG_FLOOR = -1e-6
 _LOCAL_ERROR_TARGET = 1e-9
 _MAX_RETRIES = 5
 _MAX_SUBSTEPS = 4096
+
+
+def _log(message: str, *args) -> None:
+    """Log at INFO level; logging is imported on the first retry, not with tflow."""
+    import logging
+
+    logging.getLogger(__name__).info(message, *args)
 
 
 @dataclass(frozen=True)
@@ -189,12 +199,27 @@ def _generator_table(schedule: HamiltonianSchedule, grid: TimeGrid,
     half = grid.dt / (2 * substeps)
     ts = grid.t_start + half * np.arange(2 * n_steps + 1)
     table = schedule.sample(ts)
-    defect = float(np.max(np.abs(table - table.conj().transpose(0, 2, 1))))
+    defect = _hermitian_defect(table)
     if defect > operators.HERMITIAN_TOL:
         raise OperatorConstraintError(
             f"schedule is not Hermitian on the grid (defect {defect:.3e})"
         )
     return table
+
+
+def _hermitian_defect(table: np.ndarray) -> float:
+    """max |H - H^dag| over a (n, d, d) table.
+
+    Each of the d(d + 1)/2 pairs i <= j gives H[:, i, j] - conj(H[:, j, i])
+    (its mirror pair has the same modulus); the squared moduli are formed
+    from real and imaginary parts, so no table-sized temporary is made.
+    """
+    re, im = table.real, table.imag
+    d = table.shape[-1]
+    worst = [np.max(np.square(re[:, i, j] - re[:, j, i])
+                    + np.square(im[:, i, j] + im[:, j, i]))
+             for i in range(d) for j in range(i, d)]
+    return math.sqrt(np.max(worst))
 
 
 def _auto_substeps(scale: float, grid: TimeGrid) -> int:
@@ -238,8 +263,7 @@ def propagate_schrodinger(schedule: HamiltonianSchedule, psi0: np.ndarray,
         raise ValueError("substeps must be >= 1")
 
     attempts = _MAX_RETRIES if auto else 1
-    drift = np.inf
-    for _ in range(attempts):
+    for attempt in range(1, attempts + 1):
         table = _generator_table(schedule, grid, r)
         out = np.empty((grid.n_points, schedule.dim), dtype=complex)
         kernels.schrodinger_steps(table, psi0, r, grid.dt / r, out,
@@ -249,14 +273,17 @@ def propagate_schrodinger(schedule: HamiltonianSchedule, psi0: np.ndarray,
         if drift <= _DRIFT_BUDGET:
             out /= norms[:, None]
             return Trajectory(grid, out)
-        if auto and r < _MAX_SUBSTEPS:
-            r = min(2 * r, _MAX_SUBSTEPS)
+        if attempt < attempts and r < _MAX_SUBSTEPS:
+            retry = min(2 * r, _MAX_SUBSTEPS)
+            _log("norm drift %.3e over budget at substeps=%d; retrying at %d",
+                 drift, r, retry)
+            r = retry
         else:
             break
-    raise IntegrationError(
-        f"norm drift {drift:.3e} exceeds budget {_DRIFT_BUDGET:.0e} "
-        f"at substeps={r}; refine the grid or raise substeps"
-    )
+    message = (f"norm drift {drift:.3e} exceeds budget {_DRIFT_BUDGET:.0e} "
+               f"at substeps={r}; refine the grid or raise substeps")
+    _log(message)
+    raise IntegrationError(message)
 
 
 def propagate_lindblad(model: LindbladModel, rho0: np.ndarray, grid: TimeGrid,
@@ -286,8 +313,7 @@ def propagate_lindblad(model: LindbladModel, rho0: np.ndarray, grid: TimeGrid,
         raise ValueError("substeps must be >= 1")
 
     attempts = _MAX_RETRIES if auto else 1
-    drift = np.inf
-    for _ in range(attempts):
+    for attempt in range(1, attempts + 1):
         table = _generator_table(model.hamiltonian, grid, r)
         out = np.empty((grid.n_points, model.dim, model.dim), dtype=complex)
         max_asym = kernels.lindblad_steps(
@@ -300,18 +326,21 @@ def propagate_lindblad(model: LindbladModel, rho0: np.ndarray, grid: TimeGrid,
             out /= traces[:, None, None]
             lo = float(np.min(np.linalg.eigvalsh(out)))
             if lo < _EIG_FLOOR:
-                raise IntegrationError(
-                    f"density matrix eigenvalue {lo:.3e} below {_EIG_FLOOR:.0e}"
-                )
+                message = f"density matrix eigenvalue {lo:.3e} below {_EIG_FLOOR:.0e}"
+                _log(message)
+                raise IntegrationError(message)
             return Trajectory(grid, out)
-        if auto and r < _MAX_SUBSTEPS:
-            r = min(2 * r, _MAX_SUBSTEPS)
+        if attempt < attempts and r < _MAX_SUBSTEPS:
+            retry = min(2 * r, _MAX_SUBSTEPS)
+            _log("trace drift %.3e, asymmetry %.3e over budget at substeps=%d; "
+                 "retrying at %d", drift, max_asym, r, retry)
+            r = retry
         else:
             break
-    raise IntegrationError(
-        f"trace drift {drift:.3e} exceeds budget {_DRIFT_BUDGET:.0e} "
-        f"at substeps={r}; refine the grid or raise substeps"
-    )
+    message = (f"trace drift {drift:.3e} exceeds budget {_DRIFT_BUDGET:.0e} "
+               f"at substeps={r}; refine the grid or raise substeps")
+    _log(message)
+    raise IntegrationError(message)
 
 
 # ---------------------------------------------------------------------------

@@ -9,25 +9,33 @@ matrix per step,
 with A0, Am and A1 the generator at the start, middle and end of the
 step. The kernels build these maps for a batch of steps in one broadcast
 expression, fold the ``substeps`` maps of each grid interval into one
-with pairwise batched products, and apply the interval maps to the state
-in order: one small matrix-vector product per grid point. At most
-``_BATCH_STEPS`` step maps are held at a time; an interval with more
-substeps than that is folded batch by batch. Closed systems use A = -iH
-on the state vector; open systems use the d^2 x d^2 Lindblad
-superoperator on the row-major vectorized density matrix.
+with pairwise batched products, and apply the n interval maps in blocks
+(``_apply``): prefix products inside blocks of about sqrt(n)/2 maps,
+formed for all blocks at once, one matrix-vector product per block to
+carry the state across, and one batched contraction for every grid
+state, so O(sqrt(n)) Python steps in all. At most ``_BATCH_STEPS`` step
+maps are held at a time; an interval with more substeps than that is
+folded batch by batch. Closed systems use A = -iH on the state vector;
+open systems use the d^2 x d^2 Lindblad superoperator on the row-major
+vectorized density matrix.
 
-Products of the step maps go through ``_mm``: for D <= 3 (closed two-
-and three-level systems) it sums D broadcast outer products, which on
-stacks of tiny complex matrices is 2-5x faster than ``np.matmul``; the
-superoperators (D >= 4) keep matmul, which is faster there.
+Stacks of D x D matrices keep their batch axes last, (D, D, n), so every
+ufunc runs over one contiguous batch axis instead of inner loops of
+length D. The generator table arrives as (n, d, d) rows and is
+transposed one batch at a time, never as a whole. Every product goes
+through ``_mm``, a sum of D broadcast products: on stacks of 2 x 2 to
+4 x 4 complex matrices it is faster than ``np.matmul``; at D = 9 (open
+three-level systems) it is about 2.5x slower, the price of one product
+path.
 
 Kernels consume a pre-sampled generator table ``h_table`` holding H(t)
 at every half-step node (2*n_steps + 1 matrices for n_steps RK4 steps),
 so no Python callback happens during stepping. With ``constant=True``
 the generator does not depend on time: the table holds only the 2r + 1
-nodes of the first grid interval, its map is built once and applied at
-every grid point. Every interval's map would be the same fold of the
-same r step maps, so the states are bit-for-bit those of the full table.
+nodes of the first grid interval, and its map is built once and
+broadcast to every grid interval before the blocked application. Every
+interval's map would be the same fold of the same r step maps, so the
+states are bit-for-bit those of the full table.
 Kernels do the arithmetic only: drift accounting, renormalization and
 retries live in ``tflow.dynamics``.
 
@@ -39,9 +47,14 @@ symmetrized.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-_BATCH_STEPS = 2048  # RK4 step maps held at once; bounds the kernels' memory
+# RK4 step maps held at once; bounds the kernels' memory. A library-sweep
+# round took about 4,000 minor page faults at 2048 (its 3 x 3 stacks of
+# 300 kB were freed to the OS and faulted in again) and about one at 1024.
+_BATCH_STEPS = 1024
 
 
 def lindblad_rhs_dense(hmat, rho, jump_ops, jump_dags, half_b):
@@ -57,81 +70,136 @@ def lindblad_rhs_dense(hmat, rho, jump_ops, jump_dags, half_b):
 
 
 def _mm(a, b):
-    """a @ b on stacks of (D, D) matrices, unrolled for D <= 3."""
-    d = a.shape[-1]
-    if d > 3:
-        return a @ b
-    out = a[..., :, 0, None] * b[..., None, 0, :]
-    for k in range(1, d):
-        out += a[..., :, k, None] * b[..., None, k, :]
+    """a @ b on (D, D, ...) stacks, batch axes last: a sum of D broadcast
+    products, each one ufunc over the contiguous batch."""
+    out = a[:, 0, None] * b[None, 0]
+    for k in range(1, a.shape[1]):
+        out += a[:, k, None] * b[None, k]
     return out
 
 
 def _step_maps(gens, h):
-    """RK4 step maps (n, D, D) from generators at 2n + 1 half-step nodes."""
-    a0, am, a1 = gens[:-1:2], gens[1::2], gens[2::2]
-    k2 = am + (0.5 * h) * _mm(am, a0)
-    k3 = am + (0.5 * h) * _mm(am, k2)
-    k4 = a1 + h * _mm(a1, k3)
-    maps = (h / 6.0) * (a0 + 2.0 * (k2 + k3) + k4)
-    diag = np.arange(maps.shape[-1])
-    maps[:, diag, diag] += 1.0
-    return maps
+    """RK4 step maps (D, D, n) from generators (D, D, 2n + 1) at half-step nodes."""
+    a0, am, a1 = gens[..., :-1:2], gens[..., 1::2], gens[..., 2::2]
+    # k2 = am + (h/2) am a0, k3 = am + (h/2) am k2, k4 = a1 + h a1 k3 and
+    # (h/6) (a0 + 2 (k2 + k3) + k4), each formed in place with the rounding
+    # of that expression, so no stack-sized temporaries beyond the products
+    k2 = _mm(am, a0)
+    k2 *= 0.5 * h
+    k2 += am
+    k3 = _mm(am, k2)
+    k3 *= 0.5 * h
+    k3 += am
+    k4 = _mm(a1, k3)
+    k4 *= h
+    k4 += a1
+    k2 += k3
+    k2 *= 2.0
+    k2 += a0
+    k2 += k4
+    k2 *= h / 6.0
+    diag = np.arange(k2.shape[0])
+    k2[diag, diag] += 1.0
+    return k2
 
 
 def _fold(maps):
-    """Time-ordered product of each row of an (m, r, D, D) stack of maps.
+    """Time-ordered product over the last axis of a (D, D, m, r) stack.
 
-    Returns (m, D, D) with out[i] = maps[i, r-1] @ ... @ maps[i, 0],
-    formed by pairwise batched products. On a level with an odd count,
-    the last map is set aside and applied after the rest.
+    Returns (D, D, m) with out[..., i] = maps[..., i, r-1] @ ... @
+    maps[..., i, 0], formed by pairwise batched products. On a level with
+    an odd count, the last map is set aside and applied after the rest.
     """
     tail = None
-    while maps.shape[1] > 1:
-        if maps.shape[1] % 2:
-            tail = maps[:, -1] if tail is None else _mm(tail, maps[:, -1])
-            maps = maps[:, :-1]
-        maps = _mm(maps[:, 1::2], maps[:, ::2])
-    return maps[:, 0] if tail is None else _mm(tail, maps[:, 0])
+    while maps.shape[-1] > 1:
+        if maps.shape[-1] % 2:
+            tail = maps[..., -1] if tail is None else _mm(tail, maps[..., -1])
+            maps = maps[..., :-1]
+        maps = _mm(maps[..., 1::2], maps[..., ::2])
+    return maps[..., 0] if tail is None else _mm(tail, maps[..., 0])
 
 
 def _interval_maps(generators, g0, g1, r, h):
-    """Maps across grid intervals g0..g1-1, each folded from r RK4 steps.
+    """Maps (D, D, g1 - g0) across grid intervals g0..g1-1, each folded
+    from r RK4 steps.
 
-    ``generators(lo, hi)`` returns the generators at half-step nodes
-    lo..hi-1.
+    ``generators(lo, hi)`` returns the generators (D, D, hi - lo) at
+    half-step nodes lo..hi-1.
     """
     if r <= _BATCH_STEPS:
         maps = _step_maps(generators(2 * g0 * r, 2 * g1 * r + 1), h)
-        return _fold(maps.reshape((g1 - g0, r) + maps.shape[1:]))
+        return _fold(maps.reshape(maps.shape[:2] + (g1 - g0, r)))
     # one interval longer than a batch (g1 == g0 + 1): fold it batch by batch
     total = None
     for k0 in range(g0 * r, g1 * r, _BATCH_STEPS):
         k1 = min(k0 + _BATCH_STEPS, g1 * r)
-        part = _fold(_step_maps(generators(2 * k0, 2 * k1 + 1), h)[None])[0]
-        total = part if total is None else part @ total
-    return total[None]
+        part = _fold(_step_maps(generators(2 * k0, 2 * k1 + 1), h)[:, :, None])
+        total = part if total is None else _mm(part, total)
+    return total
+
+
+def _apply(maps, y0, out):
+    """out[g] = maps[..., g-1] @ ... @ maps[..., 0] @ y0 for every grid point g.
+
+    The n maps are cut into blocks of about sqrt(n)/2. The prefix products
+    inside every block are formed together, one position at a time; the
+    state is carried from block to block by one matrix-vector product
+    each, and every grid state is then one batched contraction of the
+    prefix products with its block's starting state. A carry step costs
+    about a quarter of a prefix step, hence blocks of sqrt(n/4), not
+    sqrt(n). Identity maps pad the last block.
+    """
+    d, n = maps.shape[0], maps.shape[-1]
+    size = math.isqrt(n // 4) + 1
+    blocks = -(-n // size)
+    padded = np.empty((d, d, blocks * size), dtype=complex)
+    padded[..., :n] = maps
+    padded[..., n:] = np.eye(d)[..., None]
+    padded = padded.reshape(d, d, blocks, size)
+    prefix = np.empty((d, d, size, blocks), dtype=complex)
+    prefix[:, :, 0] = padded[..., 0]
+    for j in range(1, size):
+        prefix[:, :, j] = _mm(padded[..., j], prefix[:, :, j - 1])
+    starts = np.empty((blocks, d), dtype=complex)
+    y = y0
+    for b, block in enumerate(prefix[:, :, -1].transpose(2, 0, 1)):
+        starts[b] = y
+        y = block @ y
+    states = prefix[:, 0] * starts[:, 0]
+    for k in range(1, d):
+        states += prefix[:, k] * starts[:, k]
+    out[0] = y0
+    out[1:] = states.transpose(2, 1, 0).reshape(blocks * size, d)[:n]
 
 
 def _propagate(generators, y0, r, h, out, constant):
     """Fill out[g] (shape (n_grid, D)) with the state at grid point g."""
-    n_intervals = out.shape[0] - 1
-    y = out[0] = y0
+    d, n_intervals = y0.shape[0], out.shape[0] - 1
     if constant:
-        m = _interval_maps(generators, 0, 1, r, h)[0]
-        for g in range(1, n_intervals + 1):
-            y = out[g] = m @ y
-        return
-    per_batch = max(1, _BATCH_STEPS // r)
-    for g0 in range(0, n_intervals, per_batch):
-        g1 = min(g0 + per_batch, n_intervals)
-        for g, m in enumerate(_interval_maps(generators, g0, g1, r, h), g0 + 1):
-            y = out[g] = m @ y
+        maps = np.broadcast_to(_interval_maps(generators, 0, 1, r, h),
+                               (d, d, n_intervals))
+    else:
+        maps = np.empty((d, d, n_intervals), dtype=complex)
+        per_batch = max(1, _BATCH_STEPS // r)
+        for g0 in range(0, n_intervals, per_batch):
+            g1 = min(g0 + per_batch, n_intervals)
+            maps[..., g0:g1] = _interval_maps(generators, g0, g1, r, h)
+    _apply(maps, y0, out)
+
+
+def _batch_last(table):
+    """(k, d, d) table rows as a contiguous complex (d, d, k) stack."""
+    return np.ascontiguousarray(table.transpose(1, 2, 0), dtype=complex)
 
 
 def schrodinger_steps(h_table, psi0, substeps, h, out, constant=False):
     """RK4 for i dpsi/dt = H(t) psi; out (n_grid, d) receives psi at grid points."""
-    _propagate(lambda lo, hi: -1j * h_table[lo:hi], psi0, substeps, h, out, constant)
+    def generators(lo, hi):
+        gens = _batch_last(h_table[lo:hi])
+        gens *= -1j
+        return gens
+
+    _propagate(generators, psi0, substeps, h, out, constant)
 
 
 def lindblad_steps(h_table, jump_ops, jump_dags, half_b, rho0, substeps, h, out,
@@ -147,12 +215,20 @@ def lindblad_steps(h_table, jump_ops, jump_dags, half_b, rho0, substeps, h, out,
     dissipator = -np.kron(half_b, eye) - np.kron(eye, half_b.T)
     for a, a_dag in zip(jump_ops, jump_dags):
         dissipator = dissipator + np.kron(a, a_dag.T)
+    dissipator = dissipator[..., None]
 
     def superoperators(lo, hi):
-        hs = h_table[lo:hi]
-        comm = (np.einsum("nac,bd->nabcd", hs, eye)
-                - np.einsum("ac,ndb->nabcd", eye, hs))
-        return -1j * comm.reshape(-1, d * d, d * d) + dissipator
+        # row-major vec: -i (H kron I - I kron H^T), indices (a, b, c, e)
+        hs = _batch_last(h_table[lo:hi])
+        comm = np.zeros((d, d, d, d, hi - lo), dtype=complex)
+        for k in range(d):
+            comm[:, k, :, k] = hs
+        for k in range(d):
+            comm[k, :, k, :] -= hs.transpose(1, 0, 2)
+        comm = comm.reshape(d * d, d * d, hi - lo)
+        comm *= -1j
+        comm += dissipator
+        return comm
 
     flat = np.empty((out.shape[0], d * d), dtype=complex)
     _propagate(superoperators, rho0.reshape(d * d), substeps, h, flat, constant)

@@ -179,11 +179,6 @@ def _panel_integrals(omega: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndar
     return omega(0.5 * (hi + lo)[:, None] + half[:, None] * nodes) @ weights * half
 
 
-def _ranks(counts: np.ndarray) -> np.ndarray:
-    """0, 1, ..., c - 1 for every entry c of counts, concatenated."""
-    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-
-
 def _composite_cumulative(omega: Callable, t) -> np.ndarray:
     """int_0^t omega for every entry of t, by composite Gauss-Legendre.
 
@@ -432,11 +427,19 @@ def _drive_cuts(waveform: ControlWaveform, delta: float, t0: float,
     low, high = np.minimum(angle[:-1], angle[1:]), np.maximum(angle[:-1], angle[1:])
     k_lo = np.ceil((low - delta) / step)
     counts = np.maximum(np.floor((high - delta) / step) - k_lo + 1, 0).astype(int)
-    piece = np.repeat(np.arange(counts.size), counts)
-    roots = _invert_angle(waveform, delta + step * (k_lo[piece] + _ranks(counts)),
-                          breaks[piece], breaks[piece + 1],
-                          angle[piece], angle[piece + 1])
-    return np.sort(np.concatenate((breaks, roots)))
+    ends = np.cumsum(counts)
+    cuts = np.empty(breaks.size + ends[-1])
+    cuts[:breaks.size] = breaks
+    # the lattice points, _CHUNK at a time: memory beyond the cuts is bounded
+    for s in range(0, ends[-1], _CHUNK):
+        index = np.arange(s, min(s + _CHUNK, ends[-1]))
+        piece = np.searchsorted(ends, index, side="right")
+        rank = index - (ends - counts)[piece]
+        cuts[breaks.size + index] = _invert_angle(
+            waveform, delta + step * (k_lo[piece] + rank), breaks[piece],
+            breaks[piece + 1], angle[piece], angle[piece + 1])
+    cuts.sort()
+    return cuts
 
 
 def _invert_angle(waveform: ControlWaveform, target: np.ndarray, lo: np.ndarray,
@@ -506,25 +509,33 @@ def _piece_moments(waveform: ControlWaveform, init: TwoLevelInitial,
     Gauss-Legendre rule on each piece between neighbouring cuts.
 
     The rate keeps its sign on each piece, so |rate| is smooth there. Each
-    piece gives the integrals of (t - c)^p |rate| about its own centre c,
-    and the variance sums them about the mean (parallel axes), so a pulse
-    far narrower than its distance from t = 0 keeps its spread to rounding.
+    piece gives the integrals of (t - c)^p |rate| about its own centre c.
+    Pieces are taken _CHUNK at a time, so memory beyond the cuts does not
+    grow with their number: each chunk sums its pieces about the chunk's
+    mean, and the chunks are summed about the overall mean (parallel axes
+    at both levels), so a pulse far narrower than its distance from t = 0
+    keeps its spread to rounding.
     """
     nodes, weights = _gauss_legendre()
-    centre, half = 0.5 * (cuts[1:] + cuts[:-1]), 0.5 * (cuts[1:] - cuts[:-1])
-    chunks = []
-    for s in range(0, centre.size, _CHUNK):
-        h = half[s:s + _CHUNK, None]
+    chunks = []  # (mass, mean, summed squared deviation) of each chunk
+    for s in range(0, cuts.size - 1, _CHUNK):
+        edge = cuts[s:s + _CHUNK + 1]
+        centre, h = 0.5 * (edge[1:] + edge[:-1]), 0.5 * (edge[1:] - edge[:-1])[:, None]
         x = h * nodes
-        rate = two_level_rate(waveform, init, centre[s:s + _CHUNK, None] + x)
+        rate = two_level_rate(waveform, init, centre[:, None] + x)
         f = np.abs(rate) * (h * weights)
-        chunks.append([np.sum(f, axis=1), np.sum(x * f, axis=1),
-                       np.sum(x * x * f, axis=1)])
-    j0, j1, j2 = np.concatenate(chunks, axis=1)
-    total = _flow_total(np.sum(j0))
-    mean = (np.sum(centre * j0) + np.sum(j1)) / total
-    d = centre - mean
-    return float(mean), float(np.sum(j2 + d * (2.0 * j1 + d * j0)) / total)
+        j0, j1, j2 = np.sum(f, axis=1), np.sum(x * f, axis=1), np.sum(x * x * f, axis=1)
+        mass = np.sum(j0)
+        if mass == 0.0:
+            continue
+        mean = (np.sum(centre * j0) + np.sum(j1)) / mass
+        d = centre - mean
+        chunks.append((mass, mean, np.sum(j2 + d * (2.0 * j1 + d * j0))))
+    mass, mean, spread = np.array(chunks).reshape(-1, 3).T
+    total = _flow_total(np.sum(mass))
+    overall = np.sum(mass * mean) / total
+    d = mean - overall
+    return float(overall), float(np.sum(spread + mass * d * d) / total)
 
 
 def _flow_total(total: float) -> float:

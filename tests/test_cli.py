@@ -353,6 +353,53 @@ def test_two_level_polynomial_and_gaussian_runs(tmp_path, argv, want):
     assert [seg["kind"] for seg in results["segments"]] == want[4]
 
 
+# Propagated columns of the CLI outputs, pinned before the blocked kernels:
+# (file, column) -> (mean under seeded positive weights that sum to 1, the
+# largest move allowed in any one value). A weighted mean moves by at most
+# the largest move of its values; the tolerances are those stated for the
+# blocked kernels.
+_PROPAGATED = {
+    ("lambda", "--omega1", "1", "--omega2", "1", "--delta-i", "-10", "--delta-f", "10",
+     "--t-final", "4", "--units", "mhz-cyclic", "--points", "4000"): {
+        ("lambda_series.csv", "p_1"): (0.5633104116931504, 2.5e-14),
+        ("lambda_series.csv", "p_2"): (0.2494718225534614, 2.5e-14),
+        ("lambda_series.csv", "p_3"): (0.18721776575338814, 2.5e-14),
+        ("lambda_series.csv", "gamma_expectation"): (0.124714716444112, 2.5e-14),
+        ("lambda_series.csv", "pi_2_current"): (0.25091240382293667, 2.5e-14),
+        ("lambda_tf.csv", "pi_1"): (0.2517557899299595, 1e-12),
+        ("lambda_tf.csv", "pi_2"): (0.25091104873718556, 1e-12),
+        ("lambda_tf.csv", "pi_3"): (0.2521332788887265, 1e-12),
+    },
+    ("dephasing", "--gamma", "1"): {
+        ("dephasing_series.csv", "p_minus_numeric"): (0.4762447170226393, 1e-15),
+    },
+    ("hadamard", "--omega0", "10", "--gamma", "5", "--units", "mhz-cyclic"): {
+        ("hadamard_series.csv", "p_plus"): (0.6318868365745036, 1e-14),
+        ("hadamard_series.csv", "gamma_expectation"): (3.9957302934199355, 1e-12),
+        ("hadamard_series.csv", "pi_plus_current"): (19.68475913926013, 1e-12),
+        ("hadamard_tf.csv", "pi_plus"): (19.698108167358, 1e-10),
+    },
+    ("sta", "--alpha", "1.0", "--t-final", "1", "--omega0", "20", "--numeric"): {
+        ("sta_numeric.csv", "p_plus_numeric"): (0.8176589080758773, 2e-15),
+        ("sta_numeric.csv", "deviation"): (4.207391271725665e-13, 2e-15),
+    },
+    ("sta", "--alpha", "0.5", "--t-final", "1", "--omega0", "20", "--numeric"): {
+        ("sta_numeric.csv", "p_plus_numeric"): (0.9057810433354675, 2e-15),
+        ("sta_numeric.csv", "deviation"): (9.492019204015414e-08, 2e-15),
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(_PROPAGATED), ids=lambda a: "-".join(a[:3]))
+def test_propagated_outputs_move_by_rounding_only(tmp_path, argv):
+    assert main([*argv, "--outdir", str(tmp_path)]) == 0
+    for (name, column), (want, tol) in _PROPAGATED[argv].items():
+        values = np.genfromtxt(tmp_path / name, delimiter=",", names=True,
+                               skip_header=1)[column]
+        weights = np.random.default_rng(8).random(values.size)
+        assert weights / weights.sum() @ values == pytest.approx(want, rel=0, abs=tol)
+
+
 def test_every_subcommand_runs_without_scipy(tmp_path):
     config = tmp_path / "opt.json"
     config.write_text(json.dumps({"t_horizon": 1.0, "omega0": 0.8 * np.pi,

@@ -77,13 +77,16 @@ def test_explicit_substeps_drift_failure():
         )
 
 
-def test_lindblad_eigenvalue_floor_failure():
+def test_lindblad_eigenvalue_floor_failure(caplog):
     # RK4 keeps the trace exactly, but with 2 gamma h = 3 each step scales the
     # coherence by 1.375; after two steps rho has eigenvalue 0.5 - 0.5 * 1.375^2
     grid = TimeGrid(0.0, 3.0, 3)
+    caplog.set_level("INFO", logger="tflow.dynamics")
     with pytest.raises(IntegrationError, match="eigenvalue -4.453e-01"):
         dynamics.propagate_lindblad(models.dephasing_model(1.0), M_PLUS, grid,
                                     substeps=1)
+    assert [r.getMessage() for r in caplog.records] == [
+        "density matrix eigenvalue -4.453e-01 below -1e-06"]
 
 
 def test_fourth_order_convergence():
@@ -291,3 +294,82 @@ def test_expectation_series_time_dependent_operator():
     traj = dynamics.Trajectory(grid, states)
     vals = dynamics.expectation_series(traj, lambda t: t * operators.SIGMA_Z)
     assert np.allclose(vals, grid.times)
+
+
+# ---------------------------------------------------------------------------
+# retries are logged, and the table check covers every half-step node
+
+
+def _narrow_pulse():
+    wf = models.ControlWaveform.gaussian_pulse(0.505, 0.001)
+    return models.two_level_hamiltonian(wf), TimeGrid(0.0, 1.0, 101)
+
+
+def test_schrodinger_retries_are_logged(caplog):
+    # the pulse sits between grid points, so the starting scale sees none of
+    # it: four doublings follow, and the last attempt, at 16, still drifts
+    schedule, grid = _narrow_pulse()
+    caplog.set_level("INFO", logger="tflow.dynamics")
+    with pytest.raises(IntegrationError, match="at substeps=16;"):
+        dynamics.propagate_schrodinger(schedule, operators.basis_state(2, 0), grid)
+    messages = [r.getMessage() for r in caplog.records if r.name == "tflow.dynamics"]
+    assert [m.split(" over budget at ")[1] for m in messages[:-1]] == [
+        f"substeps={r}; retrying at {2 * r}" for r in (1, 2, 4, 8)]
+    assert messages[0].startswith("norm drift 5.943e+00 ")
+    assert messages[-1].startswith("norm drift 7.961e-05 exceeds budget 1e-08 "
+                                   "at substeps=16;")
+
+
+def test_lindblad_retries_are_logged(caplog, monkeypatch):
+    # an asymmetry over its 1e-10 budget on the first attempt is one doubling
+    steps = dynamics.kernels.lindblad_steps
+    calls = []
+
+    def asymmetric_once(*args, **kwargs):
+        asym = steps(*args, **kwargs)
+        calls.append(args[5])
+        return 1e-9 if len(calls) == 1 else asym
+
+    monkeypatch.setattr(dynamics.kernels, "lindblad_steps", asymmetric_once)
+    caplog.set_level("INFO", logger="tflow.dynamics")
+    dynamics.propagate_lindblad(models.dephasing_model(1.0), M_PLUS,
+                                TimeGrid(0.0, 1.0, 51))
+    r = calls[0]
+    assert calls == [r, 2 * r]
+    [record] = [r for r in caplog.records if r.name == "tflow.dynamics"]
+    assert record.levelname == "INFO"
+    assert record.getMessage().endswith(
+        f"asymmetry 1.000e-09 over budget at substeps={r}; retrying at {2 * r}")
+
+
+@pytest.mark.parametrize("entry", [(0, 1), (0, 2), (2, 1), (1, 1)])
+def test_table_check_sees_a_defect_at_one_half_step_node(entry):
+    # Hermitian at every grid point; at the one half-step node t = 0.125
+    # (substeps = 2 on a 0.1 grid) an anti-Hermitian part of size `defect`
+    # sits at `entry` (on the diagonal it is imaginary: defect 2 x size)
+    from tflow.errors import OperatorConstraintError
+
+    tol = operators.HERMITIAN_TOL
+    base = np.array([[0.0, 1.0, 0.2j], [1.0, 0.5, 0.7], [-0.2j, 0.7, -1.3]])
+    grid = TimeGrid(0.0, 1.0, 11)
+    node = grid.t_start + grid.dt / 4 * 5
+
+    def schedule_with(size):
+        def batch(ts):
+            out = np.repeat(base[None].astype(complex), np.size(ts), axis=0)
+            out[np.asarray(ts) == node, entry[0], entry[1]] += 1j * size
+            return out
+        return dynamics.HamiltonianSchedule(3, lambda t: batch(np.array([t]))[0],
+                                            batch=batch)
+
+    size = 10 * tol / (2 if entry[0] == entry[1] else 1)
+    assert dynamics._hermitian_defect(schedule_with(size).sample(grid.times)) == 0.0
+    psi0 = operators.basis_state(3, 0)
+    with pytest.raises(OperatorConstraintError, match=r"defect 1\.000e-11"):
+        dynamics.propagate_schrodinger(schedule_with(size), psi0, grid, substeps=2)
+    dynamics.propagate_schrodinger(schedule_with(size / 100), psi0, grid, substeps=2)
+    # a Lindblad model samples the same table
+    model = LindbladModel(schedule_with(size))
+    with pytest.raises(OperatorConstraintError, match=r"defect 1\.000e-11"):
+        dynamics.propagate_lindblad(model, operators.projector(3, 0).astype(complex),
+                                    grid, substeps=2)

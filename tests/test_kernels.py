@@ -124,7 +124,7 @@ def test_odd_refinement_matches_reference(r):
 
 
 def test_interval_count_off_batch_multiple_matches_reference():
-    # r = 4 gives 512 intervals per batch: 1200 = 512 + 512 + 176
+    # r = 4 gives 256 intervals per batch: 1200 = 4 * 256 + 176
     assert 1200 % (kernels._BATCH_STEPS // 4)
     got, want = _run_schrodinger(1201, 4)
     assert np.max(np.abs(got - want)) <= 1e-12
@@ -144,13 +144,19 @@ def test_batch_edges_match_reference(monkeypatch, r):
 
 
 def test_fold_orders_products_in_time():
+    # (D, D, m, r) stacks, batch axes last
     rng = np.random.default_rng(7)
-    for r in range(1, 12):
-        maps = rng.normal(size=(3, r, 2, 2)) + 1j * rng.normal(size=(3, r, 2, 2))
-        want = np.broadcast_to(np.eye(2), (3, 2, 2))
-        for s in range(r):
-            want = maps[:, s] @ want
-        assert np.allclose(kernels._fold(maps), want, rtol=1e-13, atol=1e-12)
+    for d in (1, 2, 3, 4, 9):
+        for r in range(1, 12):
+            maps = (rng.normal(size=(d, d, 3, r))
+                    + 1j * rng.normal(size=(d, d, 3, r))) / (2.0 * np.sqrt(d))
+            want = np.broadcast_to(np.eye(d), (3, d, d))
+            for s in range(r):
+                want = maps[..., s].transpose(2, 0, 1) @ want
+            got = kernels._fold(maps)
+            assert got.shape == (d, d, 3)
+            err = np.max(np.abs(got.transpose(2, 0, 1) - want))
+            assert err <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
 
 def test_batched_eigenvalue_floor_matches_closed_form():
@@ -235,12 +241,60 @@ def test_constant_table_holds_one_interval(monkeypatch):
 # unrolled products of tiny matrices
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 9])
 def test_unrolled_product_matches_matmul(d):
+    # (D, D, ...) stacks with the batch axes last, broadcast against each other
     rng = np.random.default_rng(d)
-    a = rng.normal(size=(4, 1, d, d)) + 1j * rng.normal(size=(4, 1, d, d))
-    b = rng.normal(size=(1, 5, d, d)) + 1j * rng.normal(size=(1, 5, d, d))
-    for x, y in ((a, b), (a[:, 0], b[0, :4]), (a[0, 0], b)):
-        got, want = kernels._mm(x, y), x @ y
+    a = rng.normal(size=(d, d, 4, 1)) + 1j * rng.normal(size=(d, d, 4, 1))
+    b = rng.normal(size=(d, d, 1, 5)) + 1j * rng.normal(size=(d, d, 1, 5))
+    cases = ((a, b), (a[..., 0], b[:, :, 0, :4]), (a[:, :, 0], b[:, :, 0]),
+             (a[:, :, 0, 0], b[:, :, 0, 0]))
+    for x, y in cases:
+        got = kernels._mm(x, y)
+        want = np.moveaxis(np.moveaxis(x, (0, 1), (-2, -1))
+                           @ np.moveaxis(y, (0, 1), (-2, -1)), (-2, -1), (0, 1))
         assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-15 * max(1.0, np.max(np.abs(want)))
+        assert np.max(np.abs(got - want)) <= 1e-15 * d * max(1.0, np.max(np.abs(want)))
+
+
+# ---------------------------------------------------------------------------
+# blocked application of the interval maps
+
+
+@pytest.mark.parametrize("n_points", [2, 3, 5, 12, 17, 401])
+def test_blocked_application_matches_reference(n_points):
+    # n intervals go in blocks of isqrt(n // 4) + 1: 1, 2x1, 2x2, 6x2 (the
+    # last block padded by one identity map), 6x3 (padded by two) and 37x11
+    # (padded by seven); the steps stay 0.01 / r long
+    schedule = _lambda_case(2)[0]
+    grid = dynamics.TimeGrid(0.0, 0.01 * (n_points - 1), n_points)
+    for r in (1, 3):
+        table = _half_step_table(schedule, grid, r)
+        psi0 = operators.basis_state(3, 0)
+        got = np.empty((n_points, 3), dtype=complex)
+        want = np.empty_like(got)
+        kernels.schrodinger_steps(table, psi0, r, grid.dt / r, got)
+        reference_schrodinger_steps(table, psi0, r, grid.dt / r, want)
+        assert np.max(np.abs(got - want)) <= 1e-12
+    model = models.hadamard_model(2 * np.pi, 3.0).model
+    grid = dynamics.TimeGrid(0.0, 0.002 * (n_points - 1), n_points)
+    got, want, asym = _run_lindblad(model, grid, 2)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert asym <= 1e-12
+
+
+def test_blocked_application_orders_products_in_time():
+    # the state at g is maps[g-1] @ ... @ maps[0] @ y0, for non-commuting maps
+    rng = np.random.default_rng(11)
+    for d in (1, 2, 3, 9):
+        for n in (1, 2, 3, 4, 5, 10, 17):
+            maps = np.eye(d)[..., None] + 0.3 * (rng.normal(size=(d, d, n))
+                                                 + 1j * rng.normal(size=(d, d, n)))
+            y0 = rng.normal(size=d) + 1j * rng.normal(size=d)
+            out = np.empty((n + 1, d), dtype=complex)
+            kernels._apply(maps, y0, out)
+            y = y0
+            assert np.array_equal(out[0], y0)
+            for g in range(n):
+                y = maps[..., g] @ y
+                assert np.max(np.abs(out[g + 1] - y)) <= 1e-13 * max(1.0, np.max(np.abs(y)))

@@ -395,6 +395,30 @@ def test_composite_cumulative_memory_does_not_grow_with_t():
     assert peaks[1] < 1.5 * peaks[0]
 
 
+def test_drive_cut_memory_grows_by_the_cuts_only():
+    # omega0 = 1e3 gives 25,467 cuts (two chunks of the pi/8 lattice), 4e3
+    # gives 101,862 (seven). Beyond the 8 bytes of each cut, the peak stays
+    # put; inverted all at once, it grew about 4x with the lattice (to
+    # 11.4 MB), and the piece moments about 100 bytes a cut.
+    import tracemalloc
+
+    extra = {"cuts": [], "moments": []}
+    for omega0 in (1e3, 4e3):
+        wf = models.ControlWaveform.polynomial(omega0, [0.0] * 4)
+        tracemalloc.start()
+        cuts = models._drive_cuts(wf, 0.0, 0.0, 10.0)
+        extra["cuts"].append(tracemalloc.get_traced_memory()[1] - cuts.nbytes)
+        tracemalloc.stop()
+        tracemalloc.start()
+        got = models.two_level_moments_closed(wf, models.TwoLevelInitial(), 0.0, 10.0)
+        extra["moments"].append(tracemalloc.get_traced_memory()[1] - cuts.nbytes)
+        tracemalloc.stop()
+        assert got.mean == pytest.approx(5.0, abs=1e-3)
+    assert cuts.size > 6 * models._CHUNK
+    assert extra["cuts"][1] < 1.5 * extra["cuts"][0]
+    assert extra["moments"][1] < 1.5 * extra["moments"][0]
+
+
 def test_ndtr_matches_scipy():
     from scipy.special import ndtr
 
