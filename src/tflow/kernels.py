@@ -15,9 +15,12 @@ formed for all blocks at once, one matrix-vector product per block to
 carry the state across, and one batched contraction for every grid
 state, so O(sqrt(n)) Python steps in all. At most ``_BATCH_STEPS`` step
 maps are held at a time; an interval with more substeps than that is
-folded batch by batch. Closed systems use A = -iH on the state vector;
-open systems use the d^2 x d^2 Lindblad superoperator on the row-major
-vectorized density matrix.
+folded batch by batch. The interval maps are written straight into one
+(D, D, n) stack (``_blocked``) and turned into prefix products in place,
+so the blocked application holds O(n D^2) memory: 16 n D^2 bytes, 1.3 GB
+for D = 9 and a million grid points. Closed systems use A = -iH on the
+state vector; open systems use the d^2 x d^2 Lindblad superoperator on
+the row-major vectorized density matrix.
 
 Stacks of D x D matrices keep their batch axes last, (D, D, n), so every
 ufunc runs over one contiguous batch axis instead of inner loops of
@@ -25,15 +28,18 @@ length D. The generator table arrives as (n, d, d) rows and is
 transposed one batch at a time, never as a whole. Every product goes
 through ``_mm``, a sum of D broadcast products: on stacks of 2 x 2 to
 4 x 4 complex matrices it is faster than ``np.matmul``; at D = 9 (open
-three-level systems) it is about 2.5x slower, the price of one product
-path.
+three-level systems) it is slower, the price of one product path: about
+6x on a 2048-stack (7.6 against 1.3 ms, one BLAS thread) and about 4x on
+the 1024 step maps of one batch. A whole ``propagate_lindblad`` of a
+driven three-level model takes about 1.4x as long as it did with
+matmul.
 
 Kernels consume a pre-sampled generator table ``h_table`` holding H(t)
 at every half-step node (2*n_steps + 1 matrices for n_steps RK4 steps),
 so no Python callback happens during stepping. With ``constant=True``
 the generator does not depend on time: the table holds only the 2r + 1
 nodes of the first grid interval, and its map is built once and
-broadcast to every grid interval before the blocked application. Every
+written to every grid interval's slot of the blocked stack. Every
 interval's map would be the same fold of the same r step maps, so the
 states are bit-for-bit those of the full table.
 Kernels do the arithmetic only: drift accounting, renormalization and
@@ -51,7 +57,8 @@ import math
 
 import numpy as np
 
-# RK4 step maps held at once; bounds the kernels' memory. A library-sweep
+# RK4 step maps held at once; bounds the memory of building and folding
+# them (the blocked application holds the n interval maps). A library-sweep
 # round took about 4,000 minor page faults at 2048 (its 3 x 3 stacks of
 # 300 kB were freed to the OS and faulted in again) and about one at 1024.
 _BATCH_STEPS = 1024
@@ -81,26 +88,13 @@ def _mm(a, b):
 def _step_maps(gens, h):
     """RK4 step maps (D, D, n) from generators (D, D, 2n + 1) at half-step nodes."""
     a0, am, a1 = gens[..., :-1:2], gens[..., 1::2], gens[..., 2::2]
-    # k2 = am + (h/2) am a0, k3 = am + (h/2) am k2, k4 = a1 + h a1 k3 and
-    # (h/6) (a0 + 2 (k2 + k3) + k4), each formed in place with the rounding
-    # of that expression, so no stack-sized temporaries beyond the products
-    k2 = _mm(am, a0)
-    k2 *= 0.5 * h
-    k2 += am
-    k3 = _mm(am, k2)
-    k3 *= 0.5 * h
-    k3 += am
-    k4 = _mm(a1, k3)
-    k4 *= h
-    k4 += a1
-    k2 += k3
-    k2 *= 2.0
-    k2 += a0
-    k2 += k4
-    k2 *= h / 6.0
-    diag = np.arange(k2.shape[0])
-    k2[diag, diag] += 1.0
-    return k2
+    k2 = am + (0.5 * h) * _mm(am, a0)
+    k3 = am + (0.5 * h) * _mm(am, k2)
+    k4 = a1 + h * _mm(a1, k3)
+    maps = (h / 6.0) * (a0 + 2.0 * (k2 + k3) + k4)
+    diag = np.arange(maps.shape[0])
+    maps[diag, diag] += 1.0
+    return maps
 
 
 def _fold(maps):
@@ -138,52 +132,62 @@ def _interval_maps(generators, g0, g1, r, h):
     return total
 
 
-def _apply(maps, y0, out):
-    """out[g] = maps[..., g-1] @ ... @ maps[..., 0] @ y0 for every grid point g.
+def _blocked(d, n):
+    """An empty (D, D, size, blocks) stack for n interval maps, and the
+    flat positions of the intervals in it.
 
-    The n maps are cut into blocks of about sqrt(n)/2. The prefix products
-    inside every block are formed together, one position at a time; the
-    state is carried from block to block by one matrix-vector product
-    each, and every grid state is then one batched contraction of the
-    prefix products with its block's starting state. A carry step costs
-    about a quarter of a prefix step, hence blocks of sqrt(n/4), not
-    sqrt(n). Identity maps pad the last block.
+    The n maps are cut into blocks of size = isqrt(n // 4) + 1: in
+    ``_apply`` a carry step costs about a quarter of a prefix step, hence
+    sqrt(n/4), not sqrt(n). Interval g = b * size + j sits at [..., j, b],
+    that is at flat position j * blocks + b of ``stack.reshape(d, d, -1)``,
+    so each position j is one contiguous batch over the blocks. Identity
+    maps pad the last block.
     """
-    d, n = maps.shape[0], maps.shape[-1]
     size = math.isqrt(n // 4) + 1
     blocks = -(-n // size)
-    padded = np.empty((d, d, blocks * size), dtype=complex)
-    padded[..., :n] = maps
-    padded[..., n:] = np.eye(d)[..., None]
-    padded = padded.reshape(d, d, blocks, size)
-    prefix = np.empty((d, d, size, blocks), dtype=complex)
-    prefix[:, :, 0] = padded[..., 0]
+    stack = np.empty((d, d, size, blocks), dtype=complex)
+    stack[:, :, n - (blocks - 1) * size:, -1] = np.eye(d)[..., None]
+    g = np.arange(n)
+    return stack, g % size * blocks + g // size
+
+
+def _apply(maps, y0, out):
+    """out[g] = M[g-1] @ ... @ M[0] @ y0 for every grid point g, with the
+    interval maps M laid out in ``maps`` by ``_blocked``.
+
+    The prefix products inside every block are formed in place, for all
+    blocks together, one position at a time; the state is carried from
+    block to block by one matrix-vector product each, and every grid
+    state is then one batched contraction of the prefix products with its
+    block's starting state.
+    """
+    d, size, blocks = maps.shape[1:]
     for j in range(1, size):
-        prefix[:, :, j] = _mm(padded[..., j], prefix[:, :, j - 1])
+        maps[:, :, j] = _mm(maps[:, :, j], maps[:, :, j - 1])
     starts = np.empty((blocks, d), dtype=complex)
     y = y0
-    for b, block in enumerate(prefix[:, :, -1].transpose(2, 0, 1)):
+    for b, block in enumerate(maps[:, :, -1].transpose(2, 0, 1)):
         starts[b] = y
         y = block @ y
-    states = prefix[:, 0] * starts[:, 0]
+    states = maps[:, 0] * starts[:, 0]
     for k in range(1, d):
-        states += prefix[:, k] * starts[:, k]
+        states += maps[:, k] * starts[:, k]
     out[0] = y0
-    out[1:] = states.transpose(2, 1, 0).reshape(blocks * size, d)[:n]
+    out[1:] = states.transpose(2, 1, 0).reshape(blocks * size, d)[:out.shape[0] - 1]
 
 
 def _propagate(generators, y0, r, h, out, constant):
     """Fill out[g] (shape (n_grid, D)) with the state at grid point g."""
     d, n_intervals = y0.shape[0], out.shape[0] - 1
+    maps, slots = _blocked(d, n_intervals)
+    flat = maps.reshape(d, d, -1)
     if constant:
-        maps = np.broadcast_to(_interval_maps(generators, 0, 1, r, h),
-                               (d, d, n_intervals))
+        flat[..., slots] = _interval_maps(generators, 0, 1, r, h)
     else:
-        maps = np.empty((d, d, n_intervals), dtype=complex)
         per_batch = max(1, _BATCH_STEPS // r)
         for g0 in range(0, n_intervals, per_batch):
             g1 = min(g0 + per_batch, n_intervals)
-            maps[..., g0:g1] = _interval_maps(generators, g0, g1, r, h)
+            flat[..., slots[g0:g1]] = _interval_maps(generators, g0, g1, r, h)
     _apply(maps, y0, out)
 
 

@@ -355,37 +355,83 @@ def test_two_level_polynomial_and_gaussian_runs(tmp_path, argv, want):
 
 # Propagated columns of the CLI outputs, pinned before the blocked kernels:
 # (file, column) -> (mean under seeded positive weights that sum to 1, the
-# largest move allowed in any one value). A weighted mean moves by at most
-# the largest move of its values; the tolerances are those stated for the
-# blocked kernels.
+# largest move allowed in any one value, {row: value} at the first and last
+# rows, the largest magnitude and three seeded rows). A weighted mean moves
+# by at most the largest move of its values, and each pinned value by no
+# more than that move; the tolerances are those stated for the blocked
+# kernels.
 _PROPAGATED = {
     ("lambda", "--omega1", "1", "--omega2", "1", "--delta-i", "-10", "--delta-f", "10",
      "--t-final", "4", "--units", "mhz-cyclic", "--points", "4000"): {
-        ("lambda_series.csv", "p_1"): (0.5633104116931504, 2.5e-14),
-        ("lambda_series.csv", "p_2"): (0.2494718225534614, 2.5e-14),
-        ("lambda_series.csv", "p_3"): (0.18721776575338814, 2.5e-14),
-        ("lambda_series.csv", "gamma_expectation"): (0.124714716444112, 2.5e-14),
-        ("lambda_series.csv", "pi_2_current"): (0.25091240382293667, 2.5e-14),
-        ("lambda_tf.csv", "pi_1"): (0.2517557899299595, 1e-12),
-        ("lambda_tf.csv", "pi_2"): (0.25091104873718556, 1e-12),
-        ("lambda_tf.csv", "pi_3"): (0.2521332788887265, 1e-12),
+        ("lambda_series.csv", "p_1"): (0.5633104116931504, 2.5e-14, {
+            0: 1.0, 938: 0.9497747615529879, 1307: 0.8905777784594738,
+            2878: 0.2068541448157585, 3999: 0.2795871741415676}),
+        ("lambda_series.csv", "p_2"): (0.2494718225534614, 2.5e-14, {
+            0: 0.0, 938: 0.01408119123829445, 1307: 0.007508357220139558,
+            2878: 0.490311506945269, 3268: 0.4999906537690471,
+            3999: 0.4983457208246815}),
+        ("lambda_series.csv", "p_3"): (0.18721776575338814, 2.5e-14, {
+            0: 0.0, 938: 0.03614404720871779, 1307: 0.1019138643203869,
+            2124: 0.568906964021226, 2878: 0.3028343482389726,
+            3999: 0.2220671050337511}),
+        ("lambda_series.csv", "gamma_expectation"): (0.124714716444112, 2.5e-14, {
+            0: 0.0, 938: 0.3068556652288491, 1307: 0.06122144472995147,
+            2171: 0.8842815002136759, 2878: 0.4534059589247043,
+            3999: -0.2078310693752514}),
+        ("lambda_series.csv", "pi_2_current"): (0.25091240382293667, 2.5e-14, {
+            0: 0.0, 938: 0.2403770592568023, 1307: 0.04795815269261335,
+            2171: 0.6927067369541035, 2878: 0.3551780312563196,
+            3999: 0.1628056019150289}),
+        ("lambda_tf.csv", "pi_1"): (0.2517557899299595, 1e-12, {
+            0: 0.002649329115266845, 937: 0.1142319595855565, 1307: 0.05984985843022762,
+            2877: 0.05571352854207229, 3908: 0.6511650466454187,
+            3998: 0.4998382765622625}),
+        ("lambda_tf.csv", "pi_2"): (0.25091104873718556, 1e-12, {
+            0: 0.007731800975694691, 937: 0.2417952844577516, 1307: 0.05088686950362398,
+            2170: 0.6928003161305114, 2877: 0.3581595418182448,
+            3998: 0.1513965108179315}),
+        ("lambda_tf.csv", "pi_3"): (0.2521332788887265, 1e-12, {
+            0: 8.071280458629758e-09, 937: 0.03872189653138084,
+            1307: 0.05233642208405727, 2315: 0.7620064892541827,
+            2877: 0.08268875964175039, 3998: 0.5527676795603655}),
     },
     ("dephasing", "--gamma", "1"): {
-        ("dephasing_series.csv", "p_minus_numeric"): (0.4762447170226393, 1e-15),
+        ("dephasing_series.csv", "p_minus_numeric"): (0.4762447170226393, 1e-15, {
+            0: 0.0, 469: 0.4954174210675507, 653: 0.4992728762056715,
+            1439: 0.4999997205229837, 1999: 0.4999999989694231}),
     },
     ("hadamard", "--omega0", "10", "--gamma", "5", "--units", "mhz-cyclic"): {
-        ("hadamard_series.csv", "p_plus"): (0.6318868365745036, 1e-14),
-        ("hadamard_series.csv", "gamma_expectation"): (3.9957302934199355, 1e-12),
-        ("hadamard_series.csv", "pi_plus_current"): (19.68475913926013, 1e-12),
-        ("hadamard_tf.csv", "pi_plus"): (19.698108167358, 1e-10),
+        ("hadamard_series.csv", "p_plus"): (0.6318868365745036, 1e-14, {
+            0: 0.4999999999999999, 469: 0.5509802814608123, 653: 0.5863717131247101,
+            1439: 0.7045021119892244, 1706: 0.7132303932717993,
+            1999: 0.7039880514793205}),
+        ("hadamard_series.csv", "gamma_expectation"): (3.9957302934199355, 1e-12, {
+            0: 0.0, 469: 7.268483107246212, 653: 7.930411528072212,
+            679: 7.939924655770463, 1439: 2.656072249007231, 1999: -2.397676930183338}),
+        ("hadamard_series.csv", "pi_plus_current"): (19.68475913926013, 1e-12, {
+            0: 0.0, 469: 32.6669488717861, 653: 35.641872464626, 679: 35.68462758306602,
+            1439: 11.93726050922361, 1999: 10.77594713142765}),
+        ("hadamard_tf.csv", "pi_plus"): (19.698108167358, 1e-10, {
+            0: 0.05545268433784863, 468: 32.65640313663994, 653: 35.64830582840727,
+            678: 35.68941361994717, 1438: 11.96194131181171, 1998: 10.76204284787349}),
     },
     ("sta", "--alpha", "1.0", "--t-final", "1", "--omega0", "20", "--numeric"): {
-        ("sta_numeric.csv", "p_plus_numeric"): (0.8176589080758773, 2e-15),
-        ("sta_numeric.csv", "deviation"): (4.207391271725665e-13, 2e-15),
+        ("sta_numeric.csv", "p_plus_numeric"): (0.8176589080758773, 2e-15, {
+            0: 0.4999999999999999, 234: 0.6798443648213023, 326: 0.7452189639584277,
+            719: 0.9523197549063257, 999: 0.9999999999999998}),
+        ("sta_numeric.csv", "deviation"): (4.207391271725665e-13, 2e-15, {
+            0: 2.220446049250313e-16, 78: 1.02740038698812e-12,
+            234: 9.654499422140361e-13, 326: 2.173816682216057e-13,
+            719: 4.266587083634477e-13, 999: 2.220446049250313e-16}),
     },
     ("sta", "--alpha", "0.5", "--t-final", "1", "--omega0", "20", "--numeric"): {
-        ("sta_numeric.csv", "p_plus_numeric"): (0.9057810433354675, 2e-15),
-        ("sta_numeric.csv", "deviation"): (9.492019204015414e-08, 2e-15),
+        ("sta_numeric.csv", "p_plus_numeric"): (0.9057810433354675, 2e-15, {
+            0: 0.5175672081881363, 234: 0.8447693060471022, 326: 0.8909728626656795,
+            719: 0.9858985027951487, 999: 0.9999999999998962}),
+        ("sta_numeric.csv", "deviation"): (9.492019204015414e-08, 2e-15, {
+            0: 1.110223024625157e-16, 3: 3.194911756265739e-07,
+            234: 3.215434030146014e-09, 326: 1.942816444389095e-07,
+            719: 1.99951858403935e-08, 999: 1.038058528024521e-13}),
     },
 }
 
@@ -393,11 +439,13 @@ _PROPAGATED = {
 @pytest.mark.parametrize("argv", list(_PROPAGATED), ids=lambda a: "-".join(a[:3]))
 def test_propagated_outputs_move_by_rounding_only(tmp_path, argv):
     assert main([*argv, "--outdir", str(tmp_path)]) == 0
-    for (name, column), (want, tol) in _PROPAGATED[argv].items():
+    for (name, column), (want, tol, pins) in _PROPAGATED[argv].items():
         values = np.genfromtxt(tmp_path / name, delimiter=",", names=True,
                                skip_header=1)[column]
         weights = np.random.default_rng(8).random(values.size)
         assert weights / weights.sum() @ values == pytest.approx(want, rel=0, abs=tol)
+        for row, value in pins.items():
+            assert values[row] == pytest.approx(value, rel=0, abs=tol)
 
 
 def test_every_subcommand_runs_without_scipy(tmp_path):

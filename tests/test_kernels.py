@@ -254,7 +254,7 @@ def test_unrolled_product_matches_matmul(d):
         want = np.moveaxis(np.moveaxis(x, (0, 1), (-2, -1))
                            @ np.moveaxis(y, (0, 1), (-2, -1)), (-2, -1), (0, 1))
         assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-15 * d * max(1.0, np.max(np.abs(want)))
+        assert np.max(np.abs(got - want)) <= 1e-15 * max(1.0, np.max(np.abs(want)))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +292,9 @@ def test_blocked_application_orders_products_in_time():
                                                  + 1j * rng.normal(size=(d, d, n)))
             y0 = rng.normal(size=d) + 1j * rng.normal(size=d)
             out = np.empty((n + 1, d), dtype=complex)
-            kernels._apply(maps, y0, out)
+            blocked, slots = kernels._blocked(d, n)
+            blocked.reshape(d, d, -1)[..., slots] = maps
+            kernels._apply(blocked, y0, out)
             y = y0
             assert np.array_equal(out[0], y0)
             for g in range(n):
