@@ -1,10 +1,16 @@
 """Command-line front end.
 
-Every subcommand runs one bundled scenario, writes its time series as
-CSV (comma-separated, UTF-8, a single ``# manifest:`` comment line, then
-a header row, then ``%.16g``-formatted values) and a JSON report whose
-top-level keys are ``manifest``, ``inputs``, ``series_files``,
-``results``, ``bounds`` and ``diagnostics``. Re-running with the same
+Every subcommand runs one bundled scenario and returns a ``Run``: its
+inputs, its tables, results, bounds and diagnostics. ``_emit`` then
+writes each table ``<name>`` of command ``<command>`` as
+``<command>_<name>.csv`` (dashes become underscores), in the order the
+run lists them, and last the JSON report ``<command>_report.json``. A CSV
+is comma-separated UTF-8: a single ``# manifest: <command>_report.json``
+comment line, then a header row, then ``%.16g``-formatted values. The
+report's top-level keys are ``manifest``, ``inputs``, ``series_files``
+(the CSV names, in write order), ``results``, ``bounds`` and
+``diagnostics``. Nothing is written until the run has computed
+everything, so a failed run leaves no file. Re-running with the same
 parameters reproduces the CSV byte for byte and the JSON up to the
 manifest timestamp.
 
@@ -23,6 +29,7 @@ import itertools
 import json
 import os
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -79,47 +86,50 @@ def _jsonable(obj):
     return obj
 
 
-def _write_report(path: Path, command: str, parameters: dict, seed: int,
-                  inputs: dict, series_files: list[str], results: dict,
-                  bounds: dict | None = None,
-                  diagnostics: dict | None = None) -> None:
+@dataclass
+class Run:
+    """Everything one subcommand computed, before any of it is written.
+
+    ``tables`` maps a table name to ``(header, columns)`` in write order;
+    ``parameters`` holds manifest parameters that replace or extend the
+    parsed arguments.
+    """
+
+    inputs: dict
+    tables: dict[str, tuple[list[str], list]]
+    results: dict
+    bounds: dict = field(default_factory=dict)
+    diagnostics: dict = field(default_factory=dict)
+    parameters: dict = field(default_factory=dict)
+
+
+def _emit(args, seed: int, run: Run) -> None:
+    """Write the run's tables as ``<command>_<name>.csv``, then its report."""
+    stem = args.command.replace("-", "_")
+    out = Path(args.outdir)
+    report_name = f"{stem}_report.json"
+    series_files = []
+    for name, (header, columns) in run.tables.items():
+        series_files.append(f"{stem}_{name}.csv")
+        _write_csv(out / series_files[-1], report_name, header, columns)
+    parameters = {k: v for k, v in vars(args).items() if k != "func"}
+    parameters.update(run.parameters)
     payload = {
         "manifest": {
-            "command": command,
+            "command": args.command,
             "parameters": _jsonable(parameters),
             "seed": seed,
             "version": __version__,
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         },
-        "inputs": _jsonable(inputs),
-        "series_files": list(series_files),
-        "results": _jsonable(results),
-        "bounds": _jsonable(bounds or {}),
-        "diagnostics": _jsonable(diagnostics or {}),
+        "inputs": _jsonable(run.inputs),
+        "series_files": series_files,
+        "results": _jsonable(run.results),
+        "bounds": _jsonable(run.bounds),
+        "diagnostics": _jsonable(run.diagnostics),
     }
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    return int(os.environ.get("TFLOW_SEED", "0"))
-
-
-def _manifest_params(args, **extra) -> dict:
-    params = {k: v for k, v in vars(args).items() if k != "func"}
-    params.update(extra)
-    return params
-
-
-def _freq_factor(args) -> float:
-    return TWO_PI if getattr(args, "units", "angular") == "mhz-cyclic" else 1.0
-
-
-def _outdir(args) -> Path:
-    out = Path(args.outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    (out / report_name).write_text(json.dumps(payload, indent=2) + "\n",
+                                   encoding="utf-8")
 
 
 def _point_kinds(rate: np.ndarray, dead_band: float) -> np.ndarray:
@@ -127,25 +137,12 @@ def _point_kinds(rate: np.ndarray, dead_band: float) -> np.ndarray:
                     np.where(rate < -dead_band, tf.KIND_TOD, tf.KIND_NEUTRAL))
 
 
-def _segments_json(series: tf.PopulationSeries) -> tuple[list[dict], list[float]]:
-    split = tf.split_toa_tod(series)
-    times = series.grid.times
-    segments = [
-        {"t_start": float(times[i0]), "t_end": float(times[i1]), "kind": kind}
-        for i0, i1, kind in split.segments
-    ]
-    boundaries = [float(times[i0]) for i0, _, _ in split.segments[1:]]
-    return segments, boundaries
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each computes one Run from the parsed arguments, the resolved
+# seed and the frequency factor of --units
 
 
-def _run_two_level(args) -> int:
-    out = _outdir(args)
-    seed = _resolve_seed(args)
-    factor = _freq_factor(args)
+def _run_two_level(args, seed: int, factor: float) -> Run:
     omega0 = args.omega0 * factor
 
     if args.waveform == "constant":
@@ -176,26 +173,34 @@ def _run_two_level(args) -> int:
     closed_moments = models.two_level_moments_closed(
         waveform, init, grid.t_start, grid.t_end
     )
-    segments, boundaries = _segments_json(series)
+    split = tf.split_toa_tod(series)
+    times = grid.times
+    segments = [
+        {"t_start": float(times[i0]), "t_end": float(times[i1]), "kind": kind}
+        for i0, i1, kind in split.segments
+    ]
+    boundaries = [float(times[i0]) for i0, _, _ in split.segments[1:]]
 
-    manifest_name = "two_level_report.json"
-    series_path = out / "two_level_series.csv"
-    _write_csv(
-        series_path, manifest_name,
-        ["time", "p_1", "pi_tf", "segment"],
-        [grid.times, p, dist.density, _point_kinds(rate, 1e-9 / grid.dt)],
+    run = Run(
+        inputs={"theta": args.theta, "phi": args.phi, "waveform": args.waveform,
+                "omega0": omega0, "t_start": grid.t_start, "t_end": grid.t_end,
+                "points": args.points},
+        tables={
+            "series": (
+                ["time", "p_1", "pi_tf", "segment"],
+                [times, p, dist.density, _point_kinds(rate, 1e-9 / grid.dt)],
+            ),
+        },
+        results={
+            "closed_form_mean": closed_moments.mean,
+            "closed_form_std": closed_moments.std,
+            "grid_mean": grid_moments.mean,
+            "grid_std": grid_moments.std,
+            "segments": segments,
+            "boundaries": boundaries,
+        },
+        parameters={"seed": seed},
     )
-    files = [series_path.name]
-
-    results = {
-        "closed_form_mean": closed_moments.mean,
-        "closed_form_std": closed_moments.std,
-        "grid_mean": grid_moments.mean,
-        "grid_std": grid_moments.std,
-        "segments": segments,
-        "boundaries": boundaries,
-    }
-    diagnostics = {}
 
     if args.protocol is not None:
         config = protocol.ProtocolConfig(
@@ -204,21 +209,16 @@ def _run_two_level(args) -> int:
         )
         empirical = protocol.empirical_from_populations(p, config)
         report = protocol.convergence_report(empirical, fd, p_exact=p)
-        protocol_path = out / "two_level_protocol.csv"
-        _write_csv(
-            protocol_path, manifest_name,
+        run.tables["protocol"] = (
             ["time", "pi_hat", "pi_exact", "noise_density"],
             [empirical.midpoint_times, empirical.density, fd.density,
              report.noise_density],
         )
-        freq_path = out / "two_level_frequencies.csv"
-        _write_csv(
-            freq_path, manifest_name,
+        run.tables["frequencies"] = (
             ["time", "f_empirical", "p_exact"],
-            [grid.times, empirical.frequencies, p],
+            [times, empirical.frequencies, p],
         )
-        files += [protocol_path.name, freq_path.name]
-        diagnostics["protocol"] = {
+        run.diagnostics["protocol"] = {
             "n_trials": args.protocol,
             "sup_distance": report.sup_distance,
             "l1_distance": report.l1_distance,
@@ -226,38 +226,27 @@ def _run_two_level(args) -> int:
             "freq_sup_error": report.freq_sup_error,
             "within_binomial_envelope": report.binomial_flag,
         }
-
-    _write_report(
-        out / manifest_name, "two-level", _manifest_params(args, seed=seed), seed,
-        {"theta": args.theta, "phi": args.phi, "waveform": args.waveform,
-         "omega0": omega0, "t_start": grid.t_start, "t_end": grid.t_end,
-         "points": args.points},
-        files, results, diagnostics=diagnostics,
-    )
-    return 0
+    return run
 
 
-def _run_sta(args) -> int:
-    out = _outdir(args)
+def _run_sta(args, seed: int, factor: float) -> Run:
     config = models.STAConfig(alpha=args.alpha, t_final=args.t_final,
                               omega0=args.omega0)
     grid = TimeGrid(0.0, args.t_final, args.points)
     dist, closed_moments = models.sta_tf_closed(config, grid)
     p_closed = models.sta_population_closed(config, grid.times)
 
-    manifest_name = "sta_report.json"
-    series_path = out / "sta_series.csv"
-    _write_csv(series_path, manifest_name, ["time", "p_plus"],
-               [grid.times, p_closed])
-    tf_path = out / "sta_tf.csv"
-    _write_csv(tf_path, manifest_name, ["time", "pi_toa"],
-               [dist.times, dist.density])
-    files = [series_path.name, tf_path.name]
-
-    results = {"mean": closed_moments.mean, "std": closed_moments.std,
-               "mean_over_t_final": closed_moments.mean / args.t_final,
-               "std_over_t_final": closed_moments.std / args.t_final}
-    diagnostics = {}
+    run = Run(
+        inputs={"alpha": args.alpha, "t_final": args.t_final, "omega0": args.omega0,
+                "points": args.points},
+        tables={
+            "series": (["time", "p_plus"], [grid.times, p_closed]),
+            "tf": (["time", "pi_toa"], [dist.times, dist.density]),
+        },
+        results={"mean": closed_moments.mean, "std": closed_moments.std,
+                 "mean_over_t_final": closed_moments.mean / args.t_final,
+                 "std_over_t_final": closed_moments.std / args.t_final},
+    )
 
     if args.numeric:
         traj = models.sta_propagate(config, grid)
@@ -265,27 +254,15 @@ def _run_sta(args) -> int:
             traj, operators.projector_from_state(operators.plus_state())
         )
         ref = models.sta_population_closed(config, traj.grid.times)
-        numeric_path = out / "sta_numeric.csv"
-        _write_csv(
-            numeric_path, manifest_name,
+        run.tables["numeric"] = (
             ["time", "p_plus_numeric", "p_plus_closed", "deviation"],
             [traj.grid.times, p_num, ref, np.abs(p_num - ref)],
         )
-        files.append(numeric_path.name)
-        diagnostics["max_deviation"] = float(np.max(np.abs(p_num - ref)))
-
-    _write_report(
-        out / manifest_name, "sta", _manifest_params(args), _resolve_seed(args),
-        {"alpha": args.alpha, "t_final": args.t_final, "omega0": args.omega0,
-         "points": args.points},
-        files, results, diagnostics=diagnostics,
-    )
-    return 0
+        run.diagnostics["max_deviation"] = float(np.max(np.abs(p_num - ref)))
+    return run
 
 
-def _run_lambda(args) -> int:
-    out = _outdir(args)
-    factor = _freq_factor(args)
+def _run_lambda(args, seed: int, factor: float) -> Run:
     config = models.LambdaConfig(
         omega1=args.omega1 * factor, omega2=args.omega2 * factor,
         delta_initial=args.delta_i * factor, delta_final=args.delta_f * factor,
@@ -319,30 +296,24 @@ def _run_lambda(args) -> int:
     interior = (dens[1:-1] > dens[:-2]) & (dens[1:-1] > dens[2:])
     peak_count = int(np.sum(interior & (dens[1:-1] > 0.05 * dens.max())))
 
-    manifest_name = "lambda_report.json"
-    series_path = out / "lambda_series.csv"
-    _write_csv(
-        series_path, manifest_name,
-        ["time", "p_1", "p_2", "p_3", "gamma_expectation", "pi_2_current"],
-        [grid.times, pops[0], pops[1], pops[2], gamma_series,
-         current_dist.density],
-    )
-    tf_path = out / "lambda_tf.csv"
-    _write_csv(
-        tf_path, manifest_name,
-        ["time", "pi_1", "pi_2", "pi_3"],
-        [grid.midpoints, fd_dists[0].density, fd_dists[1].density,
-         fd_dists[2].density],
-    )
-
-    _write_report(
-        out / manifest_name, "lambda", _manifest_params(args), _resolve_seed(args),
-        {"omega1": config.omega1, "omega2": config.omega2,
-         "delta_initial": config.delta_initial,
-         "delta_final": config.delta_final, "t_final": args.t_final,
-         "points": args.points, "units": args.units},
-        [series_path.name, tf_path.name],
-        {
+    return Run(
+        inputs={"omega1": config.omega1, "omega2": config.omega2,
+                "delta_initial": config.delta_initial,
+                "delta_final": config.delta_final, "t_final": args.t_final,
+                "points": args.points, "units": args.units},
+        tables={
+            "series": (
+                ["time", "p_1", "p_2", "p_3", "gamma_expectation", "pi_2_current"],
+                [grid.times, pops[0], pops[1], pops[2], gamma_series,
+                 current_dist.density],
+            ),
+            "tf": (
+                ["time", "pi_1", "pi_2", "pi_3"],
+                [grid.midpoints, fd_dists[0].density, fd_dists[1].density,
+                 fd_dists[2].density],
+            ),
+        },
+        results={
             "tf_statistics": stats,
             "landau_zener_probability": models.landau_zener_probability(config),
             "omega_eff": config.omega_eff,
@@ -357,12 +328,10 @@ def _run_lambda(args) -> int:
             ),
         },
     )
-    return 0
 
 
-def _run_dephasing(args) -> int:
-    out = _outdir(args)
-    gamma = args.gamma * _freq_factor(args)
+def _run_dephasing(args, seed: int, factor: float) -> Run:
+    gamma = args.gamma * factor
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     t_end = args.t_end if args.t_end is not None else 10.0 / gamma
@@ -390,19 +359,16 @@ def _run_dephasing(args) -> int:
         mt_bound=qsl.mt_dephasing_bound(gamma),
     ).to_dict()
 
-    manifest_name = "dephasing_report.json"
-    series_path = out / "dephasing_series.csv"
-    _write_csv(
-        series_path, manifest_name,
-        ["time", "p_minus", "p_minus_numeric", "pi_minus"],
-        [grid.times, analytics.population.values, p_num,
-         analytics.distribution.density],
-    )
-    _write_report(
-        out / manifest_name, "dephasing", _manifest_params(args), _resolve_seed(args),
-        {"gamma": gamma, "t_end": t_end, "points": args.points},
-        [series_path.name],
-        {
+    return Run(
+        inputs={"gamma": gamma, "t_end": t_end, "points": args.points},
+        tables={
+            "series": (
+                ["time", "p_minus", "p_minus_numeric", "pi_minus"],
+                [grid.times, analytics.population.values, p_num,
+                 analytics.distribution.density],
+            ),
+        },
+        results={
             "exact_mean": analytics.exact_mean,
             "exact_std": analytics.exact_std,
             "grid_mean": grid_moments.mean,
@@ -416,12 +382,9 @@ def _run_dephasing(args) -> int:
             ),
         },
     )
-    return 0
 
 
-def _run_hadamard(args) -> int:
-    out = _outdir(args)
-    factor = _freq_factor(args)
+def _run_hadamard(args, seed: int, factor: float) -> Run:
     omega0 = args.omega0 * factor
     gamma = args.gamma * factor
     bundle = models.hadamard_model(omega0, gamma)
@@ -448,23 +411,18 @@ def _run_hadamard(args) -> int:
         target=operators.plus_state(),
     ).to_dict()
 
-    manifest_name = "hadamard_report.json"
-    series_path = out / "hadamard_series.csv"
-    _write_csv(
-        series_path, manifest_name,
-        ["time", "p_plus", "gamma_expectation", "pi_plus_current"],
-        [grid.times, p_plus, gamma_series, current_dist.density],
-    )
-    tf_path = out / "hadamard_tf.csv"
-    _write_csv(tf_path, manifest_name, ["time", "pi_plus"],
-               [grid.midpoints, fd.density])
-    _write_report(
-        out / manifest_name, "hadamard", _manifest_params(args), _resolve_seed(args),
-        {"omega0": omega0, "gamma": gamma, "t_end": t_end,
-         "points": args.points},
-        [series_path.name, tf_path.name],
-        {"mean": fd_moments.mean, "std": fd_moments.std,
-         "delta_theta": delta_theta},
+    return Run(
+        inputs={"omega0": omega0, "gamma": gamma, "t_end": t_end,
+                "points": args.points},
+        tables={
+            "series": (
+                ["time", "p_plus", "gamma_expectation", "pi_plus_current"],
+                [grid.times, p_plus, gamma_series, current_dist.density],
+            ),
+            "tf": (["time", "pi_plus"], [grid.midpoints, fd.density]),
+        },
+        results={"mean": fd_moments.mean, "std": fd_moments.std,
+                 "delta_theta": delta_theta},
         bounds=bounds,
         diagnostics={
             "current_vs_fd_sup": float(
@@ -472,13 +430,11 @@ def _run_hadamard(args) -> int:
             ),
         },
     )
-    return 0
 
 
-def _run_optimize(args) -> int:
+def _run_optimize(args, seed: int, factor: float) -> Run:
     from . import optimize as opt
 
-    out = _outdir(args)
     path = Path(args.config)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
@@ -496,22 +452,18 @@ def _run_optimize(args) -> int:
     waveform = models.ControlWaveform.polynomial(config.omega0, result.coefficients)
     grid = result.population.grid
 
-    manifest_name = "optimize_report.json"
-    series_path = out / "optimize_series.csv"
-    _write_csv(
-        series_path, manifest_name,
-        ["time", "omega", "p_1", "pi_1"],
-        [grid.times, waveform.omega(grid.times), result.population.values,
-         result.distribution.density],
-    )
-    _write_report(
-        out / manifest_name, "optimize", _manifest_params(args, config_data=data),
-        _resolve_seed(args),
-        {k: getattr(config, k) for k in (
+    return Run(
+        inputs={k: getattr(config, k) for k in (
             "t_horizon", "omega0", "lambda_mono", "lambda_reg", "grid_points",
             "max_iterations", "simplex_scale", "tolerance")},
-        [series_path.name],
-        {
+        tables={
+            "series": (
+                ["time", "omega", "p_1", "pi_1"],
+                [grid.times, waveform.omega(grid.times), result.population.values,
+                 result.distribution.density],
+            ),
+        },
+        results={
             "coefficients": list(result.coefficients),
             "cost": result.cost,
             "p1_final": result.p1_final,
@@ -520,8 +472,8 @@ def _run_optimize(args) -> int:
             "converged": result.converged,
             "monotonicity_unconstrained": bool(config.lambda_mono == 0.0),
         },
+        parameters={"config_data": data},
     )
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -536,16 +488,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, units=True, seed=True, substeps=False):
+    def add_common(p, units=True, substeps=False):
         p.add_argument("--outdir", default=".", help="output directory")
         if units:
             p.add_argument("--units", choices=["angular", "mhz-cyclic"],
                            default="angular",
                            help="interpret frequency inputs as angular rad/time "
                                 "(default) or cyclic MHz (multiplied by 2 pi)")
-        if seed:
-            p.add_argument("--seed", type=int, default=None,
-                           help="sampling seed (default: TFLOW_SEED or 0)")
+        p.add_argument("--seed", type=int, default=None,
+                       help="sampling seed (default: TFLOW_SEED or 0)")
         if substeps:
             p.add_argument("--substeps", type=int, default=None,
                            help="integrator substeps per grid interval "
@@ -619,7 +570,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # the outdir is made first, so a bad path fails before any computing
+        Path(args.outdir).mkdir(parents=True, exist_ok=True)
+        if args.seed is not None:
+            seed = args.seed
+        else:
+            seed = int(os.environ.get("TFLOW_SEED", "0"))
+        factor = TWO_PI if getattr(args, "units", "angular") == "mhz-cyclic" else 1.0
+        _emit(args, seed, args.func(args, seed, factor))
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(parser.format_usage(), file=sys.stderr, end="")

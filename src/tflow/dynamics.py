@@ -199,12 +199,23 @@ def _generator_table(schedule: HamiltonianSchedule, grid: TimeGrid,
     half = grid.dt / (2 * substeps)
     ts = grid.t_start + half * np.arange(2 * n_steps + 1)
     table = schedule.sample(ts)
-    defect = _hermitian_defect(table)
-    if defect > operators.HERMITIAN_TOL:
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, caught below
+        defect = _hermitian_defect(table)
+    # a NaN defect fails this test too; the bad time is looked up only then
+    if not defect <= operators.HERMITIAN_TOL:
+        _raise_if_not_finite(table, ts)
         raise OperatorConstraintError(
             f"schedule is not Hermitian on the grid (defect {defect:.3e})"
         )
     return table
+
+
+def _raise_if_not_finite(values: np.ndarray, ts: np.ndarray) -> None:
+    """Name the first time whose entries of ``values`` are not all finite."""
+    bad = ~np.isfinite(values.reshape(len(values), -1)).all(axis=1)
+    if bad.any():
+        t = float(ts[np.argmax(bad)])
+        raise OperatorConstraintError(f"schedule is not finite at t = {t:.10g}")
 
 
 def _hermitian_defect(table: np.ndarray) -> float:
@@ -231,14 +242,27 @@ def _auto_substeps(scale: float, grid: TimeGrid) -> int:
     if scale <= 0.0:
         return 1
     steps = grid.n_points - 1
-    budget = steps * (scale * grid.dt) ** 5 / (120.0 * _LOCAL_ERROR_TARGET)
+    try:
+        budget = steps * (scale * grid.dt) ** 5 / (120.0 * _LOCAL_ERROR_TARGET)
+    except OverflowError:
+        # r would exceed 1e77, far past _MAX_SUBSTEPS: no attempt can pass
+        raise IntegrationError(
+            f"generator scale {scale:.3e} is too large for dt = {grid.dt:.3e}; "
+            f"refine the grid"
+        ) from None
     r = int(np.ceil(max(budget, 1.0) ** 0.25))
     return min(max(r, 1), _MAX_SUBSTEPS)
 
 
 def _schedule_scale(schedule: HamiltonianSchedule, grid: TimeGrid) -> float:
-    sample = schedule.sample(grid.times)
-    return float(np.sqrt(np.max(np.sum(np.abs(sample) ** 2, axis=(1, 2)))))
+    """Largest Frobenius norm of H at the grid points; it must be finite."""
+    ts = grid.times
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = np.sum(np.abs(schedule.sample(ts)) ** 2, axis=(1, 2))
+    scale = float(np.sqrt(np.max(squares)))
+    if not math.isfinite(scale):
+        _raise_if_not_finite(squares, ts)
+    return scale
 
 
 def propagate_schrodinger(schedule: HamiltonianSchedule, psi0: np.ndarray,

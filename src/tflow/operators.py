@@ -144,44 +144,6 @@ def assert_unit_norm(psi: np.ndarray, tol: float = NORM_TOL):
         raise StateConstraintError(f"state norm {norm} deviates from 1 by > {tol}")
 
 
-def min_eigenvalue_hermitian(a: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian 2x2 or 3x3 matrix.
-
-    Uses the characteristic polynomial in closed form, so no iterative
-    eigensolver is involved.
-    """
-    a = np.asarray(a, dtype=complex)
-    d = a.shape[0]
-    if d == 2:
-        tr = float(np.real(a[0, 0] + a[1, 1]))
-        det = float(np.real(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]))
-        disc = max(tr * tr - 4.0 * det, 0.0)
-        return 0.5 * (tr - np.sqrt(disc))
-    if d == 3:
-        # trigonometric solution of the cubic characteristic polynomial
-        p1 = (abs(a[0, 1]) ** 2 + abs(a[0, 2]) ** 2 + abs(a[1, 2]) ** 2)
-        diag = np.real(np.diag(a))
-        q = float(diag.sum()) / 3.0
-        if p1 == 0.0:
-            return float(diag.min())
-        p2 = float(((diag - q) ** 2).sum()) + 2.0 * p1
-        p = np.sqrt(p2 / 6.0)
-        b = (a - q * np.eye(3)) / p
-        r = float(np.real(_det3(b))) / 2.0
-        r = min(max(r, -1.0), 1.0)
-        phi = np.arccos(r) / 3.0
-        return q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-    raise ValueError(f"analytic eigenvalues only implemented for dim <= 3, got {d}")
-
-
-def _det3(a: np.ndarray) -> complex:
-    return (
-        a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-        - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-        + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
-    )
-
-
 def assert_density_matrix(rho: np.ndarray, name: str = "density matrix"):
     """Check Hermiticity, unit trace and positivity of a density matrix."""
     rho = np.asarray(rho, dtype=complex)
@@ -189,6 +151,6 @@ def assert_density_matrix(rho: np.ndarray, name: str = "density matrix"):
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > TRACE_TOL:
         raise StateConstraintError(f"{name} trace {tr} deviates from 1")
-    lo = min_eigenvalue_hermitian(rho)
+    lo = float(np.linalg.eigvalsh(rho)[0])
     if lo < -EIGENVALUE_TOL:
         raise StateConstraintError(f"{name} has negative eigenvalue {lo:.3e}")

@@ -85,6 +85,90 @@ def test_flat_dynamics_exits_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_failed_run_writes_nothing(tmp_path, capsys):
+    # the protocol fails after the series is computed; no CSV may be left
+    # behind naming a report that is never written
+    rc = main(["two-level", "--omega0", "1", "--t-end", "0.001", "--points", "50",
+               "--protocol", "1", "--seed", "1", "--outdir", str(tmp_path)])
+    assert rc == 3
+    assert "no population change was detected" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("extra", [
+    ["--omega1", "1e308", "--units", "mhz-cyclic"],
+    ["--omega1", "1e308", "--units", "mhz-cyclic", "--substeps", "2"],
+    ["--omega1", "nan"],
+], ids=["inf", "inf-fixed-substeps", "nan"])
+def test_non_finite_generator_exits_2_and_names_the_time(tmp_path, capsys, extra):
+    # these exited 1 with an OverflowError, 3 with "refine the grid", and 2
+    # with "cannot convert float NaN to integer"
+    rc = main(["lambda", "--omega2", "1", "--delta-i", "-10", "--delta-f", "10",
+               "--t-final", "4", "--points", "50", *extra, "--outdir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: schedule is not finite at t = 0\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+# every subcommand with its optional tables on: the CSVs in write order, and
+# the keys of manifest.parameters (the parsed arguments plus the extras)
+_WRITER_CONTRACT = {
+    "two-level": (["--points", "50", "--protocol", "100"],
+                  ["series", "protocol", "frequencies"],
+                  ["command", "theta", "phi", "waveform", "omega0", "coefficients", "t0",
+                   "sigma", "t_start", "t_end", "points", "protocol", "outdir", "units",
+                   "seed"]),
+    "sta": (["--alpha", "1", "--points", "50", "--numeric"],
+            ["series", "tf", "numeric"],
+            ["command", "alpha", "t_final", "omega0", "points", "numeric", "outdir",
+             "seed"]),
+    "lambda": (["--omega1", "1", "--omega2", "1", "--delta-i", "-5", "--delta-f", "5",
+                "--t-final", "1", "--points", "50"],
+               ["series", "tf"],
+               ["command", "omega1", "omega2", "delta_i", "delta_f", "t_final", "points",
+                "outdir", "units", "seed", "substeps"]),
+    "dephasing": (["--gamma", "1", "--points", "50"],
+                  ["series"],
+                  ["command", "gamma", "t_end", "points", "outdir", "units", "seed",
+                   "substeps"]),
+    "hadamard": (["--omega0", "5", "--gamma", "1", "--points", "50"],
+                 ["series", "tf"],
+                 ["command", "omega0", "gamma", "t_end", "points", "outdir", "units",
+                  "seed", "substeps"]),
+    "optimize": (["--config", "{config}"],
+                 ["series"],
+                 ["command", "config", "outdir", "seed", "config_data"]),
+}
+
+
+@pytest.mark.parametrize("command", list(_WRITER_CONTRACT))
+def test_writer_contract(tmp_path, monkeypatch, command):
+    argv, tables, parameters = _WRITER_CONTRACT[command]
+    config = tmp_path / "opt.json"
+    config.write_text(json.dumps({"t_horizon": 1.0, "omega0": 2.5, "lambda_mono": 1.0,
+                                  "max_iterations": 50}), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = [a.format(config=config) for a in argv]
+    monkeypatch.setenv("TFLOW_SEED", "3")
+    assert main([command, *argv, "--outdir", str(out)]) == 0
+    stem = command.replace("-", "_")
+    report_name = f"{stem}_report.json"
+    report = _read_report(out / report_name)
+    assert report["series_files"] == [f"{stem}_{name}.csv" for name in tables]
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        report["series_files"] + [report_name])
+    written = [out / name for name in report["series_files"] + [report_name]]
+    assert sorted(written, key=lambda p: p.stat().st_mtime_ns) == written
+    for name in report["series_files"]:
+        assert _csv_lines(out / name)[0] == f"# manifest: {report_name}"
+    assert list(report["manifest"]["parameters"]) == parameters
+    # two-level records the resolved seed among its parameters, the others
+    # the --seed flag as given
+    want_seed = 3 if command == "two-level" else None
+    assert report["manifest"]["parameters"]["seed"] == want_seed
+    assert report["manifest"]["seed"] == 3
+
+
 def test_reproducibility_byte_identical(tmp_path):
     args = ["two-level", "--omega0", "1.0", "--points", "200",
             "--protocol", "1000", "--seed", "9"]

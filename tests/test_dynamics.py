@@ -373,3 +373,83 @@ def test_table_check_sees_a_defect_at_one_half_step_node(entry):
     with pytest.raises(OperatorConstraintError, match=r"defect 1\.000e-11"):
         dynamics.propagate_lindblad(model, operators.projector(3, 0).astype(complex),
                                     grid, substeps=2)
+
+
+def test_nan_at_one_half_step_node_is_refused_before_propagating(monkeypatch):
+    # NaN at t = 0.5025, the midpoint of one interval of TimeGrid(0, 1, 201)
+    # and a half-step node at every substeps: the starting scale sees only
+    # grid points, so the table check must name the time, and nothing is
+    # propagated (a NaN defect passed the check, and five attempts followed)
+    from tflow.errors import OperatorConstraintError
+
+    grid = TimeGrid(0.0, 1.0, 201)
+
+    def h(t):
+        return (np.nan if abs(t - 0.5025) < 1e-12 else 1.0) * operators.SIGMA_X
+
+    schedule = dynamics.HamiltonianSchedule(2, h)
+    calls = []
+    monkeypatch.setattr(dynamics.kernels, "schrodinger_steps",
+                        lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(dynamics.kernels, "lindblad_steps",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(OperatorConstraintError, match=r"not finite at t = 0\.5025$"):
+        dynamics.propagate_schrodinger(schedule, operators.basis_state(2, 0), grid)
+    with pytest.raises(OperatorConstraintError, match=r"not finite at t = 0\.5025$"):
+        dynamics.propagate_lindblad(LindbladModel(schedule), M_PLUS, grid)
+    assert calls == []
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_grid_point_is_refused_with_its_time(value):
+    # non-finite at the grid point t = 0.3 only: the starting scale names it
+    # (it failed with "cannot convert float NaN to integer", or an overflow)
+    from tflow.errors import OperatorConstraintError
+
+    grid = TimeGrid(0.0, 1.0, 11)
+
+    def h(t):
+        v = value if abs(t - 0.3) < 1e-12 else 1.0
+        return np.array([[v, 0.0], [0.0, -v]], dtype=complex)
+
+    schedule = dynamics.HamiltonianSchedule(2, h)
+    with pytest.raises(OperatorConstraintError, match=r"not finite at t = 0\.3$"):
+        dynamics.propagate_schrodinger(schedule, operators.basis_state(2, 0), grid)
+    # with fixed substeps the table check names the same time
+    with pytest.raises(OperatorConstraintError, match=r"not finite at t = 0\.3$"):
+        dynamics.propagate_schrodinger(schedule, operators.basis_state(2, 0), grid,
+                                       substeps=2)
+
+
+def test_overflowing_substep_budget_fails_before_propagating(monkeypatch):
+    # a finite scale whose (scale * dt)^5 overflows a float raised OverflowError
+    calls = []
+    monkeypatch.setattr(dynamics.kernels, "schrodinger_steps",
+                        lambda *args, **kwargs: calls.append(args))
+    schedule = constant_hamiltonian(1e100 * operators.SIGMA_X)
+    with pytest.raises(IntegrationError, match=r"scale 1\.414e\+100 is too large for "
+                                               r"dt = 8\.163e-02; refine the grid"):
+        dynamics.propagate_schrodinger(schedule, operators.basis_state(2, 0),
+                                       TimeGrid(0.0, 4.0, 50))
+    assert calls == []
+
+
+def test_four_level_dephasing_matches_closed_form():
+    # H = diag(h), one double-commutator channel L = diag(l) at rate g:
+    # rho_jk(t) = rho_jk(0) exp(-i (h_j - h_k) t - g/2 (l_j - l_k)^2 t)
+    h = np.array([0.0, 1.0, 2.5, -1.5])
+    l = np.array([0.0, 1.0, -1.0, 2.0])
+    g = 0.7
+    model = LindbladModel(constant_hamiltonian(np.diag(h).astype(complex)),
+                          ((np.diag(l).astype(complex), g),))
+    rho0 = np.full((4, 4), 0.25, dtype=complex)
+    grid = TimeGrid(0.0, 3.0, 121)
+    traj = dynamics.propagate_lindblad(model, rho0, grid)
+    t = grid.times[:, None, None]
+    dh = h[:, None] - h[None, :]
+    dl2 = (l[:, None] - l[None, :]) ** 2
+    exact = rho0 * np.exp(-1j * dh * t - 0.5 * g * dl2 * t)
+    assert np.max(np.abs(traj.states - exact)) <= 1e-9
+    # the maximally mixed four-level state is a fixed point
+    mixed = dynamics.propagate_lindblad(model, np.eye(4, dtype=complex) / 4, grid)
+    assert np.max(np.abs(mixed.states - np.eye(4) / 4)) <= 1e-15

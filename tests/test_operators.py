@@ -150,21 +150,6 @@ def test_expectation_dim_mismatch():
         operators.expectation(operators.basis_state(3, 0), operators.SIGMA_X)
 
 
-def test_min_eigenvalue_matches_eigvalsh():
-    rng = np.random.default_rng(21)
-    for dim in (2, 3):
-        for _ in range(200):
-            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            a = a + a.conj().T
-            want = float(np.linalg.eigvalsh(a)[0])
-            got = operators.min_eigenvalue_hermitian(a)
-            assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
-
-
-def test_min_eigenvalue_diagonal_3x3():
-    assert operators.min_eigenvalue_hermitian(np.diag([3.0, -1.0, 2.0]).astype(complex)) == -1.0
-
-
 def test_density_matrix_validation():
     operators.assert_density_matrix(0.5 * np.eye(2, dtype=complex))
     operators.assert_density_matrix(
@@ -187,3 +172,13 @@ def test_hadamard_maps_computational_to_diagonal():
     h = operators.hadamard()
     assert np.max(np.abs(h @ operators.basis_state(2, 0) - operators.plus_state())) <= 1e-15
     assert np.max(np.abs(h @ operators.basis_state(2, 1) - operators.minus_state())) <= 1e-15
+
+
+def test_four_level_density_matrix_validation():
+    # any dimension: the eigenvalue floor is checked with eigvalsh; the
+    # (0, 3) block [[0.6, 0.05], [0.05, -0.1]] has 0.25 - sqrt(0.125)
+    operators.assert_density_matrix(np.eye(4, dtype=complex) / 4)
+    rho = np.diag([0.6, 0.3, 0.2, -0.1]).astype(complex)
+    rho[0, 3] = rho[3, 0] = 0.05
+    with pytest.raises(StateConstraintError, match=r"negative eigenvalue -1\.036e-01"):
+        operators.assert_density_matrix(rho)
