@@ -1,12 +1,13 @@
 """Closed- and open-system propagation on uniform time grids.
 
-The integrators are classic fixed-step RK4 with a substep refinement
-factor chosen automatically from the generator's magnitude (and doubled
-on retry if the measured norm/trace drift exceeds budget), so results
-are reproducible for a given grid. Each doubling, with the drift that
-caused it, and a final failure are logged at INFO level by the
-``tflow.dynamics`` logger. Trajectories are immutable value
-objects: a grid plus one state per grid point.
+Both propagators are classic fixed-step RK4 run by one driver,
+``_integrate``. Its substep refinement factor is chosen automatically
+from the generator's magnitude and doubled on retry while any of the
+propagator's checks (norm or trace drift, asymmetry) is over budget, so
+results are reproducible for a given grid. Each doubling and a final
+failure are logged at INFO level by the ``tflow.dynamics`` logger, and
+name every check over budget. Trajectories are immutable value objects:
+a grid plus one state per grid point.
 
 Current-like operators: for a projector M and generator L, the rate of
 population change is d/dt Tr(rho M) = Tr(rho L^dag(M)); the closed-system
@@ -233,12 +234,22 @@ def _hermitian_defect(table: np.ndarray) -> float:
     return math.sqrt(np.max(worst))
 
 
-def _auto_substeps(scale: float, grid: TimeGrid) -> int:
+def _auto_substeps(schedule: HamiltonianSchedule, grid: TimeGrid,
+                   dissipation: float) -> int:
     """Substep refinement targeting ~1e-9 accumulated RK4 error.
 
-    The per-step truncation of RK4 on a generator of magnitude w is
-    ~(w h)^5 / 120; summed over all steps and solved for the refinement.
+    The generator's magnitude w is the largest Frobenius norm of H at the
+    grid points, which must be finite, plus ``dissipation``. The per-step
+    truncation of RK4 is ~(w h)^5 / 120; summed over all steps and solved
+    for the refinement.
     """
+    ts = grid.times
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = np.sum(np.abs(schedule.sample(ts)) ** 2, axis=(1, 2))
+    scale = float(np.sqrt(np.max(squares)))
+    if not math.isfinite(scale):
+        _raise_if_not_finite(squares, ts)
+    scale += dissipation
     if scale <= 0.0:
         return 1
     steps = grid.n_points - 1
@@ -254,15 +265,39 @@ def _auto_substeps(scale: float, grid: TimeGrid) -> int:
     return min(max(r, 1), _MAX_SUBSTEPS)
 
 
-def _schedule_scale(schedule: HamiltonianSchedule, grid: TimeGrid) -> float:
-    """Largest Frobenius norm of H at the grid points; it must be finite."""
-    ts = grid.times
-    with np.errstate(over="ignore", invalid="ignore"):
-        squares = np.sum(np.abs(schedule.sample(ts)) ** 2, axis=(1, 2))
-    scale = float(np.sqrt(np.max(squares)))
-    if not math.isfinite(scale):
-        _raise_if_not_finite(squares, ts)
-    return scale
+def _integrate(schedule: HamiltonianSchedule, grid: TimeGrid, substeps: int | None,
+               dissipation: float, attempt: Callable) -> np.ndarray:
+    """Grid states from ``attempt(table, r)``, which returns them with its
+    checks, (name, value, budget) triples; it passes when every value is at
+    most its budget (a NaN is not). An automatic r is doubled on failure,
+    and each retry logged; a fixed r has one try. The error names every
+    check over budget.
+    """
+    if substeps is None:
+        r, attempts = _auto_substeps(schedule, grid, dissipation), _MAX_RETRIES
+    else:
+        r, attempts = int(substeps), 1
+    if r < 1:
+        raise ValueError("substeps must be >= 1")
+    for attempt_no in range(1, attempts + 1):
+        table = _generator_table(schedule, grid, r)
+        # a failed attempt may overflow to inf or NaN; its checks reject it
+        with np.errstate(all="ignore"):
+            states, checks = attempt(table, r)
+        over = [check for check in checks if not check[1] <= check[2]]
+        if not over:
+            return states
+        if attempt_no == attempts or r >= _MAX_SUBSTEPS:
+            break
+        retry = min(2 * r, _MAX_SUBSTEPS)
+        _log("%s over budget at substeps=%d; retrying at %d",
+             ", ".join(f"{name} {value:.3e}" for name, value, _ in over), r, retry)
+        r = retry
+    message = ", ".join(f"{name} {value:.3e} exceeds budget {budget:.0e}"
+                        for name, value, budget in over)
+    message += f" at substeps={r}; refine the grid or raise substeps"
+    _log(message)
+    raise IntegrationError(message)
 
 
 def propagate_schrodinger(schedule: HamiltonianSchedule, psi0: np.ndarray,
@@ -281,33 +316,15 @@ def propagate_schrodinger(schedule: HamiltonianSchedule, psi0: np.ndarray,
         )
     operators.assert_unit_norm(psi0)
 
-    auto = substeps is None
-    r = _auto_substeps(_schedule_scale(schedule, grid), grid) if auto else int(substeps)
-    if r < 1:
-        raise ValueError("substeps must be >= 1")
-
-    attempts = _MAX_RETRIES if auto else 1
-    for attempt in range(1, attempts + 1):
-        table = _generator_table(schedule, grid, r)
+    def attempt(table, r):
         out = np.empty((grid.n_points, schedule.dim), dtype=complex)
-        kernels.schrodinger_steps(table, psi0, r, grid.dt / r, out,
-                                  constant=schedule.constant)
+        kernels.schrodinger_steps(table, psi0, r, grid.dt / r, out)
         norms = np.linalg.norm(out, axis=1)
         drift = float(np.max(np.abs(norms - 1.0)))
-        if drift <= _DRIFT_BUDGET:
-            out /= norms[:, None]
-            return Trajectory(grid, out)
-        if attempt < attempts and r < _MAX_SUBSTEPS:
-            retry = min(2 * r, _MAX_SUBSTEPS)
-            _log("norm drift %.3e over budget at substeps=%d; retrying at %d",
-                 drift, r, retry)
-            r = retry
-        else:
-            break
-    message = (f"norm drift {drift:.3e} exceeds budget {_DRIFT_BUDGET:.0e} "
-               f"at substeps={r}; refine the grid or raise substeps")
-    _log(message)
-    raise IntegrationError(message)
+        out /= norms[:, None]
+        return out, [("norm drift", drift, _DRIFT_BUDGET)]
+
+    return Trajectory(grid, _integrate(schedule, grid, substeps, 0.0, attempt))
 
 
 def propagate_lindblad(model: LindbladModel, rho0: np.ndarray, grid: TimeGrid,
@@ -328,43 +345,28 @@ def propagate_lindblad(model: LindbladModel, rho0: np.ndarray, grid: TimeGrid,
     operators.assert_density_matrix(rho0, name="initial state")
 
     jumps, jump_dags, half_b = model.scaled_jumps()
-    scale = _schedule_scale(model.hamiltonian, grid) + 4.0 * float(
-        np.real(np.trace(half_b))
-    )
-    auto = substeps is None
-    r = _auto_substeps(scale, grid) if auto else int(substeps)
-    if r < 1:
-        raise ValueError("substeps must be >= 1")
 
-    attempts = _MAX_RETRIES if auto else 1
-    for attempt in range(1, attempts + 1):
-        table = _generator_table(model.hamiltonian, grid, r)
-        out = np.empty((grid.n_points, model.dim, model.dim), dtype=complex)
-        max_asym = kernels.lindblad_steps(
-            table, jumps, jump_dags, half_b, rho0, r, grid.dt / r, out,
-            constant=model.hamiltonian.constant,
-        )
+    def attempt(table, r):
+        raw = np.empty((grid.n_points, model.dim, model.dim), dtype=complex)
+        kernels.lindblad_steps(table, jumps, jump_dags, half_b, rho0, r,
+                               grid.dt / r, raw)
+        raw_dag = raw.conj().transpose(0, 2, 1)
+        asym = 0.5 * float(np.max(np.abs(raw - raw_dag)))
+        out = 0.5 * (raw + raw_dag)
         traces = np.real(np.trace(out, axis1=1, axis2=2))
         drift = float(np.max(np.abs(traces - 1.0)))
-        if drift <= _DRIFT_BUDGET and max_asym <= _ASYM_BUDGET:
-            out /= traces[:, None, None]
-            lo = float(np.min(np.linalg.eigvalsh(out)))
-            if lo < _EIG_FLOOR:
-                message = f"density matrix eigenvalue {lo:.3e} below {_EIG_FLOOR:.0e}"
-                _log(message)
-                raise IntegrationError(message)
-            return Trajectory(grid, out)
-        if attempt < attempts and r < _MAX_SUBSTEPS:
-            retry = min(2 * r, _MAX_SUBSTEPS)
-            _log("trace drift %.3e, asymmetry %.3e over budget at substeps=%d; "
-                 "retrying at %d", drift, max_asym, r, retry)
-            r = retry
-        else:
-            break
-    message = (f"trace drift {drift:.3e} exceeds budget {_DRIFT_BUDGET:.0e} "
-               f"at substeps={r}; refine the grid or raise substeps")
-    _log(message)
-    raise IntegrationError(message)
+        out /= traces[:, None, None]
+        return out, [("trace drift", drift, _DRIFT_BUDGET),
+                     ("asymmetry", asym, _ASYM_BUDGET)]
+
+    dissipation = 4.0 * float(np.real(np.trace(half_b)))
+    out = _integrate(model.hamiltonian, grid, substeps, dissipation, attempt)
+    lo = float(np.min(np.linalg.eigvalsh(out)))
+    if lo < _EIG_FLOOR:
+        message = f"density matrix eigenvalue {lo:.3e} below {_EIG_FLOOR:.0e}"
+        _log(message)
+        raise IntegrationError(message)
+    return Trajectory(grid, out)
 
 
 # ---------------------------------------------------------------------------

@@ -36,19 +36,13 @@ matmul.
 
 Kernels consume a pre-sampled generator table ``h_table`` holding H(t)
 at every half-step node (2*n_steps + 1 matrices for n_steps RK4 steps),
-so no Python callback happens during stepping. With ``constant=True``
-the generator does not depend on time: the table holds only the 2r + 1
-nodes of the first grid interval, and its map is built once and
-written to every grid interval's slot of the blocked stack. Every
-interval's map would be the same fold of the same r step maps, so the
-states are bit-for-bit those of the full table.
-Kernels do the arithmetic only: drift accounting, renormalization and
-retries live in ``tflow.dynamics``.
-
-The density matrix is not symmetrized while it is propagated. The
-asymmetry that ``lindblad_steps`` returns is measured at the grid points,
-on the unsymmetrized states, and only the stored grid states are then
-symmetrized.
+so no Python callback happens during stepping. A table of 2r + 1 rows
+for r substeps holds the one grid interval of a time-independent
+generator: its map, the same fold of the same r step maps as with the
+full table, is built once and written to every interval's slot of the
+blocked stack. Kernels do the arithmetic only: they write the raw grid
+states into ``out`` and return nothing; checks, symmetrization,
+renormalization and retries live in ``tflow.dynamics``.
 """
 
 from __future__ import annotations
@@ -113,21 +107,20 @@ def _fold(maps):
     return maps[..., 0] if tail is None else _mm(tail, maps[..., 0])
 
 
-def _interval_maps(generators, g0, g1, r, h):
+def _interval_maps(generators, h_table, g0, g1, r, h):
     """Maps (D, D, g1 - g0) across grid intervals g0..g1-1, each folded
     from r RK4 steps.
 
-    ``generators(lo, hi)`` returns the generators (D, D, hi - lo) at
-    half-step nodes lo..hi-1.
+    ``generators(rows)`` returns the generators (D, D, k) of k table rows.
     """
     if r <= _BATCH_STEPS:
-        maps = _step_maps(generators(2 * g0 * r, 2 * g1 * r + 1), h)
+        maps = _step_maps(generators(h_table[2 * g0 * r:2 * g1 * r + 1]), h)
         return _fold(maps.reshape(maps.shape[:2] + (g1 - g0, r)))
     # one interval longer than a batch (g1 == g0 + 1): fold it batch by batch
     total = None
     for k0 in range(g0 * r, g1 * r, _BATCH_STEPS):
         k1 = min(k0 + _BATCH_STEPS, g1 * r)
-        part = _fold(_step_maps(generators(2 * k0, 2 * k1 + 1), h)[:, :, None])
+        part = _fold(_step_maps(generators(h_table[2 * k0:2 * k1 + 1]), h)[:, :, None])
         total = part if total is None else _mm(part, total)
     return total
 
@@ -176,18 +169,18 @@ def _apply(maps, y0, out):
     out[1:] = states.transpose(2, 1, 0).reshape(blocks * size, d)[:out.shape[0] - 1]
 
 
-def _propagate(generators, y0, r, h, out, constant):
+def _propagate(generators, h_table, y0, r, h, out):
     """Fill out[g] (shape (n_grid, D)) with the state at grid point g."""
     d, n_intervals = y0.shape[0], out.shape[0] - 1
     maps, slots = _blocked(d, n_intervals)
     flat = maps.reshape(d, d, -1)
-    if constant:
-        flat[..., slots] = _interval_maps(generators, 0, 1, r, h)
+    if len(h_table) == 2 * r + 1:  # one interval: its map serves every slot
+        flat[..., slots] = _interval_maps(generators, h_table, 0, 1, r, h)
     else:
         per_batch = max(1, _BATCH_STEPS // r)
         for g0 in range(0, n_intervals, per_batch):
             g1 = min(g0 + per_batch, n_intervals)
-            flat[..., slots[g0:g1]] = _interval_maps(generators, g0, g1, r, h)
+            flat[..., slots[g0:g1]] = _interval_maps(generators, h_table, g0, g1, r, h)
     _apply(maps, y0, out)
 
 
@@ -196,23 +189,19 @@ def _batch_last(table):
     return np.ascontiguousarray(table.transpose(1, 2, 0), dtype=complex)
 
 
-def schrodinger_steps(h_table, psi0, substeps, h, out, constant=False):
+def schrodinger_steps(h_table, psi0, substeps, h, out):
     """RK4 for i dpsi/dt = H(t) psi; out (n_grid, d) receives psi at grid points."""
-    def generators(lo, hi):
-        gens = _batch_last(h_table[lo:hi])
+    def generators(rows):
+        gens = _batch_last(rows)
         gens *= -1j
         return gens
 
-    _propagate(generators, psi0, substeps, h, out, constant)
+    _propagate(generators, h_table, psi0, substeps, h, out)
 
 
-def lindblad_steps(h_table, jump_ops, jump_dags, half_b, rho0, substeps, h, out,
-                   constant=False):
-    """RK4 for the master equation; out (n_grid, d, d) receives rho at grid points.
-
-    Returns the largest asymmetry 0.5 * max|rho - rho^dag| over the grid
-    states, measured before they are symmetrized.
-    """
+def lindblad_steps(h_table, jump_ops, jump_dags, half_b, rho0, substeps, h, out):
+    """RK4 for the master equation; the contiguous out (n_grid, d, d) receives
+    the unsymmetrized rho at grid points."""
     d = rho0.shape[0]
     eye = np.eye(d)
     # row-major vec: vec(X rho Y) = (X kron Y^T) vec(rho)
@@ -221,22 +210,18 @@ def lindblad_steps(h_table, jump_ops, jump_dags, half_b, rho0, substeps, h, out,
         dissipator = dissipator + np.kron(a, a_dag.T)
     dissipator = dissipator[..., None]
 
-    def superoperators(lo, hi):
+    def superoperators(rows):
         # row-major vec: -i (H kron I - I kron H^T), indices (a, b, c, e)
-        hs = _batch_last(h_table[lo:hi])
-        comm = np.zeros((d, d, d, d, hi - lo), dtype=complex)
+        hs = _batch_last(rows)
+        comm = np.zeros((d, d, d, d, len(rows)), dtype=complex)
         for k in range(d):
             comm[:, k, :, k] = hs
         for k in range(d):
             comm[k, :, k, :] -= hs.transpose(1, 0, 2)
-        comm = comm.reshape(d * d, d * d, hi - lo)
+        comm = comm.reshape(d * d, d * d, len(rows))
         comm *= -1j
         comm += dissipator
         return comm
 
-    flat = np.empty((out.shape[0], d * d), dtype=complex)
-    _propagate(superoperators, rho0.reshape(d * d), substeps, h, flat, constant)
-    rhos = flat.reshape(out.shape)
-    rhos_dag = rhos.conj().transpose(0, 2, 1)
-    out[:] = 0.5 * (rhos + rhos_dag)
-    return 0.5 * float(np.max(np.abs(rhos - rhos_dag)))
+    _propagate(superoperators, h_table, rho0.reshape(d * d), substeps, h,
+               out.reshape(out.shape[0], d * d))

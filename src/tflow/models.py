@@ -306,6 +306,8 @@ def two_level_moments_closed(waveform: ControlWaveform, init: TwoLevelInitial,
     """
     if t_start < 0:
         raise ValueError("transfer windows start at t >= 0")
+    if not t_end > t_start:
+        raise ValueError("t_end must exceed t_start")
     if waveform.kind == "constant":
         integrals = _constant_drive_integrals(waveform.params["omega0"], init,
                                               t_start, t_end)

@@ -27,8 +27,8 @@ from .tf import PopulationSeries, TFDistribution, tf_from_population
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Trials per time point, sampling grid, stream seed and target
-    projector."""
+    """Trials per time point, sampling grid, stream seed in
+    [-2**63, 2**64) and target projector."""
 
     n_trials: int
     grid: TimeGrid
@@ -40,6 +40,8 @@ class ProtocolConfig:
             raise ValueError("n_trials must be >= 1")
         if self.grid.n_points < 3:
             raise ValueError("the protocol needs at least 3 time points")
+        if not -2 ** 63 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed {self.seed} lies outside [-2**63, 2**64)")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +108,38 @@ def test_non_finite_generator_exits_2_and_names_the_time(tmp_path, capsys, extra
                "--t-final", "4", "--points", "50", *extra, "--outdir", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: schedule is not finite at t = 0\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("extra, substeps", [([], 4096), (["--substeps", "4"], 4)],
+                         ids=["auto", "fixed-substeps"])
+def test_overflowing_attempt_exits_3_without_warnings(tmp_path, capsys, extra, substeps):
+    # the step maps overflow to inf and NaN; numpy's RuntimeWarnings went to
+    # stderr, and under an error filter main raised instead of returning 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["lambda", "--omega1", "1e50", "--omega2", "1", "--delta-i", "-10",
+                   "--delta-f", "10", "--t-final", "4", "--points", "50", *extra,
+                   "--outdir", str(tmp_path)])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        f"numerical failure: norm drift nan exceeds budget 1e-08 at "
+        f"substeps={substeps}; refine the grid or raise substeps\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("seed_from", ["flag", "env"])
+@pytest.mark.parametrize("seed", [2 ** 64, -2 ** 63 - 1])
+def test_out_of_range_seed_exits_2(tmp_path, capsys, monkeypatch, seed_from, seed):
+    # these exited 1 with an OverflowError from the sampler
+    args = ["two-level", "--t-end", "3", "--protocol", "1000", "--outdir", str(tmp_path)]
+    if seed_from == "flag":
+        args += ["--seed", str(seed)]
+    else:
+        monkeypatch.setenv("TFLOW_SEED", str(seed))
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: seed {seed} lies outside [-2**63, 2**64)\n")
     assert list(tmp_path.iterdir()) == []
 
 

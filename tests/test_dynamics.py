@@ -325,10 +325,11 @@ def test_lindblad_retries_are_logged(caplog, monkeypatch):
     steps = dynamics.kernels.lindblad_steps
     calls = []
 
-    def asymmetric_once(*args, **kwargs):
-        asym = steps(*args, **kwargs)
+    def asymmetric_once(*args):
+        steps(*args)
         calls.append(args[5])
-        return 1e-9 if len(calls) == 1 else asym
+        if len(calls) == 1:  # 0.5 * |2e-9| on the raw states
+            args[7][:, 0, 1] += 2e-9
 
     monkeypatch.setattr(dynamics.kernels, "lindblad_steps", asymmetric_once)
     caplog.set_level("INFO", logger="tflow.dynamics")
@@ -338,8 +339,50 @@ def test_lindblad_retries_are_logged(caplog, monkeypatch):
     assert calls == [r, 2 * r]
     [record] = [r for r in caplog.records if r.name == "tflow.dynamics"]
     assert record.levelname == "INFO"
-    assert record.getMessage().endswith(
+    assert record.getMessage() == (
         f"asymmetry 1.000e-09 over budget at substeps={r}; retrying at {2 * r}")
+
+
+def _lindblad_steps_adding(monkeypatch, entries):
+    """Patch lindblad_steps to add ``value`` at ``(i, j)`` of every raw state."""
+    steps = dynamics.kernels.lindblad_steps
+
+    def patched(*args):
+        steps(*args)
+        for (i, j), value in entries.items():
+            args[7][:, i, j] += value
+
+    monkeypatch.setattr(dynamics.kernels, "lindblad_steps", patched)
+
+
+def test_lindblad_failure_names_the_asymmetry(monkeypatch):
+    # the trace is kept, so only the asymmetry is over budget; this raised
+    # "trace drift 2.220e-16 exceeds budget 1e-08 at substeps=4; ..."
+    _lindblad_steps_adding(monkeypatch, {(0, 1): 2e-9})
+    with pytest.raises(IntegrationError) as failure:
+        dynamics.propagate_lindblad(models.dephasing_model(1.0), M_PLUS,
+                                    TimeGrid(0.0, 1.0, 51), 4)
+    assert str(failure.value) == ("asymmetry 1.000e-09 exceeds budget 1e-10 at "
+                                  "substeps=4; refine the grid or raise substeps")
+
+
+def test_failure_names_every_check_over_budget(monkeypatch):
+    # the (0, 0) entry moves every trace by 3e-8; (0, 1) the asymmetry
+    _lindblad_steps_adding(monkeypatch, {(0, 0): 3e-8, (0, 1): 2e-9})
+    with pytest.raises(IntegrationError) as failure:
+        dynamics.propagate_lindblad(models.dephasing_model(1.0), M_PLUS,
+                                    TimeGrid(0.0, 1.0, 51), 4)
+    assert str(failure.value) == (
+        "trace drift 3.000e-08 exceeds budget 1e-08, asymmetry 1.000e-09 "
+        "exceeds budget 1e-10 at substeps=4; refine the grid or raise substeps")
+
+
+def test_lindblad_states_are_exactly_hermitian():
+    # the kernel's raw states are not; the stored ones are symmetrized
+    model = models.hadamard_model(2 * np.pi, 3.0).model
+    rho0 = operators.projector(2, 0).astype(complex)
+    states = dynamics.propagate_lindblad(model, rho0, TimeGrid(0.0, 0.5, 151), 2).states
+    assert np.array_equal(states, states.conj().transpose(0, 2, 1))
 
 
 @pytest.mark.parametrize("entry", [(0, 1), (0, 2), (2, 1), (1, 1)])

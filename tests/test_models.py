@@ -192,6 +192,19 @@ def test_two_level_moments_closed_matches_segment_quadrature(theta, phi, omega0,
     assert m.std == pytest.approx(std, rel=1e-12)
 
 
+@pytest.mark.parametrize("wf", [
+    models.ControlWaveform.constant(1.0),
+    models.ControlWaveform.polynomial(1.0, [0.0] * 4),
+    models.ControlWaveform.gaussian_pulse(0.5, 0.1),
+], ids=["constant", "polynomial", "gaussian"])
+@pytest.mark.parametrize("t_end", [0.5, 1.0, np.nan])
+def test_two_level_moments_closed_refuses_an_empty_window(wf, t_end):
+    # a reversed window gave the moments of [0.5, 1] (polynomial: 0.7724567822,
+    # gaussian: 0.5513838018), or, for the constant drive, blamed the density
+    with pytest.raises(ValueError, match="^t_end must exceed t_start$"):
+        models.two_level_moments_closed(wf, models.TwoLevelInitial(), 1.0, t_end)
+
+
 def test_two_level_moments_closed_zero_drive_degenerate():
     with pytest.raises(DegenerateDistributionError):
         models.two_level_moments_closed(models.ControlWaveform.constant(0.0),
