@@ -9,6 +9,19 @@ failure are logged at INFO level by the ``tflow.dynamics`` logger, and
 name every check over budget. Trajectories are immutable value objects:
 a grid plus one state per grid point.
 
+The driver keeps one entry: the last propagation that passed, as its
+propagator (closed or open), grid, substeps, generator table, initial
+operands (psi0; or rho0, the jump stacks and B/2) and a copy of its grid
+states. Each attempt samples its table first; when every one of these
+parts equals the entry's bit for bit (0.0 and -0.0 differ), the attempt
+returns a copy of the stored states and skips the table check, the
+stepping and the attempt's checks, whose results are already known. The
+initial-state check, the substep choice and the Lindblad eigenvalue floor
+still run on every call, and each reuse is logged at INFO level. An
+attempt that passes replaces the entry; a failed propagation leaves it.
+So ``protocol.simulate_protocol`` after a propagation of the same inputs
+does not step again, and the entry holds one table and one state array.
+
 Current-like operators: for a projector M and generator L, the rate of
 population change is d/dt Tr(rho M) = Tr(rho L^dag(M)); the closed-system
 special case L^dag(M) = i[H, M] (hbar = 1) is exposed separately with an
@@ -43,7 +56,7 @@ _MAX_SUBSTEPS = 4096
 
 
 def _log(message: str, *args) -> None:
-    """Log at INFO level; logging is imported on the first retry, not with tflow."""
+    """Log at INFO level; logging is imported on the first message, not with tflow."""
     import logging
 
     logging.getLogger(__name__).info(message, *args)
@@ -81,7 +94,8 @@ class HamiltonianSchedule:
     """Hermitian generator H(t) of a fixed dimension.
 
     ``func(t)`` returns the (d, d) matrix at a scalar time. An optional
-    ``batch(ts)`` evaluator returning (n, d, d) speeds up table sampling;
+    ``batch(ts)`` evaluator returning a new (n, d, d) array on each call
+    (the propagators may keep the last one) speeds up table sampling;
     ``constant=True`` short-circuits sampling entirely, and the
     propagators then build the map of one grid interval and reuse it.
     """
@@ -193,13 +207,17 @@ class Trajectory:
 # propagators
 
 
-def _generator_table(schedule: HamiltonianSchedule, grid: TimeGrid,
-                     substeps: int) -> np.ndarray:
-    """H at every half-step node; a constant H needs one grid interval's."""
+def _sample_table(schedule: HamiltonianSchedule, grid: TimeGrid,
+                  substeps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The half-step nodes and H at each; a constant H needs one grid interval's."""
     n_steps = substeps if schedule.constant else (grid.n_points - 1) * substeps
     half = grid.dt / (2 * substeps)
     ts = grid.t_start + half * np.arange(2 * n_steps + 1)
-    table = schedule.sample(ts)
+    return ts, schedule.sample(ts)
+
+
+def _check_table(table: np.ndarray, ts: np.ndarray) -> None:
+    """Refuse a table that is not Hermitian, naming a non-finite node's time."""
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, caught below
         defect = _hermitian_defect(table)
     # a NaN defect fails this test too; the bad time is looked up only then
@@ -208,7 +226,6 @@ def _generator_table(schedule: HamiltonianSchedule, grid: TimeGrid,
         raise OperatorConstraintError(
             f"schedule is not Hermitian on the grid (defect {defect:.3e})"
         )
-    return table
 
 
 def _raise_if_not_finite(values: np.ndarray, ts: np.ndarray) -> None:
@@ -239,16 +256,19 @@ def _auto_substeps(schedule: HamiltonianSchedule, grid: TimeGrid,
     """Substep refinement targeting ~1e-9 accumulated RK4 error.
 
     The generator's magnitude w is the largest Frobenius norm of H at the
-    grid points, which must be finite, plus ``dissipation``. The per-step
-    truncation of RK4 is ~(w h)^5 / 120; summed over all steps and solved
-    for the refinement.
+    grid points, whose entries must be finite, plus ``dissipation``. The
+    per-step truncation of RK4 is ~(w h)^5 / 120; summed over all steps and
+    solved for the refinement. A w too large for dt raises IntegrationError.
     """
     ts = grid.times
     with np.errstate(over="ignore", invalid="ignore"):
-        squares = np.sum(np.abs(schedule.sample(ts)) ** 2, axis=(1, 2))
+        samples = schedule.sample(ts)
+        squares = np.sum(np.abs(samples) ** 2, axis=(1, 2))
     scale = float(np.sqrt(np.max(squares)))
     if not math.isfinite(scale):
-        _raise_if_not_finite(squares, ts)
+        # a NaN or inf entry is named; finite entries whose squares overflow
+        # give an infinite budget below
+        _raise_if_not_finite(samples, ts)
     scale += dissipation
     if scale <= 0.0:
         return 1
@@ -256,36 +276,66 @@ def _auto_substeps(schedule: HamiltonianSchedule, grid: TimeGrid,
     try:
         budget = steps * (scale * grid.dt) ** 5 / (120.0 * _LOCAL_ERROR_TARGET)
     except OverflowError:
+        budget = math.inf
+    if budget == math.inf:
         # r would exceed 1e77, far past _MAX_SUBSTEPS: no attempt can pass
+        size = f"{scale:.3e} is" if math.isfinite(scale) else "overflows and is"
         raise IntegrationError(
-            f"generator scale {scale:.3e} is too large for dt = {grid.dt:.3e}; "
-            f"refine the grid"
-        ) from None
+            f"generator scale {size} too large for dt = {grid.dt:.3e}; refine the grid"
+        )
     r = int(np.ceil(max(budget, 1.0) ** 0.25))
     return min(max(r, 1), _MAX_SUBSTEPS)
 
 
+# the last propagation that passed: (propagator, substeps, (grid, table,
+# *operands), states); the propagator fixes the operands' layout
+_last: tuple | None = None
+
+
+def _same_bits(xs: tuple, ys: tuple) -> bool:
+    """Whether paired float or complex arrays agree in shape and in every raw
+    64-bit word, so 0.0 and -0.0 differ."""
+    return all(np.array_equal(np.ascontiguousarray(x).view(np.int64),
+                              np.ascontiguousarray(y).view(np.int64))
+               for x, y in zip(xs, ys))
+
+
 def _integrate(schedule: HamiltonianSchedule, grid: TimeGrid, substeps: int | None,
-               dissipation: float, attempt: Callable) -> np.ndarray:
+               dissipation: float, propagator: str, operands: tuple,
+               attempt: Callable) -> np.ndarray:
     """Grid states from ``attempt(table, r)``, which returns them with its
     checks, (name, value, budget) triples; it passes when every value is at
     most its budget (a NaN is not). An automatic r is doubled on failure,
     and each retry logged; a fixed r has one try. The error names every
-    check over budget.
+    check over budget. An attempt whose propagator, r, grid, table and
+    ``operands`` equal the last pass's bit for bit returns its states.
     """
+    global _last
     if substeps is None:
         r, attempts = _auto_substeps(schedule, grid, dissipation), _MAX_RETRIES
     else:
         r, attempts = int(substeps), 1
     if r < 1:
         raise ValueError("substeps must be >= 1")
+    grid_key = np.array([grid.t_start, grid.t_end, grid.n_points], dtype=float)
     for attempt_no in range(1, attempts + 1):
-        table = _generator_table(schedule, grid, r)
+        ts, table = _sample_table(schedule, grid, r)
+        key = (grid_key, table) + operands
+        entry = _last  # read once: a concurrent pass replaces it whole
+        if entry is not None and entry[:2] == (propagator, r) and _same_bits(entry[2], key):
+            _log("reusing the last %s propagation at substeps=%d", propagator, r)
+            return entry[3].copy()
+        _check_table(table, ts)
         # a failed attempt may overflow to inf or NaN; its checks reject it
         with np.errstate(all="ignore"):
             states, checks = attempt(table, r)
         over = [check for check in checks if not check[1] <= check[2]]
         if not over:
+            # a table sampled into new memory is kept as it is (a copy would
+            # double its memory); a view, such as a constant H's, is copied
+            held = table if table.flags.owndata else table.copy()
+            inputs = (grid_key, held) + tuple(a.copy() for a in operands)
+            _last = (propagator, r, inputs, states.copy())
             return states
         if attempt_no == attempts or r >= _MAX_SUBSTEPS:
             break
@@ -324,7 +374,8 @@ def propagate_schrodinger(schedule: HamiltonianSchedule, psi0: np.ndarray,
         out /= norms[:, None]
         return out, [("norm drift", drift, _DRIFT_BUDGET)]
 
-    return Trajectory(grid, _integrate(schedule, grid, substeps, 0.0, attempt))
+    states = _integrate(schedule, grid, substeps, 0.0, "closed", (psi0,), attempt)
+    return Trajectory(grid, states)
 
 
 def propagate_lindblad(model: LindbladModel, rho0: np.ndarray, grid: TimeGrid,
@@ -360,7 +411,8 @@ def propagate_lindblad(model: LindbladModel, rho0: np.ndarray, grid: TimeGrid,
                      ("asymmetry", asym, _ASYM_BUDGET)]
 
     dissipation = 4.0 * float(np.real(np.trace(half_b)))
-    out = _integrate(model.hamiltonian, grid, substeps, dissipation, attempt)
+    out = _integrate(model.hamiltonian, grid, substeps, dissipation, "open",
+                     (rho0, jumps, jump_dags, half_b), attempt)
     lo = float(np.min(np.linalg.eigvalsh(out)))
     if lo < _EIG_FLOOR:
         message = f"density matrix eigenvalue {lo:.3e} below {_EIG_FLOOR:.0e}"

@@ -68,22 +68,25 @@ def sample_frequencies(p: np.ndarray, n_trials: int, seed: int) -> np.ndarray:
     its own stream (-1 keys as 2**64 - 1); other seeds raise
     OverflowError. One bit generator is re-keyed per point instead of
     built anew (construction draws OS entropy it then discards): before
-    each draw it gets back the state it had when fresh, counter 0 and an
-    empty buffer, with the key's second word set to j.
+    each draw it is assigned the state it has when fresh, counter 0 and an
+    empty buffer, with the key's second word set to j. That state is one
+    dict of plain Python ints, which numpy reads faster than the arrays
+    its ``state`` returns.
     """
     seed = int(seed)
     if not -2 ** 63 <= seed < 2 ** 64:
         raise OverflowError(f"seed {seed} lies outside [-2**63, 2**64)")
-    p = np.asarray(p, dtype=float)
-    out = np.empty_like(p)
-    bit_generator = np.random.Philox(key=np.array([seed % 2 ** 64, 0], dtype=np.uint64))
+    key = [seed % 2 ** 64, 0]
+    bit_generator = np.random.Philox(key=np.array(key, dtype=np.uint64))
     rng = np.random.Generator(bit_generator)
-    fresh = bit_generator.state
-    for j in range(p.size):
-        fresh["state"]["key"][1] = j
+    fresh = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    out = []
+    for j, p_j in enumerate(np.asarray(p, dtype=float).tolist()):
+        key[1] = j
         bit_generator.state = fresh
-        out[j] = rng.binomial(n_trials, p[j]) / n_trials
-    return out
+        out.append(rng.binomial(n_trials, p_j) / n_trials)
+    return np.array(out, dtype=float)
 
 
 def exact_populations(model, initial_state, config: ProtocolConfig,

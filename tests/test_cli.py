@@ -128,6 +128,20 @@ def test_overflowing_attempt_exits_3_without_warnings(tmp_path, capsys, extra, s
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("omega1", ["1e160", "1e200"])
+def test_overflowing_generator_norm_exits_3(tmp_path, capsys, omega1):
+    # every entry of H is finite, but its squared norm overflows: this
+    # exited 2 with "error: schedule is not finite at t = 0"
+    rc = main(["lambda", "--omega1", omega1, "--omega2", "1", "--delta-i", "-10",
+               "--delta-f", "10", "--t-final", "4", "--points", "50",
+               "--outdir", str(tmp_path)])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: generator scale overflows and is too large for "
+        "dt = 8.163e-02; refine the grid\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("seed_from", ["flag", "env"])
 @pytest.mark.parametrize("seed", [2 ** 64, -2 ** 63 - 1])
 def test_out_of_range_seed_exits_2(tmp_path, capsys, monkeypatch, seed_from, seed):

@@ -496,3 +496,172 @@ def test_four_level_dephasing_matches_closed_form():
     # the maximally mixed four-level state is a fixed point
     mixed = dynamics.propagate_lindblad(model, np.eye(4, dtype=complex) / 4, grid)
     assert np.max(np.abs(mixed.states - np.eye(4) / 4)) <= 1e-15
+
+
+def test_overflowing_generator_norm_is_too_large_not_non_finite():
+    # every entry is finite, but |H|^2 overflows: this was refused as "not
+    # finite at t = 0" (exit 2); it is a scale too large for dt (exit 3)
+    h = 1e200 * operators.SIGMA_X
+    grid = TimeGrid(0.0, 4.0, 50)
+    message = (r"^generator scale overflows and is too large for dt = 8\.163e-02; "
+               r"refine the grid$")
+    with pytest.raises(IntegrationError, match=message):
+        dynamics.propagate_schrodinger(constant_hamiltonian(h), operators.basis_state(2, 0),
+                                       grid)
+    with pytest.raises(IntegrationError, match=message):
+        dynamics.propagate_lindblad(LindbladModel(constant_hamiltonian(h)), M_PLUS, grid)
+
+
+# ---------------------------------------------------------------------------
+# a propagation repeated bit for bit reuses the last one that passed
+
+
+def _counting(monkeypatch, name):
+    """Patch kernels.<name> to record each call; return the record."""
+    steps = getattr(dynamics.kernels, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[0]))  # the table's length
+        steps(*args)
+
+    monkeypatch.setattr(dynamics.kernels, name, counted)
+    return calls
+
+
+def test_protocol_after_propagation_steps_once(monkeypatch):
+    from tflow import protocol
+
+    grid = TimeGrid(0.0, 4.0, 101)
+    config = protocol.ProtocolConfig(n_trials=500, grid=grid, seed=11,
+                                     target=operators.projector(3, 1))
+    schedule = models.lambda_hamiltonian(models.LambdaConfig(1.0, 1.0, -10.0, 10.0, 4.0))
+    psi0 = operators.basis_state(3, 0)
+    calls = _counting(monkeypatch, "schrodinger_steps")
+    traj = dynamics.propagate_schrodinger(schedule, psi0, grid)
+    empirical = protocol.simulate_protocol(schedule, psi0, config)
+    assert len(calls) == 1
+    want = protocol.empirical_from_populations(
+        dynamics.population_series(traj, config.target), config)
+    assert np.array_equal(empirical.frequencies, want.frequencies)
+    assert np.array_equal(empirical.density, want.density)
+
+    bundle = models.hadamard_model(2 * np.pi, 3.0)
+    rho0 = operators.projector(2, 0).astype(complex)
+    config = protocol.ProtocolConfig(n_trials=500, grid=TimeGrid(0.0, 0.5, 101), seed=11,
+                                     target=bundle.target)
+    calls = _counting(monkeypatch, "lindblad_steps")
+    traj = dynamics.propagate_lindblad(bundle.model, rho0, config.grid)
+    empirical = protocol.simulate_protocol(bundle.model, rho0, config)
+    assert len(calls) == 1
+    want = protocol.empirical_from_populations(
+        dynamics.population_series(traj, config.target), config)
+    assert np.array_equal(empirical.frequencies, want.frequencies)
+
+
+def test_reuse_is_logged(caplog):
+    schedule = constant_hamiltonian(0.5 * operators.SIGMA_X)
+    grid = TimeGrid(0.0, 1.0, 21)
+    caplog.set_level("INFO", logger="tflow.dynamics")
+    for _ in range(2):
+        dynamics.propagate_schrodinger(schedule, operators.basis_state(2, 0), grid, 3)
+    assert [r.getMessage() for r in caplog.records if r.name == "tflow.dynamics"] == [
+        "reusing the last closed propagation at substeps=3"]
+
+
+def test_schedule_changed_in_place_is_propagated_again(monkeypatch):
+    # the schedule holds h itself, and its table is a view of h; a fixed r
+    # keeps the table's length
+    h = 0.5 * operators.SIGMA_X.astype(complex)
+    schedule = constant_hamiltonian(h)
+    psi0, grid = operators.basis_state(2, 0), TimeGrid(0.0, 2.0, 31)
+    calls = _counting(monkeypatch, "schrodinger_steps")
+    before = dynamics.propagate_schrodinger(schedule, psi0, grid, 4).states
+    h *= 2.0
+    after = dynamics.propagate_schrodinger(schedule, psi0, grid, 4).states
+    assert len(calls) == 2
+    dynamics._last = None
+    fresh = dynamics.propagate_schrodinger(constant_hamiltonian(h.copy()), psi0, grid, 4)
+    assert np.array_equal(after, fresh.states)
+    assert not np.array_equal(after, before)
+
+    # a batch evaluator makes a new table from the array it holds
+    w = np.array([1.0, 0.2])
+    schedule = dynamics.HamiltonianSchedule(
+        2, lambda t: (w[0] + w[1] * t) * operators.SIGMA_X,
+        batch=lambda ts: (w[0] + w[1] * ts)[:, None, None] * operators.SIGMA_X)
+    before = dynamics.propagate_schrodinger(schedule, psi0, grid, 4).states
+    w[1] = 0.3
+    after = dynamics.propagate_schrodinger(schedule, psi0, grid, 4).states
+    assert len(calls) == 5  # with the fresh propagation above
+    assert not np.array_equal(after, before)
+
+
+def test_zero_of_the_other_sign_is_a_different_table(monkeypatch):
+    psi0, grid = operators.basis_state(2, 0), TimeGrid(0.0, 1.0, 21)
+    plus = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    minus = np.array([[-0.0, 1.0], [1.0, -0.0]], dtype=complex)
+    assert np.array_equal(plus, minus)
+    calls = _counting(monkeypatch, "schrodinger_steps")
+    dynamics.propagate_schrodinger(constant_hamiltonian(plus), psi0, grid, 3)
+    dynamics.propagate_schrodinger(constant_hamiltonian(minus), psi0, grid, 3)
+    assert len(calls) == 2
+
+
+_H = constant_hamiltonian(0.5 * 3.0 * operators.SIGMA_X + 0.4 * operators.SIGMA_Z)
+_CLOSED = dict(schedule=_H, psi0=operators.basis_state(2, 0),
+               grid=TimeGrid(0.0, 1.0, 21), substeps=3)
+_OPEN = dict(model=LindbladModel(_H, [(operators.SIGMA_Z, 0.7)]),
+             rho0=operators.projector(2, 0).astype(complex),
+             grid=TimeGrid(0.0, 1.0, 21), substeps=3)
+
+
+@pytest.mark.parametrize("propagate, base, change", [
+    ("schrodinger", _CLOSED, dict(psi0=PLUS)),
+    ("schrodinger", _CLOSED, dict(grid=TimeGrid(0.0, 2.0, 21))),
+    ("schrodinger", _CLOSED, dict(grid=TimeGrid(0.0, 1.0, 22))),
+    ("schrodinger", _CLOSED, dict(substeps=4)),
+    ("lindblad", _OPEN, dict(rho0=M_PLUS)),
+    ("lindblad", _OPEN, dict(model=LindbladModel(_H, [(operators.SIGMA_Z, 0.8)]))),
+    ("lindblad", _OPEN, dict(model=LindbladModel(_H, [(operators.SIGMA_Z, 0.7)], GKS))),
+    ("lindblad", _OPEN, dict(grid=TimeGrid(0.0, 1.5, 21))),
+    ("lindblad", _OPEN, dict(substeps=4)),
+], ids=["psi0", "closed-t-end", "closed-points", "closed-substeps", "rho0", "rate",
+        "form", "open-t-end", "open-substeps"])
+def test_any_other_input_is_a_miss(monkeypatch, propagate, base, change):
+    # the generator is constant, so its table does not depend on the grid
+    calls = _counting(monkeypatch, f"{propagate}_steps")
+    run = getattr(dynamics, f"propagate_{propagate}")
+    run(**base)
+    got = run(**{**base, **change})
+    assert len(calls) == 2
+    dynamics._last = None
+    assert np.array_equal(got.states, run(**{**base, **change}).states)
+    run(**base)
+    run(**base)
+    assert len(calls) == 4  # the same inputs again are a hit
+
+
+def test_returned_states_do_not_alias_the_stored_ones():
+    for run, args in ((dynamics.propagate_schrodinger, _CLOSED),
+                      (dynamics.propagate_lindblad, _OPEN)):
+        first = run(**args)
+        want = first.states.copy()
+        first.states[:] = 0.0
+        second = run(**args)
+        assert np.array_equal(second.states, want)
+        second.states[:] = 0.0
+        assert np.array_equal(run(**args).states, want)
+
+
+def test_failed_propagation_leaves_the_last_entry(monkeypatch):
+    calls = _counting(monkeypatch, "schrodinger_steps")
+    want = dynamics.propagate_schrodinger(**_CLOSED).states
+    entry = dynamics._last
+    schedule, grid = _narrow_pulse()
+    for _ in range(2):  # not stored: five attempts each time
+        with pytest.raises(IntegrationError, match="at substeps=16;"):
+            dynamics.propagate_schrodinger(schedule, operators.basis_state(2, 0), grid)
+    assert dynamics._last is entry
+    assert np.array_equal(dynamics.propagate_schrodinger(**_CLOSED).states, want)
+    assert len(calls) == 1 + 2 * 5

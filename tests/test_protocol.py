@@ -81,6 +81,13 @@ def test_sampling_high_seeds_have_distinct_streams():
     assert np.array_equal(top, protocol.sample_frequencies(p, 1000, -1))
 
 
+@pytest.mark.parametrize("bad", [np.nan, -1e-12, 1.0 + 1e-12])
+def test_sampling_refuses_a_probability_outside_the_unit_interval(bad):
+    p = np.array([0.0, 0.5, bad, 1.0])
+    with pytest.raises(ValueError, match=r"^p < 0, p > 1 or p is NaN$"):
+        protocol.sample_frequencies(p, 100, seed=1)
+
+
 def test_simulate_protocol_from_propagated_model():
     grid = TimeGrid(0.0, np.pi, 51)
     schedule = constant_hamiltonian(0.5 * operators.SIGMA_X)
