@@ -12,15 +12,17 @@ a grid plus one state per grid point.
 The driver keeps one entry: the last propagation that passed, as its
 propagator (closed or open), grid, substeps, generator table, initial
 operands (psi0; or rho0, the jump stacks and B/2) and a copy of its grid
-states. Each attempt samples its table first; when every one of these
-parts equals the entry's bit for bit (0.0 and -0.0 differ), the attempt
-returns a copy of the stored states and skips the table check, the
-stepping and the attempt's checks, whose results are already known. The
-initial-state check, the substep choice and the Lindblad eigenvalue floor
-still run on every call, and each reuse is logged at INFO level. An
-attempt that passes replaces the entry; a failed propagation leaves it.
-So ``protocol.simulate_protocol`` after a propagation of the same inputs
-does not step again, and the entry holds one table and one state array.
+states. A table the schedule sampled into new memory is kept as it is;
+the other parts are copied. Each attempt samples its table first; when
+every one of these parts equals the entry's bit for bit (0.0 and -0.0
+differ), the attempt returns a copy of the stored states and skips the
+table check, the stepping and the attempt's checks, whose results are
+already known. The initial-state check, the substep choice and the
+Lindblad eigenvalue floor still run on every call, and each reuse is
+logged at INFO level. An attempt that passes replaces the entry; a
+failed propagation leaves it. So ``protocol.simulate_protocol`` after a
+propagation of the same inputs does not step again, and the entry holds
+one table and one state array.
 
 Current-like operators: for a projector M and generator L, the rate of
 population change is d/dt Tr(rho M) = Tr(rho L^dag(M)); the closed-system

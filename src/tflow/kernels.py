@@ -185,8 +185,9 @@ def _propagate(generators, h_table, y0, r, h, out):
 
 
 def _batch_last(table):
-    """(k, d, d) table rows as a contiguous complex (d, d, k) stack."""
-    return np.ascontiguousarray(table.transpose(1, 2, 0), dtype=complex)
+    """(k, d, d) table rows as a new contiguous complex (d, d, k) stack, which
+    the caller may scale in place (for d = 1 the transpose is contiguous)."""
+    return np.array(table.transpose(1, 2, 0), dtype=complex, order="C")
 
 
 def schrodinger_steps(h_table, psi0, substeps, h, out):

@@ -597,6 +597,20 @@ def test_schedule_changed_in_place_is_propagated_again(monkeypatch):
     assert not np.array_equal(after, before)
 
 
+def test_one_level_table_is_kept_unscaled(monkeypatch):
+    # the closed kernel scaled a 1 x 1 table by -1j in place, so the schedule's
+    # own array changed and the kept table never matched a new sample
+    h = np.full((321, 1, 1), 2.0 + 0j)
+    schedule = dynamics.HamiltonianSchedule(1, lambda t: h[0], batch=lambda ts: h[:len(ts)])
+    psi0, grid = np.array([1.0 + 0j]), TimeGrid(0.0, 1.0, 11)
+    calls = _counting(monkeypatch, "schrodinger_steps")
+    for _ in range(2):
+        states = dynamics.propagate_schrodinger(schedule, psi0, grid, 16).states
+    assert np.array_equal(h, np.full((321, 1, 1), 2.0 + 0j))
+    assert len(calls) == 1
+    assert abs(states[-1, 0] - np.exp(-2j)) <= 1e-9
+
+
 def test_zero_of_the_other_sign_is_a_different_table(monkeypatch):
     psi0, grid = operators.basis_state(2, 0), TimeGrid(0.0, 1.0, 21)
     plus = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
