@@ -12,17 +12,18 @@ a grid plus one state per grid point.
 The driver keeps one entry: the last propagation that passed, as its
 propagator (closed or open), grid, substeps, generator table, initial
 operands (psi0; or rho0, the jump stacks and B/2) and a copy of its grid
-states. A table the schedule sampled into new memory is kept as it is;
-the other parts are copied. Each attempt samples its table first; when
-every one of these parts equals the entry's bit for bit (0.0 and -0.0
-differ), the attempt returns a copy of the stored states and skips the
-table check, the stepping and the attempt's checks, whose results are
-already known. The initial-state check, the substep choice and the
-Lindblad eigenvalue floor still run on every call, and each reuse is
-logged at INFO level. An attempt that passes replaces the entry; a
-failed propagation leaves it. So ``protocol.simulate_protocol`` after a
-propagation of the same inputs does not step again, and the entry holds
-one table and one state array.
+states. A table the schedule sampled into memory of its own is kept as
+it is; the other parts are copied. Each attempt samples its table first.
+When every one of these parts equals the entry's bit for bit (0.0 and
+-0.0 differ) and the table does not share the kept one's memory, the
+attempt returns a copy of the stored states and skips the table check,
+the stepping and the attempt's checks, whose results are already known.
+The initial-state check, the substep choice and the Lindblad eigenvalue
+floor still run on every call, and each reuse is logged at INFO level.
+An attempt that passes replaces the entry; a failed propagation leaves
+it. So ``protocol.simulate_protocol`` after a propagation of the same
+inputs does not step again, and the entry holds one table and one state
+array.
 
 Current-like operators: for a projector M and generator L, the rate of
 population change is d/dt Tr(rho M) = Tr(rho L^dag(M)); the closed-system
@@ -96,8 +97,7 @@ class HamiltonianSchedule:
     """Hermitian generator H(t) of a fixed dimension.
 
     ``func(t)`` returns the (d, d) matrix at a scalar time. An optional
-    ``batch(ts)`` evaluator returning a new (n, d, d) array on each call
-    (the propagators may keep the last one) speeds up table sampling;
+    ``batch(ts)`` evaluator returning (n, d, d) speeds up table sampling;
     ``constant=True`` short-circuits sampling entirely, and the
     propagators then build the map of one grid interval and reuse it.
     """
@@ -324,7 +324,11 @@ def _integrate(schedule: HamiltonianSchedule, grid: TimeGrid, substeps: int | No
         ts, table = _sample_table(schedule, grid, r)
         key = (grid_key, table) + operands
         entry = _last  # read once: a concurrent pass replaces it whole
-        if entry is not None and entry[:2] == (propagator, r) and _same_bits(entry[2], key):
+        # a table in the kept one's memory (a batch evaluator that returns
+        # its own array again) may have changed with it, so it never matches
+        if (entry is not None and entry[:2] == (propagator, r)
+                and not np.may_share_memory(table, entry[2][1])
+                and _same_bits(entry[2], key)):
             _log("reusing the last %s propagation at substeps=%d", propagator, r)
             return entry[3].copy()
         _check_table(table, ts)

@@ -596,6 +596,16 @@ def test_schedule_changed_in_place_is_propagated_again(monkeypatch):
     assert len(calls) == 5  # with the fresh propagation above
     assert not np.array_equal(after, before)
 
+    # a batch evaluator that returns its own array each time: the kept table
+    # is that array, so it changes with it and cannot be compared
+    table = np.repeat(0.5 * operators.SIGMA_X[None].astype(complex), 2 * 30 * 4 + 1, axis=0)
+    schedule = dynamics.HamiltonianSchedule(2, lambda t: table[0], batch=lambda ts: table)
+    before = dynamics.propagate_schrodinger(schedule, psi0, grid, 4).states
+    table *= 2.0
+    after = dynamics.propagate_schrodinger(schedule, psi0, grid, 4).states
+    assert len(calls) == 7
+    assert not np.array_equal(after, before)
+
 
 def test_one_level_table_is_kept_unscaled(monkeypatch):
     # the closed kernel scaled a 1 x 1 table by -1j in place, so the schedule's
