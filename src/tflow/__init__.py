@@ -32,6 +32,7 @@ from .tf import (  # noqa: F401
     step_model_statistics,
     tf_from_current,
     tf_from_population,
+    tf_from_rate,
 )
 from .protocol import (  # noqa: F401
     EmpiricalTF,

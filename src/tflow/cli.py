@@ -132,11 +132,6 @@ def _emit(args, seed: int, run: Run) -> None:
                                    encoding="utf-8")
 
 
-def _point_kinds(rate: np.ndarray, dead_band: float) -> np.ndarray:
-    return np.where(rate > dead_band, tf.KIND_TOA,
-                    np.where(rate < -dead_band, tf.KIND_TOD, tf.KIND_NEUTRAL))
-
-
 # ---------------------------------------------------------------------------
 # subcommands: each computes one Run from the parsed arguments, the resolved
 # seed and the frequency factor of --units
@@ -166,7 +161,7 @@ def _run_two_level(args, seed: int, factor: float) -> Run:
 
     p = models.two_level_population(waveform, init, grid.times)
     rate = models.two_level_rate(waveform, init, grid.times)
-    dist = models.two_level_tf_closed(waveform, init, grid)
+    dist = tf.tf_from_rate(grid, rate)
     series = tf.PopulationSeries(grid, np.clip(p, 0.0, 1.0))
     fd = tf.tf_from_population(series)
     grid_moments = tf.moments(fd)
@@ -188,7 +183,7 @@ def _run_two_level(args, seed: int, factor: float) -> Run:
         tables={
             "series": (
                 ["time", "p_1", "pi_tf", "segment"],
-                [times, p, dist.density, _point_kinds(rate, 1e-9 / grid.dt)],
+                [times, p, dist.density, tf.point_kinds(rate, 1e-9 / grid.dt)],
             ),
         },
         results={
@@ -275,10 +270,9 @@ def _run_lambda(args, seed: int, factor: float) -> Run:
     )
     pops = [dynamics.population_series(traj, operators.projector(3, k))
             for k in range(3)]
-    gamma_op = models.lambda_gamma(config)
-    gamma_series = dynamics.expectation_series(traj, gamma_op)
-    current_dist = tf.tf_from_current(traj, gamma_op, align="grid")
-    current_mid = tf.tf_from_current(traj, gamma_op, align="midpoints")
+    gamma_series = dynamics.expectation_series(traj, models.lambda_gamma(config))
+    current = tf.tf_from_rate(grid, gamma_series).density
+    current_mid = tf.tf_from_rate(grid, gamma_series, align="midpoints").density
 
     fd_dists, stats = [], []
     for k in range(3):
@@ -304,8 +298,7 @@ def _run_lambda(args, seed: int, factor: float) -> Run:
         tables={
             "series": (
                 ["time", "p_1", "p_2", "p_3", "gamma_expectation", "pi_2_current"],
-                [grid.times, pops[0], pops[1], pops[2], gamma_series,
-                 current_dist.density],
+                [grid.times, pops[0], pops[1], pops[2], gamma_series, current],
             ),
             "tf": (
                 ["time", "pi_1", "pi_2", "pi_3"],
@@ -323,16 +316,14 @@ def _run_lambda(args, seed: int, factor: float) -> Run:
             "dark_state_coupling": float(dark_defect),
             "dark_state_decoupled": bool(dark_defect <= 1e-12),
             "pi_2_peak_count": peak_count,
-            "current_vs_fd_sup": float(
-                np.max(np.abs(current_mid.density - fd_dists[1].density))
-            ),
+            "current_vs_fd_sup": float(np.max(np.abs(current_mid - dens))),
         },
     )
 
 
 def _run_dephasing(args, seed: int, factor: float) -> Run:
     gamma = args.gamma * factor
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
     t_end = args.t_end if args.t_end is not None else 10.0 / gamma
     grid = TimeGrid(0.0, t_end, args.points)
@@ -398,8 +389,8 @@ def _run_hadamard(args, seed: int, factor: float) -> Run:
     fd = tf.tf_from_population(series)
     fd_moments = tf.moments(fd)
     gamma_series = dynamics.expectation_series(traj, bundle.current_op)
-    current_dist = tf.tf_from_current(traj, bundle.current_op, align="grid")
-    current_mid = tf.tf_from_current(traj, bundle.current_op, align="midpoints")
+    current = tf.tf_from_rate(grid, gamma_series).density
+    current_mid = tf.tf_from_rate(grid, gamma_series, align="midpoints").density
 
     delta_theta = abs(float(p_plus[-1] - p_plus[0]))
     bounds = qsl.build_bounds_report(
@@ -417,7 +408,7 @@ def _run_hadamard(args, seed: int, factor: float) -> Run:
         tables={
             "series": (
                 ["time", "p_plus", "gamma_expectation", "pi_plus_current"],
-                [grid.times, p_plus, gamma_series, current_dist.density],
+                [grid.times, p_plus, gamma_series, current],
             ),
             "tf": (["time", "pi_plus"], [grid.midpoints, fd.density]),
         },
@@ -425,9 +416,7 @@ def _run_hadamard(args, seed: int, factor: float) -> Run:
                  "delta_theta": delta_theta},
         bounds=bounds,
         diagnostics={
-            "current_vs_fd_sup": float(
-                np.max(np.abs(current_mid.density - fd.density))
-            ),
+            "current_vs_fd_sup": float(np.max(np.abs(current_mid - fd.density))),
         },
     )
 

@@ -156,8 +156,8 @@ class LindbladModel:
         if self.form not in (DOUBLE_COMMUTATOR, GKS):
             raise ValueError(f"unknown Lindblad form {self.form!r}")
         for op, rate in self.channels:
-            if rate < 0:
-                raise ValueError("channel rates must be non-negative")
+            if not rate >= 0:  # NaN fails this too
+                raise ValueError(f"channel rates must be non-negative, not {rate}")
             if self.form == DOUBLE_COMMUTATOR:
                 operators.assert_hermitian(op, name="double-commutator channel")
             if np.asarray(op).shape != (self.dim, self.dim):

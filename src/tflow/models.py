@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import operators
+from . import operators, tf
 from .dynamics import (
     DOUBLE_COMMUTATOR,
     GKS,
@@ -47,7 +47,7 @@ from .dynamics import (
 )
 from .errors import DegenerateDistributionError, IntegrationError
 from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z
-from .tf import KIND_TF, KIND_TOA, Moments, PopulationSeries, TFDistribution
+from .tf import Moments, PopulationSeries, TFDistribution
 
 # Gauss-Legendre order of every quadrature below: the moment integrals
 # over pieces spanning at most pi/8 of W, and the panels of a custom
@@ -271,17 +271,7 @@ def two_level_tf_closed(waveform: ControlWaveform, init: TwoLevelInitial,
                         grid: TimeGrid) -> TFDistribution:
     """Closed-form flow density |dp_1/dt| sampled at the grid points and
     renormalized over the window."""
-    raw = np.abs(two_level_rate(waveform, init, grid.times))
-    total = float(np.sum(raw) * grid.dt)
-    if total <= 1e-12:
-        raise DegenerateDistributionError("flow density vanishes on this window")
-    return TFDistribution(
-        times=grid.times,
-        density=raw / total,
-        dt=grid.dt,
-        normalization=1.0 / total,
-        kind=KIND_TF,
-    )
+    return tf.tf_from_rate(grid, two_level_rate(waveform, init, grid.times))
 
 
 def two_level_moments_closed(waveform: ControlWaveform, init: TwoLevelInitial,
@@ -311,7 +301,7 @@ def two_level_moments_closed(waveform: ControlWaveform, init: TwoLevelInitial,
     if waveform.kind == "constant":
         integrals = _constant_drive_integrals(waveform.params["omega0"], init,
                                               t_start, t_end)
-        mus = integrals[1:] / _flow_total(integrals[0])
+        mus = integrals[1:] / tf._flow_mass(integrals[0])
         var = mus[1] - mus[0] ** 2
     else:
         if waveform.kind == "custom":
@@ -534,16 +524,10 @@ def _piece_moments(waveform: ControlWaveform, init: TwoLevelInitial,
         d = centre - mean
         chunks.append((mass, mean, np.sum(j2 + d * (2.0 * j1 + d * j0))))
     mass, mean, spread = np.array(chunks).reshape(-1, 3).T
-    total = _flow_total(np.sum(mass))
+    total = tf._flow_mass(np.sum(mass))
     overall = np.sum(mass * mean) / total
     d = mean - overall
     return float(overall), float(np.sum(spread + mass * d * d) / total)
-
-
-def _flow_total(total: float) -> float:
-    if total <= 1e-14:
-        raise DegenerateDistributionError("flow density vanishes on this window")
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -618,26 +602,16 @@ def sta_flow_cdf(config: STAConfig, t):
 def sta_tf_closed(config: STAConfig, grid: TimeGrid) -> tuple[TFDistribution, Moments]:
     """Arrival distribution of the sweep plus its closed-form moments.
 
-    The density on the grid is assigned as exact per-interval flow mass
-    (differences of the closed-form accumulated flow), which stays finite
-    for alpha < 1 where the pointwise density diverges at t = 0. The
-    moments come from sta_moments_closed, not from the grid.
+    The density on the grid is the interval-mass distribution of the
+    closed-form accumulated flow (``tf_from_population`` of
+    ``sta_flow_cdf``), which stays finite for alpha < 1 where the
+    pointwise density diverges at t = 0; alpha = 0 leaves the flow flat.
+    The moments come from sta_moments_closed, not from the grid.
     """
-    if config.alpha == 0:
-        raise DegenerateDistributionError("alpha = 0 freezes the sweep")
     if grid.t_start < 0 or grid.t_end > config.t_final * (1 + 1e-12):
         raise ValueError("grid must lie within [0, t_final]")
-    f = sta_flow_cdf(config, grid.times)
-    mass = np.diff(f)
-    total = float(np.sum(mass))
-    dist = TFDistribution(
-        times=grid.midpoints,
-        density=mass / grid.dt / total,
-        dt=grid.dt,
-        normalization=1.0 / total,
-        kind=KIND_TOA,
-    )
-    return dist, sta_moments_closed(config)
+    flow = PopulationSeries(grid, sta_flow_cdf(config, grid.times))
+    return tf.tf_from_population(flow), sta_moments_closed(config)
 
 
 def sta_moments_closed(config: STAConfig) -> Moments:
@@ -773,7 +747,7 @@ def landau_zener_probability(config: LambdaConfig) -> float:
 def dephasing_model(gamma: float) -> LindbladModel:
     """Pure sigma_z dephasing, double-commutator convention:
     d rho/dt = -(gamma/2)[sigma_z, [sigma_z, rho]]."""
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
     return LindbladModel(
         hamiltonian=constant_hamiltonian(np.zeros((2, 2), dtype=complex)),
@@ -807,19 +781,11 @@ def dephasing_population(gamma: float, t):
 
 
 def dephasing_analytics(gamma: float, grid: TimeGrid) -> DephasingAnalytics:
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
     times = grid.times
     pop = PopulationSeries(grid, dephasing_population(gamma, times))
-    raw = 2.0 * gamma * np.exp(-2.0 * gamma * times)
-    total = float(np.sum(raw) * grid.dt)
-    dist = TFDistribution(
-        times=times,
-        density=raw / total,
-        dt=grid.dt,
-        normalization=1.0 / total,
-        kind=KIND_TOA,
-    )
+    dist = tf.tf_from_rate(grid, 2.0 * gamma * np.exp(-2.0 * gamma * times))
     outside = float(
         np.exp(-2.0 * gamma * grid.t_end) + (1.0 - np.exp(-2.0 * gamma * grid.t_start))
     )
@@ -854,9 +820,9 @@ class HadamardModel:
 
 
 def hadamard_model(omega0: float, gamma: float = 0.0) -> HadamardModel:
-    if omega0 <= 0:
+    if not omega0 > 0:
         raise ValueError("omega0 must be positive")
-    if gamma < 0:
+    if not gamma >= 0:
         raise ValueError("gamma must be >= 0")
     h = 0.5 * omega0 * operators.hadamard()
     channels = ((SIGMA_Z, gamma),) if gamma > 0 else ()

@@ -113,7 +113,7 @@ def expectation(state: np.ndarray, op: np.ndarray) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# validators
+# validators: each comparison is written so that a NaN fails it
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
@@ -123,7 +123,7 @@ def hermiticity_defect(a: np.ndarray) -> float:
 
 def assert_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL, name: str = "operator"):
     defect = hermiticity_defect(a)
-    if defect > tol:
+    if not defect <= tol:
         raise OperatorConstraintError(f"{name} is not Hermitian (defect {defect:.3e})")
 
 
@@ -140,7 +140,7 @@ def assert_projector(a: np.ndarray, tol: float = PROJECTOR_TOL, name: str = "ope
 
 def assert_unit_norm(psi: np.ndarray, tol: float = NORM_TOL):
     norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > tol:
+    if not abs(norm - 1.0) <= tol:
         raise StateConstraintError(f"state norm {norm} deviates from 1 by > {tol}")
 
 
@@ -149,8 +149,8 @@ def assert_density_matrix(rho: np.ndarray, name: str = "density matrix"):
     rho = np.asarray(rho, dtype=complex)
     assert_hermitian(rho, HERMITIAN_TOL, name)
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > TRACE_TOL:
+    if not abs(tr - 1.0) <= TRACE_TOL:
         raise StateConstraintError(f"{name} trace {tr} deviates from 1")
     lo = float(np.linalg.eigvalsh(rho)[0])
-    if lo < -EIGENVALUE_TOL:
+    if not lo >= -EIGENVALUE_TOL:
         raise StateConstraintError(f"{name} has negative eigenvalue {lo:.3e}")

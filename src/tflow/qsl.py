@@ -28,6 +28,15 @@ from .errors import DimensionMismatchError
 from .tf import Moments
 
 CHEBYSHEV_FACTOR = 1.0 / (3.0 * np.sqrt(3.0))
+# eta = |delta_theta| / _ETA_DIVISOR in Delta T * Delta_k H >= eta
+_ETA_DIVISOR = 6.0 * np.sqrt(3.0)
+# relative slack of every "satisfied" flag: a measured value passes its
+# bound when it is at least bound * (1 - _BOUND_TOL)
+_BOUND_TOL = 1e-9
+
+
+def _holds(value: float, bound: float) -> bool:
+    return bool(value >= bound * (1.0 - _BOUND_TOL))
 
 
 def _target_vector(dim: int, target) -> np.ndarray:
@@ -63,24 +72,26 @@ def tf_qsl_open(model: LindbladModel, m: np.ndarray, delta_theta: float,
 
     For time-dependent Hamiltonians supply ``times``; the largest trace
     term along them is used, which keeps the bound valid over the whole
-    window. H is sampled at all of them in one call and L^dag(M) =
-    i[H, M] + D^dag(M) is formed for the whole stack, so the result is
-    the maximum of ``liouvillian_trace_term`` over the times (up to
-    rounding). A vanishing trace term means M is frozen by the dynamics
-    and the bound is +inf.
+    window. A constant Hamiltonian needs none (its one time is t = 0). H
+    is sampled at all of them in one call and L^dag(M) = i[H, M] +
+    D^dag(M) is formed for the whole stack, so the result is the maximum
+    of ``liouvillian_trace_term`` over the times (up to rounding). A
+    vanishing trace term means M is frozen by the dynamics and the bound
+    is +inf.
     """
     if not 0.0 < delta_theta <= 1.0:
         raise ValueError("delta_theta must lie in (0, 1]")
     operators.assert_projector(m, name="measurement operator")
     if times is None:
-        term = liouvillian_trace_term(model, m)
-    else:
-        m = np.asarray(m, dtype=complex)
-        if m.shape != (model.dim, model.dim):
-            raise DimensionMismatchError("measurement operator dimension mismatch")
-        hs = model.hamiltonian.sample(times)
-        adj = 1j * (hs @ m - m @ hs) + dynamics.dissipator_adjoint(model, m)
-        term = float(np.max(np.abs(np.real(np.einsum("nij,nji->n", adj, adj)))))
+        if not model.hamiltonian.constant:
+            raise ValueError("time-dependent model: supply the evaluation times")
+        times = [0.0]
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (model.dim, model.dim):
+        raise DimensionMismatchError("measurement operator dimension mismatch")
+    hs = model.hamiltonian.sample(times)
+    adj = 1j * (hs @ m - m @ hs) + dynamics.dissipator_adjoint(model, m)
+    term = float(np.max(np.abs(np.real(np.einsum("nij,nji->n", adj, adj)))))
     if term <= 0.0:
         return np.inf
     return delta_theta / np.sqrt(term)
@@ -100,9 +111,13 @@ class ClosedQslBound:
 
 
 def tf_qsl_closed(h: np.ndarray, target, delta_theta: float) -> ClosedQslBound:
+    return _closed_bound(hamiltonian_std(h, target), delta_theta)
+
+
+def _closed_bound(dev: float, delta_theta: float) -> ClosedQslBound:
+    """Both closed-system bounds from the deviation Delta_k H."""
     if not 0.0 < delta_theta <= 1.0:
         raise ValueError("delta_theta must lie in (0, 1]")
-    dev = hamiltonian_std(h, target)
     if dev <= 0.0:
         # target is an eigenstate: its population never moves
         return ClosedQslBound(printed=np.inf, derived=np.inf)
@@ -139,13 +154,11 @@ def uncertainty_check(delta_t: float, h: np.ndarray, target,
     """Evaluate Delta T * Delta_k H >= eta = delta_theta/(6 sqrt 3), hbar=1."""
     if not np.isfinite(delta_t) or delta_t < 0:
         raise ValueError("delta_t must be a finite non-negative time")
-    eta = abs(delta_theta) / (6.0 * np.sqrt(3.0))
+    eta = abs(delta_theta) / _ETA_DIVISOR
     product = delta_t * hamiltonian_std(h, target)
     margin = product / eta if eta > 0 else np.inf
-    return UncertaintyResult(
-        product=product, eta=eta, satisfied=bool(product >= eta * (1.0 - 1e-12)),
-        margin=margin,
-    )
+    return UncertaintyResult(product=product, eta=eta,
+                             satisfied=_holds(product, eta), margin=margin)
 
 
 def mt_dephasing_bound(gamma: float) -> float:
@@ -221,7 +234,7 @@ def build_bounds_report(*, delta_theta: float, trace_term: float,
     tau = delta_theta / np.sqrt(trace_term) if trace_term > 0 else np.inf
     cheb = chebyshev_spread_bound(pi_max)
     qsl_spread = spread_bound_from_qsl(tau) if 0.0 < tau < np.inf else 0.0
-    eta = abs(delta_theta) / (6.0 * np.sqrt(3.0))
+    eta = abs(delta_theta) / _ETA_DIVISOR
 
     closed_printed = closed_derived = product = None
     if hamiltonian is not None:
@@ -229,15 +242,15 @@ def build_bounds_report(*, delta_theta: float, trace_term: float,
         if deviation > 0:
             product = measured.std * deviation
             if delta_theta > 0:
-                closed = tf_qsl_closed(hamiltonian, target, delta_theta)
+                closed = _closed_bound(deviation, delta_theta)
                 closed_printed, closed_derived = closed.printed, closed.derived
 
     satisfied = {
-        "spread_chebyshev": bool(measured.std >= cheb * (1.0 - 1e-9)),
-        "spread_qsl": bool(measured.std >= qsl_spread * (1.0 - 1e-9)),
+        "spread_chebyshev": _holds(measured.std, cheb),
+        "spread_qsl": _holds(measured.std, qsl_spread),
     }
     if product is not None:
-        satisfied["uncertainty"] = bool(product >= eta * (1.0 - 1e-9))
+        satisfied["uncertainty"] = _holds(product, eta)
     std_over_spread = None
     if mt_bound is not None:
         satisfied["mt_comparison_ratio_half"] = bool(abs(tau / mt_bound - 0.5) < 1e-9)

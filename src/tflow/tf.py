@@ -1,13 +1,19 @@
 """Time-of-flow distributions: construction, segmentation and moments.
 
 The flow density of a target-state population p(t) is the normalized
-magnitude of its rate of change, pi(t) = N |dp/dt|. On a grid it is
-estimated by forward differences |p(t_{j+1}) - p(t_j)| / dt assigned to
-interval midpoints, which is a second-order accurate estimator for the
-moments. Where the population changes monotonically the density reads as
-a time-of-arrival (increasing) or time-of-departure (decreasing)
-distribution; ``split_toa_tod`` separates the two with a configurable
-slope dead-band, excluding flat plateaus from both supports.
+magnitude of its rate of change, pi(t) = N |dp/dt|. A grid holds it in
+one of two conventions, each with one builder:
+
+* interval masses, ``tf_from_population``: (|delta p| / dt) / sum |delta p|
+  at the interval midpoints, from forward differences (a second-order
+  estimator of the moments) or from exact closed-form masses;
+* rate samples, ``tf_from_rate``: |rate| / (sum |rate| * dt) of signed
+  samples of dp/dt, at the grid points or averaged onto the midpoints.
+
+Every distribution is made by ``_normalized``, which refuses a flow mass
+that is not above 1e-12 as flat. ``split_toa_tod`` separates the
+time-of-arrival (increasing) and time-of-departure (decreasing) parts
+with a slope dead-band, excluding flat plateaus from both supports.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ KIND_TF = "TF"
 KIND_TOA = "TOA"
 KIND_TOD = "TOD"
 KIND_NEUTRAL = "neutral"
-_KIND_OF_CODE = {1: KIND_TOA, -1: KIND_TOD, 0: KIND_NEUTRAL}
+# indexed by a sign code: 0 neutral, 1 arrival, -1 (the last) departure
+_KIND_OF_CODE = np.array([KIND_NEUTRAL, KIND_TOA, KIND_TOD])
 
 _FLAT_TOL = 1e-12
 
@@ -52,7 +59,8 @@ class TFDistribution:
     ``times`` may be grid points, interval midpoints, or a subset of
     midpoints (for a single TOA/TOD support); each sample owns a slot of
     width ``dt``, so sum(density) * dt == 1. ``normalization`` records
-    the constant that was applied to the raw rates.
+    the constant that was applied to the raw rates. ``kind`` is TF for a
+    whole window and TOA or TOD for one sign's support.
     """
 
     times: np.ndarray
@@ -64,10 +72,11 @@ class TFDistribution:
     def __post_init__(self):
         if self.times.shape != self.density.shape:
             raise DimensionMismatchError("times/density length mismatch")
-        if np.any(self.density < 0):
-            raise ValueError("flow densities must be non-negative")
+        # each test is written so that a NaN fails it
+        if not np.all(self.density >= 0):
+            raise ValueError("flow densities must be non-negative numbers")
         total = float(np.sum(self.density) * self.dt)
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"density integrates to {total}, expected 1")
 
     @property
@@ -84,26 +93,64 @@ class Moments:
     raw: np.ndarray  # raw[p-1] = mu^(p)
 
 
+def _flow_mass(mass: float) -> float:
+    """``mass``, refused as flat when it is not above _FLAT_TOL (NaN too)."""
+    if not mass > _FLAT_TOL:
+        raise DegenerateDistributionError(
+            f"flow is flat: its mass {mass:.3e} is not above {_FLAT_TOL:.0e}"
+        )
+    return mass
+
+
+def _normalized(times: np.ndarray, raw: np.ndarray, mass: float, dt: float,
+                kind: str = KIND_TF) -> TFDistribution:
+    """raw / mass, where ``mass`` is the flow mass of the density ``raw``."""
+    mass = _flow_mass(mass)
+    return TFDistribution(times=times, density=raw / mass, dt=dt,
+                          normalization=1.0 / mass, kind=kind)
+
+
 def tf_from_population(series: PopulationSeries) -> TFDistribution:
-    """Flow distribution from forward differences of a population series."""
+    """Interval-mass flow distribution from forward differences of a
+    population series."""
     p = np.asarray(series.values, dtype=float)
     if p.size < 3:
         raise ValueError("need at least 3 samples to estimate a flow density")
     dp = np.abs(np.diff(p))
-    total_variation = float(np.sum(dp))
-    if total_variation <= _FLAT_TOL:
-        raise DegenerateDistributionError(
-            f"population is flat (total variation {total_variation:.3e})"
-        )
     dt = series.grid.dt
-    density = dp / dt / total_variation
-    return TFDistribution(
-        times=series.grid.midpoints,
-        density=density,
-        dt=dt,
-        normalization=1.0 / total_variation,
-        kind=KIND_TF,
-    )
+    return _normalized(series.grid.midpoints, dp / dt, float(np.sum(dp)), dt)
+
+
+def tf_from_rate(grid: TimeGrid, rate, align: str = "grid") -> TFDistribution:
+    """Flow distribution from signed samples of dp/dt at the grid points.
+
+    ``align='midpoints'`` averages the signed rates onto the interval
+    midpoints first, which matches the finite-difference estimator to
+    O(dt^2) even across sign changes.
+    """
+    rate = np.asarray(rate, dtype=float)
+    if align == "grid":
+        times, raw = grid.times, np.abs(rate)
+    elif align == "midpoints":
+        times, raw = grid.midpoints, np.abs(0.5 * (rate[1:] + rate[:-1]))
+    else:
+        raise ValueError("align must be 'grid' or 'midpoints'")
+    return _normalized(times, raw, float(np.sum(raw) * grid.dt), grid.dt)
+
+
+def tf_from_current(traj: Trajectory, op, align: str = "grid") -> TFDistribution:
+    """``tf_from_rate`` of the expectations of a current-like operator.
+
+    ``op`` is the fixed matrix (or callable t -> matrix) whose
+    expectation equals dp/dt.
+    """
+    return tf_from_rate(traj.grid, dynamics.expectation_series(traj, op), align)
+
+
+def point_kinds(change: np.ndarray, band: float) -> np.ndarray:
+    """Kind of each signed change: TOA above ``band``, TOD below ``-band``,
+    neutral in between (and for NaN)."""
+    return _KIND_OF_CODE[(change > band).astype(np.int8) - (change < -band)]
 
 
 @dataclass(frozen=True)
@@ -138,32 +185,25 @@ def split_toa_tod(series: PopulationSeries,
     dt = series.grid.dt
     tol = (1e-9 / dt) if slope_tolerance is None else float(slope_tolerance)
     dp = np.diff(p)
-    # 1 arrival, -1 departure, 0 neutral; runs end where the code changes
-    code = (dp > tol * dt).astype(np.int8) - (dp < -tol * dt)
-    ends = np.flatnonzero(code[1:] != code[:-1]) + 1
+    kinds = point_kinds(dp, tol * dt)
+    # runs of one kind end where the kind changes
+    ends = np.flatnonzero(kinds[1:] != kinds[:-1]) + 1
     starts = np.concatenate(([0], ends))
-    segments: list[tuple[int, int, str]] = [
-        (i0, i1, _KIND_OF_CODE[c]) for i0, i1, c in
-        zip(starts.tolist(), [*ends.tolist(), code.size], code[starts].tolist())
-    ]
-
+    segments = list(zip(starts.tolist(), [*ends.tolist(), kinds.size],
+                        kinds[starts].tolist()))
     mid = series.grid.midpoints
 
-    def _build(mask: np.ndarray, kind: str) -> tuple[TFDistribution | None, float]:
-        weight = float(np.sum(np.abs(dp[mask])))
-        if weight <= 0.0:
+    def _support(kind: str) -> tuple[TFDistribution | None, float]:
+        mask = kinds == kind
+        change = np.abs(dp[mask])
+        weight = float(np.sum(change))
+        try:
+            return _normalized(mid[mask], change / dt, weight, dt, kind), 1.0 / weight
+        except DegenerateDistributionError:
             return None, np.inf
-        dist = TFDistribution(
-            times=mid[mask],
-            density=np.abs(dp[mask]) / dt / weight,
-            dt=dt,
-            normalization=1.0 / weight,
-            kind=kind,
-        )
-        return dist, 1.0 / weight
 
-    toa, n_a = _build(code == 1, KIND_TOA)
-    tod, n_d = _build(code == -1, KIND_TOD)
+    toa, n_a = _support(KIND_TOA)
+    tod, n_d = _support(KIND_TOD)
     return SplitResult(segments=segments, toa=toa, tod=tod, n_a=n_a, n_d=n_d)
 
 
@@ -178,35 +218,6 @@ def moments(dist: TFDistribution, max_order: int = 2) -> Moments:
     mean = raw[0]
     var = max(raw[1] - mean * mean, 0.0)
     return Moments(mean=mean, std=float(np.sqrt(var)), raw=raw)
-
-
-def tf_from_current(traj: Trajectory, op, align: str = "grid") -> TFDistribution:
-    """Flow distribution from expectations of a current-like operator.
-
-    ``op`` is the fixed matrix (or callable t -> matrix) whose
-    expectation equals dp/dt. With ``align='grid'`` the density is
-    |<op>(t_j)| at the grid points; ``align='midpoints'`` averages the
-    signed expectations onto interval midpoints first, which matches the
-    finite-difference estimator to O(dt^2) even across sign changes.
-    """
-    rate = dynamics.expectation_series(traj, op)
-    dt = traj.grid.dt
-    if align == "grid":
-        times, raw = traj.grid.times, np.abs(rate)
-    elif align == "midpoints":
-        times, raw = traj.grid.midpoints, np.abs(0.5 * (rate[1:] + rate[:-1]))
-    else:
-        raise ValueError("align must be 'grid' or 'midpoints'")
-    total = float(np.sum(raw) * dt)
-    if total <= _FLAT_TOL:
-        raise DegenerateDistributionError("current expectations vanish everywhere")
-    return TFDistribution(
-        times=times,
-        density=raw / total,
-        dt=dt,
-        normalization=1.0 / total,
-        kind=KIND_TF,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +262,7 @@ def step_model_statistics(steps: list[tuple[float, float]]) -> StepModelStats:
     def _stats(mask: np.ndarray) -> SpikeStats | None:
         w = np.abs(ws[mask])
         total = float(np.sum(w))
-        if total <= 0.0:
+        if not total > _FLAT_TOL:
             return None
         t = ts[mask]
         mean = float(np.sum(w * t) / total)
@@ -262,5 +273,5 @@ def step_model_statistics(steps: list[tuple[float, float]]) -> StepModelStats:
     tod = _stats(ws < 0)
     tf = _stats(ws != 0)
     if tf is None:
-        raise DegenerateDistributionError("all step weights are zero")
+        raise DegenerateDistributionError("the steps carry no flow mass")
     return StepModelStats(toa=toa, tod=tod, tf=tf)

@@ -448,12 +448,13 @@ def test_csv_template_edge_cases(tmp_path):
 
 
 def test_point_kinds_match_per_point_reference():
-    from tflow.cli import _point_kinds
+    # the classifier behind the two-level series' segment column
+    from tflow.tf import point_kinds
 
     rate = np.array([1.0, -1.0, 0.0, 1e-12, -1e-12, 2e-9, -2e-9, 1e-9, -1e-9, np.nan])
     want = [tflow.tf.KIND_TOA if r > 1e-9 else
             (tflow.tf.KIND_TOD if r < -1e-9 else tflow.tf.KIND_NEUTRAL) for r in rate]
-    assert _point_kinds(rate, 1e-9).tolist() == want
+    assert point_kinds(rate, 1e-9).tolist() == want
 
 
 # report moments of the scipy path these runs used before, recorded then:
@@ -638,3 +639,12 @@ def test_optimize_loads_no_scipy():
             "t_horizon=1.0, omega0=0.8 * math.pi, lambda_mono=1.0, "
             "lambda_reg=1e-8, max_iterations=2000))")
     assert _scipy_modules_after(code) == "[]"
+
+
+def test_nan_gamma_is_refused_and_writes_nothing(tmp_path, capsys):
+    # it exited 0 with NaN current columns
+    rc = main(["hadamard", "--omega0", "1", "--gamma", "nan", "--points", "50",
+               "--outdir", str(tmp_path)])
+    assert rc == 2
+    assert "gamma must be >= 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

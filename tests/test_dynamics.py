@@ -689,3 +689,23 @@ def test_failed_propagation_leaves_the_last_entry(monkeypatch):
     assert dynamics._last is entry
     assert np.array_equal(dynamics.propagate_schrodinger(**_CLOSED).states, want)
     assert len(calls) == 1 + 2 * 5
+
+
+def test_nan_channel_rate_is_refused_at_construction():
+    # it failed later, in the substep choice, with "cannot convert float NaN
+    # to integer"
+    with pytest.raises(ValueError, match="channel rates must be non-negative, not nan"):
+        LindbladModel(constant_hamiltonian(operators.SIGMA_X), [(operators.SIGMA_Z, np.nan)])
+
+
+def test_nan_initial_state_is_refused_before_stepping(monkeypatch):
+    # it raised IntegrationError after five attempts
+    from tflow.errors import StateConstraintError
+
+    calls = []
+    monkeypatch.setattr(dynamics.kernels, "schrodinger_steps",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(StateConstraintError):
+        dynamics.propagate_schrodinger(constant_hamiltonian(operators.SIGMA_X),
+                                       np.array([np.nan, 0.0]), TimeGrid(0.0, 1.0, 11))
+    assert calls == []

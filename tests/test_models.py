@@ -752,3 +752,14 @@ def test_hadamard_model_validation():
         models.hadamard_model(0.0, 1.0)
     with pytest.raises(ValueError):
         models.hadamard_model(1.0, -1.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: models.hadamard_model(1.0, np.nan),
+    lambda: models.hadamard_model(np.nan, 0.5),
+    lambda: models.dephasing_model(np.nan),
+    lambda: models.dephasing_analytics(np.nan, TimeGrid(0.0, 1.0, 11)),
+], ids=["hadamard-gamma", "hadamard-omega0", "dephasing-model", "dephasing-analytics"])
+def test_nan_rates_are_refused(build):
+    with pytest.raises(ValueError):
+        build()

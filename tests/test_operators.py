@@ -182,3 +182,13 @@ def test_four_level_density_matrix_validation():
     rho[0, 3] = rho[3, 0] = 0.05
     with pytest.raises(StateConstraintError, match=r"negative eigenvalue -1\.036e-01"):
         operators.assert_density_matrix(rho)
+
+
+def test_validators_refuse_nan():
+    # a NaN compared false against every tolerance and passed each check
+    with pytest.raises(OperatorConstraintError):
+        operators.assert_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(StateConstraintError):
+        operators.assert_unit_norm(np.array([np.nan, 0.0]))
+    with pytest.raises(ValueError):
+        operators.assert_density_matrix(np.diag([np.nan, 1.0]).astype(complex))

@@ -321,3 +321,48 @@ def test_peak_bounded_by_trace_term():
     # pi_max <= sqrt(trace term) / (net transfer) on every bundled model
     for name, m, peak, d_theta, trace, _ in bundled_model_cases():
         assert peak <= np.sqrt(trace) / d_theta * (1.0 + 1e-6), name
+
+
+# ---------------------------------------------------------------------------
+# one rule per bound
+
+
+def test_uncertainty_flag_agrees_with_the_report_inside_the_tolerance():
+    # product = eta * (1 - 5e-10): inside the report's 1e-9 slack, which the
+    # check did not share (it used 1e-12 and called the bound broken)
+    eta = 1.0 / (6.0 * np.sqrt(3.0))
+    delta_t = eta * (1.0 - 5e-10)
+    check = qsl.uncertainty_check(delta_t, operators.SIGMA_X, 0, 1.0)
+    report = qsl.build_bounds_report(
+        delta_theta=1.0, trace_term=2.0, pi_max=1.0,
+        measured=tf.Moments(mean=1.0, std=delta_t, raw=np.array([1.0, 1.0])),
+        hamiltonian=operators.SIGMA_X, target=0)
+    assert check.eta == report.uncertainty_eta
+    assert check.product == report.uncertainty_product
+    assert check.satisfied is report.satisfied["uncertainty"] is True
+
+
+def test_tf_qsl_open_without_times_is_the_batched_bound_at_zero():
+    bundle = models.hadamard_model(2.0 * np.pi, 1.5)
+    for dtheta in (0.4, 1.0):
+        assert qsl.tf_qsl_open(bundle.model, M_PLUS, dtheta) == qsl.tf_qsl_open(
+            bundle.model, M_PLUS, dtheta, times=[0.0])
+    model = dynamics.LindbladModel(models.lambda_hamiltonian(
+        models.LambdaConfig(1.0, 1.0, -1.0, 1.0, 1.0)))
+    with pytest.raises(ValueError, match="supply the evaluation times"):
+        qsl.tf_qsl_open(model, operators.projector(3, 1), 0.5)
+
+
+def test_bounds_report_computes_the_deviation_once(monkeypatch):
+    calls = []
+    std = qsl.hamiltonian_std
+    monkeypatch.setattr(qsl, "hamiltonian_std",
+                        lambda *args: calls.append(args) or std(*args))
+    h = models.hadamard_model(2.0, 0.0).model.hamiltonian(0.0)
+    report = qsl.build_bounds_report(
+        delta_theta=0.5, trace_term=1.0, pi_max=2.0, hamiltonian=h,
+        target=operators.plus_state(),
+        measured=tf.Moments(mean=0.3, std=0.2, raw=np.array([0.3, 0.13])))
+    assert len(calls) == 1
+    assert report.tau_tf_closed_derived == qsl.tf_qsl_closed(
+        h, operators.plus_state(), 0.5).derived

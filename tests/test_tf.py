@@ -258,3 +258,113 @@ def test_distribution_rejects_bad_density():
     grid = TimeGrid(0.0, 1.0, 11)
     with pytest.raises(ValueError):
         tf.TFDistribution(grid.times, np.ones(11), grid.dt, 1.0)  # integrates to ~1.1
+
+
+# ---------------------------------------------------------------------------
+# one builder per convention: every route gives the same bits as before
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _same_distribution(a: tf.TFDistribution, b: tf.TFDistribution) -> bool:
+    return (_same_bits(a.times, b.times) and _same_bits(a.density, b.density)
+            and a.normalization == b.normalization and a.dt == b.dt)
+
+
+@pytest.mark.parametrize("align", ["grid", "midpoints"])
+def test_tf_from_current_is_tf_from_rate_of_the_expectations(align):
+    grid = TimeGrid(0.0, 2.0, 301)
+    bundle = models.hadamard_model(3.0, 0.7)
+    traj = dynamics.propagate_lindblad(bundle.model, operators.projector(2, 0), grid)
+    rate = dynamics.expectation_series(traj, bundle.current_op)
+    got = tf.tf_from_current(traj, bundle.current_op, align)
+    assert _same_distribution(got, tf.tf_from_rate(grid, rate, align))
+    # the arithmetic of the hand-written normalization it replaced
+    raw = np.abs(rate if align == "grid" else 0.5 * (rate[1:] + rate[:-1]))
+    assert _same_bits(got.density, raw / float(np.sum(raw) * grid.dt))
+
+
+@pytest.mark.parametrize("waveform", [
+    models.ControlWaveform.constant(1.3),
+    models.ControlWaveform.polynomial(0.5, [0.1, -0.2, 0.05, 0.01]),
+    models.ControlWaveform.gaussian_pulse(0.5, 0.05),
+], ids=["constant", "polynomial", "gaussian"])
+def test_two_level_tf_closed_is_tf_from_rate(waveform):
+    grid = TimeGrid(0.0, 2.0, 801)
+    init = models.TwoLevelInitial(theta=1.0, phi=0.4)
+    rate = models.two_level_rate(waveform, init, grid.times)
+    got = models.two_level_tf_closed(waveform, init, grid)
+    assert _same_distribution(got, tf.tf_from_rate(grid, rate))
+    raw = np.abs(rate)
+    assert _same_bits(got.density, raw / float(np.sum(raw) * grid.dt))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("window", [(0.0, 1.3), (0.2, 1.1)], ids=["full", "part"])
+def test_sta_tf_closed_is_tf_from_population_of_the_flow_cdf(alpha, window):
+    # on part of the sweep the mass is not 1, so the order of the divisions shows
+    config = models.STAConfig(alpha=alpha, t_final=1.3, omega0=10.0)
+    grid = TimeGrid(*window, 1001)
+    dist, _ = models.sta_tf_closed(config, grid)
+    cdf = models.sta_flow_cdf(config, grid.times)
+    assert _same_distribution(
+        dist, tf.tf_from_population(tf.PopulationSeries(grid, cdf)))
+    mass = np.diff(cdf)
+    assert _same_bits(dist.density, mass / grid.dt / float(np.sum(mass)))
+
+
+def test_dephasing_distribution_is_tf_from_rate():
+    gamma, grid = 0.8, TimeGrid(0.0, 9.0, 1201)
+    analytics = models.dephasing_analytics(gamma, grid)
+    raw = 2.0 * gamma * np.exp(-2.0 * gamma * grid.times)
+    assert _same_distribution(analytics.distribution, tf.tf_from_rate(grid, raw))
+    assert _same_bits(analytics.distribution.density,
+                      raw / float(np.sum(raw) * grid.dt))
+
+
+def test_point_kinds_and_split_classify_a_plateau_alike():
+    # a rise, an exact plateau, a fall and a rise again on one grid
+    grid = TimeGrid(0.0, 4.0, 401)
+    t = grid.times
+    p = np.clip(np.where(t < 1.0, 0.4 * t, np.where(t < 2.0, 0.4, 0.4 - 0.3 * (t - 2.0))),
+                0.1, 1.0)
+    p[t > 3.5] = 0.1 + 0.2 * (t[t > 3.5] - 3.5)
+    split = tf.split_toa_tod(tf.PopulationSeries(grid, p))
+    from_segments = np.concatenate([[kind] * (i1 - i0) for i0, i1, kind in split.segments])
+    kinds = tf.point_kinds(np.diff(p), 1e-9)
+    assert kinds.tolist() == from_segments.tolist()
+    assert set(kinds.tolist()) == {tf.KIND_TOA, tf.KIND_TOD, tf.KIND_NEUTRAL}
+
+
+def test_split_support_at_the_flatness_rule_is_none():
+    # an arrival of 5e-13 in all is not above the one 1e-12 mass rule, even
+    # with no dead-band; it was a distribution of its own
+    grid = TimeGrid(0.0, 1.0, 11)
+    p = np.linspace(0.9, 0.4, 11)
+    p[3:5] = p[2]
+    p[4] += 5e-13
+    split = tf.split_toa_tod(tf.PopulationSeries(grid, p), slope_tolerance=0.0)
+    assert split.toa is None and split.n_a == np.inf
+    assert split.tod is not None
+
+
+def test_dephasing_window_without_flow_is_degenerate():
+    # exp(-800) underflows, so the window carries no flow mass; this raised
+    # ZeroDivisionError
+    with pytest.raises(DegenerateDistributionError):
+        models.dephasing_analytics(1.0, TimeGrid(400.0, 401.0, 11))
+
+
+def test_distribution_refuses_nan():
+    grid = TimeGrid(0.0, 1.0, 11)
+    with pytest.raises(ValueError):
+        tf.TFDistribution(grid.times, np.full(11, np.nan), grid.dt, 1.0)
+    density = np.full(11, 1.0 / 1.1)
+    density[3] = np.nan
+    with pytest.raises(ValueError):
+        tf.TFDistribution(grid.times, density, grid.dt, 1.0)
+    with pytest.raises(DegenerateDistributionError):
+        tf.tf_from_rate(grid, np.full(11, np.nan))
