@@ -385,8 +385,7 @@ def _run_hadamard(args, seed: int, factor: float) -> Run:
     rho0 = operators.projector(2, 0).astype(complex)
     traj = dynamics.propagate_lindblad(bundle.model, rho0, grid, args.substeps)
     p_plus = dynamics.population_series(traj, bundle.target)
-    series = tf.PopulationSeries(grid, p_plus)
-    fd = tf.tf_from_population(series)
+    fd = tf.tf_from_population(tf.PopulationSeries(grid, p_plus))
     fd_moments = tf.moments(fd)
     gamma_series = dynamics.expectation_series(traj, bundle.current_op)
     current = tf.tf_from_rate(grid, gamma_series).density

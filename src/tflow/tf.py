@@ -147,10 +147,15 @@ def tf_from_current(traj: Trajectory, op, align: str = "grid") -> TFDistribution
     return tf_from_rate(traj.grid, dynamics.expectation_series(traj, op), align)
 
 
+def _sign_codes(change: np.ndarray, band: float) -> np.ndarray:
+    """1 above ``band``, -1 below ``-band``, 0 in between (and for NaN)."""
+    return (change > band).astype(np.int8) - (change < -band)
+
+
 def point_kinds(change: np.ndarray, band: float) -> np.ndarray:
     """Kind of each signed change: TOA above ``band``, TOD below ``-band``,
     neutral in between (and for NaN)."""
-    return _KIND_OF_CODE[(change > band).astype(np.int8) - (change < -band)]
+    return _KIND_OF_CODE[_sign_codes(change, band)]
 
 
 @dataclass(frozen=True)
@@ -185,16 +190,16 @@ def split_toa_tod(series: PopulationSeries,
     dt = series.grid.dt
     tol = (1e-9 / dt) if slope_tolerance is None else float(slope_tolerance)
     dp = np.diff(p)
-    kinds = point_kinds(dp, tol * dt)
-    # runs of one kind end where the kind changes
-    ends = np.flatnonzero(kinds[1:] != kinds[:-1]) + 1
+    # the classifier of point_kinds, on int codes: runs end where the code changes
+    code = _sign_codes(dp, tol * dt)
+    ends = np.flatnonzero(code[1:] != code[:-1]) + 1
     starts = np.concatenate(([0], ends))
-    segments = list(zip(starts.tolist(), [*ends.tolist(), kinds.size],
-                        kinds[starts].tolist()))
+    segments = list(zip(starts.tolist(), [*ends.tolist(), code.size],
+                        _KIND_OF_CODE[code[starts]].tolist()))
     mid = series.grid.midpoints
 
-    def _support(kind: str) -> tuple[TFDistribution | None, float]:
-        mask = kinds == kind
+    def _support(sign: int, kind: str) -> tuple[TFDistribution | None, float]:
+        mask = code == sign
         change = np.abs(dp[mask])
         weight = float(np.sum(change))
         try:
@@ -202,8 +207,8 @@ def split_toa_tod(series: PopulationSeries,
         except DegenerateDistributionError:
             return None, np.inf
 
-    toa, n_a = _support(KIND_TOA)
-    tod, n_d = _support(KIND_TOD)
+    toa, n_a = _support(1, KIND_TOA)
+    tod, n_d = _support(-1, KIND_TOD)
     return SplitResult(segments=segments, toa=toa, tod=tod, n_a=n_a, n_d=n_d)
 
 

@@ -763,3 +763,11 @@ def test_hadamard_model_validation():
 def test_nan_rates_are_refused(build):
     with pytest.raises(ValueError):
         build()
+
+
+def test_sta_tf_closed_refuses_a_single_interval():
+    # the interval-mass builder needs three samples, as every other route
+    # to the subcommands' densities already did; one interval was accepted
+    config = models.STAConfig(alpha=1.0, t_final=1.0, omega0=1.0)
+    with pytest.raises(ValueError, match="at least 3 samples"):
+        models.sta_tf_closed(config, TimeGrid(0.0, 1.0, 2))
