@@ -41,7 +41,6 @@ from .protocol import (  # noqa: F401
     simulate_protocol,
 )
 from .qsl import (  # noqa: F401
-    BoundsReport,
     chebyshev_spread_bound,
     mt_dephasing_bound,
     spread_bound_from_qsl,

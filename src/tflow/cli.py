@@ -348,7 +348,7 @@ def _run_dephasing(args, seed: int, factor: float) -> Run:
         measured=exact,
         pi_max=2.0 * gamma,
         mt_bound=qsl.mt_dephasing_bound(gamma),
-    ).to_dict()
+    )
 
     return Run(
         inputs={"gamma": gamma, "t_end": t_end, "points": args.points},
@@ -399,7 +399,7 @@ def _run_hadamard(args, seed: int, factor: float) -> Run:
         pi_max=fd.peak,
         hamiltonian=bundle.model.hamiltonian(0.0),
         target=operators.plus_state(),
-    ).to_dict()
+    )
 
     return Run(
         inputs={"omega0": omega0, "gamma": gamma, "t_end": t_end,

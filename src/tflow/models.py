@@ -95,6 +95,7 @@ class ControlWaveform:
 
     @classmethod
     def constant(cls, omega0: float) -> "ControlWaveform":
+        operators.assert_finite(omega0=omega0)
         return cls(
             "constant",
             lambda t: np.full_like(t, omega0, dtype=float),
@@ -108,6 +109,7 @@ class ControlWaveform:
         a = np.asarray(coefficients, dtype=float)
         if a.shape != (4,):
             raise ValueError("expected exactly 4 polynomial coefficients")
+        operators.assert_finite(omega0=omega0, coefficients=a)
 
         def omega(t):
             return omega0 + sum(a[p] * t ** (p + 1) for p in range(4))
@@ -122,6 +124,7 @@ class ControlWaveform:
     def gaussian_pulse(cls, t0: float, sigma: float,
                        area: float = np.pi) -> "ControlWaveform":
         """Normalized gaussian drive of total angle ``area`` centered at t0."""
+        operators.assert_finite(t0=t0, sigma=sigma, area=area)
         if sigma <= 0:
             raise ValueError("sigma must be positive")
         norm = area / np.sqrt(2.0 * np.pi * sigma * sigma)
@@ -543,6 +546,8 @@ class STAConfig:
     omega0: float
 
     def __post_init__(self):
+        operators.assert_finite(alpha=self.alpha, t_final=self.t_final,
+                                omega0=self.omega0)
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
         if self.t_final <= 0:

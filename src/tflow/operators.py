@@ -9,6 +9,8 @@ frequencies are in rad per time unit and hbar = 1 throughout.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -114,6 +116,13 @@ def expectation(state: np.ndarray, op: np.ndarray) -> complex:
 
 # ---------------------------------------------------------------------------
 # validators: each comparison is written so that a NaN fails it
+
+
+def assert_finite(**values) -> None:
+    """Refuse a NaN or infinite number, or array entry, by its name."""
+    for name, value in values.items():
+        if not all(map(math.isfinite, np.ravel(value).tolist())):
+            raise ValueError(f"{name} must be finite, not {value}")
 
 
 def hermiticity_defect(a: np.ndarray) -> float:

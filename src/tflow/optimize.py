@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import models
+from . import models, operators
 from .dynamics import TimeGrid
 from .tf import Moments, PopulationSeries, TFDistribution
 
@@ -42,6 +42,11 @@ class OptimizeConfig:
     tolerance: float = 1e-10
 
     def __post_init__(self):
+        operators.assert_finite(
+            t_horizon=self.t_horizon, omega0=self.omega0,
+            lambda_mono=self.lambda_mono, lambda_reg=self.lambda_reg,
+            initial_coefficients=self.initial_coefficients,
+            simplex_scale=self.simplex_scale, tolerance=self.tolerance)
         if self.t_horizon <= 0:
             raise ValueError("t_horizon must be positive")
         if self.lambda_mono < 0 or self.lambda_reg < 0:

@@ -169,67 +169,21 @@ def mt_dephasing_bound(gamma: float) -> float:
     return 1.0 / (np.sqrt(2.0) * gamma)
 
 
-@dataclass(frozen=True)
-class BoundsReport:
-    """All bounds for one model/projector pair next to measured statistics."""
-
-    delta_theta: float
-    trace_term: float
-    tau_tf: float
-    tau_tf_closed_printed: float | None
-    tau_tf_closed_derived: float | None
-    spread_bound_chebyshev: float
-    spread_bound_qsl: float
-    uncertainty_eta: float
-    uncertainty_product: float | None
-    measured_mean: float
-    measured_std: float
-    measured_pi_max: float
-    satisfied: dict
-    mt_bound: float | None = None
-    std_over_qsl_spread_bound: float | None = None
-
-    def to_dict(self) -> dict:
-        def clean(x):
-            if x is None:
-                return None
-            x = float(x)
-            return x if np.isfinite(x) else None
-
-        out = {
-            "delta_theta": clean(self.delta_theta),
-            "trace_term": clean(self.trace_term),
-            "tau_tf": clean(self.tau_tf),
-            "tau_tf_closed_printed": clean(self.tau_tf_closed_printed),
-            "tau_tf_closed_derived": clean(self.tau_tf_closed_derived),
-            "spread_bound_chebyshev": clean(self.spread_bound_chebyshev),
-            "spread_bound_qsl": clean(self.spread_bound_qsl),
-            "uncertainty_eta": clean(self.uncertainty_eta),
-            "uncertainty_product": clean(self.uncertainty_product),
-            "measured": {
-                "mean": clean(self.measured_mean),
-                "std": clean(self.measured_std),
-                "pi_max": clean(self.measured_pi_max),
-            },
-            "satisfied": dict(self.satisfied),
-        }
-        if self.mt_bound is not None:
-            out["mt_bound"] = clean(self.mt_bound)
-            out["std_over_qsl_spread_bound"] = clean(self.std_over_qsl_spread_bound)
-        return out
-
-
 def build_bounds_report(*, delta_theta: float, trace_term: float,
                         measured: Moments, pi_max: float,
                         hamiltonian: np.ndarray | None = None, target=None,
-                        mt_bound: float | None = None) -> BoundsReport:
-    """Assemble the bound set from precomputed scalars.
+                        mt_bound: float | None = None) -> dict:
+    """Assemble the bound set from precomputed scalars as a report dict.
 
     ``hamiltonian``, with the ``target`` basis index or state of the
     transfer, enables the closed-system variants and the product check;
     leave it None for purely dissipative generators, where those forms do
     not apply. ``mt_bound`` adds the fidelity-based comparison value and
     the ratio of the measured spread to the QSL spread bound.
+
+    Values are kept as computed, so a frozen target's tau_tf is +inf; a
+    form that does not apply is None. The CLI's JSON writer turns every
+    non-finite value into null.
     """
     tau = delta_theta / np.sqrt(trace_term) if trace_term > 0 else np.inf
     cheb = chebyshev_spread_bound(pi_max)
@@ -251,27 +205,24 @@ def build_bounds_report(*, delta_theta: float, trace_term: float,
     }
     if product is not None:
         satisfied["uncertainty"] = _holds(product, eta)
-    std_over_spread = None
+    report = {
+        "delta_theta": delta_theta,
+        "trace_term": trace_term,
+        "tau_tf": tau,
+        "tau_tf_closed_printed": closed_printed,
+        "tau_tf_closed_derived": closed_derived,
+        "spread_bound_chebyshev": cheb,
+        "spread_bound_qsl": qsl_spread,
+        "uncertainty_eta": eta,
+        "uncertainty_product": product,
+        "measured": {"mean": measured.mean, "std": measured.std, "pi_max": pi_max},
+        "satisfied": satisfied,
+    }
     if mt_bound is not None:
         satisfied["mt_comparison_ratio_half"] = bool(abs(tau / mt_bound - 0.5) < 1e-9)
+        report["mt_bound"] = mt_bound
         # rounded as std / (C dtheta / sqrt(trace)), not std / qsl_spread, so
         # the ratio repeats bit for bit across report versions
-        std_over_spread = measured.std / (
+        report["std_over_qsl_spread_bound"] = measured.std / (
             CHEBYSHEV_FACTOR * delta_theta / np.sqrt(trace_term))
-    return BoundsReport(
-        delta_theta=delta_theta,
-        trace_term=trace_term,
-        tau_tf=tau,
-        tau_tf_closed_printed=closed_printed,
-        tau_tf_closed_derived=closed_derived,
-        spread_bound_chebyshev=cheb,
-        spread_bound_qsl=qsl_spread,
-        uncertainty_eta=eta,
-        uncertainty_product=product,
-        measured_mean=measured.mean,
-        measured_std=measured.std,
-        measured_pi_max=pi_max,
-        satisfied=satisfied,
-        mt_bound=mt_bound,
-        std_over_qsl_spread_bound=std_over_spread,
-    )
+    return report

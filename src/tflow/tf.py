@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dynamics
+from . import dynamics, operators
 from .dynamics import TimeGrid, Trajectory
 from .errors import DegenerateDistributionError, DimensionMismatchError
 
@@ -251,13 +251,14 @@ def step_model_statistics(steps: list[tuple[float, float]]) -> StepModelStats:
     The flow density is a train of delta spikes, handled symbolically so
     no grid is involved: TOA statistics use the positive weights, TOD the
     magnitudes of negative weights, TF all magnitudes, each renormalized
-    over its own set. Step times must be strictly increasing and every
-    partial sum of the weights must stay inside [0, 1].
+    over its own set. Step times and weights must be finite, the times
+    strictly increasing, and every partial sum of the weights in [0, 1].
     """
     if not steps:
         raise ValueError("need at least one step")
     ts = np.array([t for t, _ in steps], dtype=float)
     ws = np.array([a for _, a in steps], dtype=float)
+    operators.assert_finite(step_times=ts, weights=ws)
     if np.any(np.diff(ts) <= 0):
         raise ValueError("step times must be strictly increasing")
     partial = np.cumsum(ws)

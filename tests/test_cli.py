@@ -648,3 +648,38 @@ def test_nan_gamma_is_refused_and_writes_nothing(tmp_path, capsys):
     assert rc == 2
     assert "gamma must be >= 0" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["sta", "--alpha", "nan", "--points", "50"], "alpha"),
+    (["sta", "--alpha", "1", "--omega0", "nan", "--points", "50"], "omega0"),
+    (["two-level", "--omega0", "nan", "--t-end", "1", "--points", "50"], "omega0"),
+    (["two-level", "--waveform", "gaussian", "--t0", "nan", "--sigma", "0.1",
+      "--t-end", "1"], "t0"),
+    (["two-level", "--waveform", "polynomial", "--coefficients", "nan", "0", "0", "0",
+      "--t-end", "1"], "coefficients"),
+], ids=["sta-alpha", "sta-omega0", "two-level-omega0", "gaussian-t0",
+        "polynomial-coefficients"])
+def test_non_finite_scenario_number_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                                argv, name):
+    # each exited 3 as a flat flow, or 0 with a NaN report (sta --omega0)
+    assert main(argv + ["--outdir", str(tmp_path)]) == 2
+    assert f"{name} must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("entry", [
+    '"lambda_reg": NaN', '"lambda_mono": NaN', '"simplex_scale": NaN',
+    '"tolerance": NaN', '"omega0": NaN', '"omega0": Infinity',
+])
+def test_optimize_non_finite_config_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                                entry):
+    # json.loads accepts NaN and Infinity; the weights ran to "cost": null
+    # (exit 0) and omega0 to a flat flow (exit 3)
+    config = tmp_path / "config.json"
+    config.write_text('{"t_horizon": 1.0, "omega0": 2.5, ' + entry + "}",
+                      encoding="utf-8")
+    outdir = tmp_path / "out"
+    assert main(["optimize", "--config", str(config), "--outdir", str(outdir)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert list(outdir.iterdir()) == []

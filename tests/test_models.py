@@ -765,6 +765,27 @@ def test_nan_rates_are_refused(build):
         build()
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda bad: models.STAConfig(alpha=bad, t_final=1.0, omega0=1.0), "alpha"),
+    (lambda bad: models.STAConfig(alpha=1.0, t_final=bad, omega0=1.0), "t_final"),
+    (lambda bad: models.STAConfig(alpha=1.0, t_final=1.0, omega0=bad), "omega0"),
+    (lambda bad: models.ControlWaveform.constant(bad), "omega0"),
+    (lambda bad: models.ControlWaveform.polynomial(bad, [0.0] * 4), "omega0"),
+    (lambda bad: models.ControlWaveform.polynomial(1.0, [0.0, 0.0, bad, 0.0]),
+     "coefficients"),
+    (lambda bad: models.ControlWaveform.gaussian_pulse(bad, 0.1), "t0"),
+    (lambda bad: models.ControlWaveform.gaussian_pulse(0.5, bad), "sigma"),
+    (lambda bad: models.ControlWaveform.gaussian_pulse(0.5, 0.1, bad), "area"),
+], ids=["sta-alpha", "sta-t_final", "sta-omega0", "constant", "polynomial-omega0",
+        "polynomial-coefficient", "gaussian-t0", "gaussian-sigma", "gaussian-area"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_scenario_numbers_are_refused(build, name, bad):
+    # a NaN compared false against every sign check and passed, then gave a
+    # flat flow (exit 3) or a quiet NaN report
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        build(bad)
+
+
 def test_sta_tf_closed_refuses_a_single_interval():
     # the interval-mass builder needs three samples, as every other route
     # to the subcommands' densities already did; one interval was accepted

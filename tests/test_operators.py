@@ -192,3 +192,10 @@ def test_validators_refuse_nan():
         operators.assert_unit_norm(np.array([np.nan, 0.0]))
     with pytest.raises(ValueError):
         operators.assert_density_matrix(np.diag([np.nan, 1.0]).astype(complex))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, (0.0, np.nan)])
+def test_assert_finite_refuses_by_name(value):
+    with pytest.raises(ValueError, match="^rate must be finite, not "):
+        operators.assert_finite(omega=1.0, rate=value)
+    operators.assert_finite(omega=1.0, rate=0.0, coefficients=(0.0, -1e300))

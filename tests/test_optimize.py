@@ -130,6 +130,19 @@ def test_config_validation():
                                 initial_coefficients=(1.0, 2.0))
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("t_horizon", np.inf), ("omega0", np.nan), ("omega0", np.inf),
+    ("lambda_mono", np.nan), ("lambda_reg", np.nan), ("simplex_scale", np.nan),
+    ("tolerance", np.nan), ("initial_coefficients", (0.0, np.nan, 0.0, 0.0)),
+])
+def test_config_refuses_non_finite_values(field, bad):
+    # NaN weights, scale or tolerance ran to a NaN cost; a NaN or infinite
+    # omega0 failed later as a flat flow
+    data = {"t_horizon": 1.0, "omega0": 2.5, field: bad}
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        optimize.OptimizeConfig.from_dict(data)
+
+
 def test_config_from_dict_roundtrip():
     data = {"t_horizon": 2.0, "omega0": 1.5, "lambda_mono": 0.7,
             "initial_coefficients": [0.1, 0.0, 0.0, 0.0]}

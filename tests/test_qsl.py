@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tflow import dynamics, models, operators, qsl, tf
+from tflow import cli, dynamics, models, operators, qsl, tf
 from tflow.dynamics import TimeGrid
 from tflow.errors import DimensionMismatchError
 
@@ -202,17 +202,16 @@ def test_build_bounds_report_dephasing():
         pi_max=2.0 * gamma,
         mt_bound=qsl.mt_dephasing_bound(gamma),
     )
-    assert report.tau_tf == pytest.approx(1.0 / (2.0 * np.sqrt(2.0)), rel=1e-12)
-    assert report.satisfied["spread_qsl"]
-    assert report.satisfied["spread_chebyshev"]
-    assert report.satisfied["mt_comparison_ratio_half"]
-    assert report.tau_tf_closed_printed is None
-    payload = report.to_dict()
-    assert payload["measured"]["std"] == 0.5
-    assert payload["mt_bound"] == qsl.mt_dephasing_bound(gamma)
-    assert payload["std_over_qsl_spread_bound"] == pytest.approx(
-        0.5 / report.spread_bound_qsl, rel=1e-15)
-    assert list(payload)[-2:] == ["mt_bound", "std_over_qsl_spread_bound"]
+    assert report["tau_tf"] == pytest.approx(1.0 / (2.0 * np.sqrt(2.0)), rel=1e-12)
+    assert report["satisfied"]["spread_qsl"]
+    assert report["satisfied"]["spread_chebyshev"]
+    assert report["satisfied"]["mt_comparison_ratio_half"]
+    assert report["tau_tf_closed_printed"] is None
+    assert report["measured"]["std"] == 0.5
+    assert report["mt_bound"] == qsl.mt_dephasing_bound(gamma)
+    assert report["std_over_qsl_spread_bound"] == pytest.approx(
+        0.5 / report["spread_bound_qsl"], rel=1e-15)
+    assert list(report)[-2:] == ["mt_bound", "std_over_qsl_spread_bound"]
 
 
 def test_build_bounds_report_closed_variants():
@@ -223,18 +222,19 @@ def test_build_bounds_report_closed_variants():
         delta_theta=0.5, trace_term=omega0 ** 2 / 4.0, measured=measured,
         pi_max=2.0, hamiltonian=h, target=operators.plus_state())
     closed = qsl.tf_qsl_closed(h, operators.plus_state(), 0.5)
-    assert report.tau_tf_closed_printed == closed.printed
-    assert report.tau_tf_closed_derived == closed.derived
-    assert report.tau_tf_closed_derived == pytest.approx(report.tau_tf, rel=1e-12)
-    assert report.spread_bound_qsl == qsl.spread_bound_from_qsl(report.tau_tf)
-    assert report.uncertainty_product == 0.2 * qsl.hamiltonian_std(h, operators.plus_state())
-    assert "mt_bound" not in report.to_dict()
+    assert report["tau_tf_closed_printed"] == closed.printed
+    assert report["tau_tf_closed_derived"] == closed.derived
+    assert report["tau_tf_closed_derived"] == pytest.approx(report["tau_tf"], rel=1e-12)
+    assert report["spread_bound_qsl"] == qsl.spread_bound_from_qsl(report["tau_tf"])
+    assert report["uncertainty_product"] == 0.2 * qsl.hamiltonian_std(
+        h, operators.plus_state())
+    assert "mt_bound" not in report
     # an eigenstate target has no closed-system bound and no product
     eigen = qsl.build_bounds_report(
         delta_theta=0.5, trace_term=1.0, measured=measured, pi_max=2.0,
         hamiltonian=operators.SIGMA_Z, target=0)
-    assert eigen.tau_tf_closed_printed is None and eigen.uncertainty_product is None
-    assert "uncertainty" not in eigen.satisfied
+    assert eigen["tau_tf_closed_printed"] is None and eigen["uncertainty_product"] is None
+    assert "uncertainty" not in eigen["satisfied"]
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +337,9 @@ def test_uncertainty_flag_agrees_with_the_report_inside_the_tolerance():
         delta_theta=1.0, trace_term=2.0, pi_max=1.0,
         measured=tf.Moments(mean=1.0, std=delta_t, raw=np.array([1.0, 1.0])),
         hamiltonian=operators.SIGMA_X, target=0)
-    assert check.eta == report.uncertainty_eta
-    assert check.product == report.uncertainty_product
-    assert check.satisfied is report.satisfied["uncertainty"] is True
+    assert check.eta == report["uncertainty_eta"]
+    assert check.product == report["uncertainty_product"]
+    assert check.satisfied is report["satisfied"]["uncertainty"] is True
 
 
 def test_tf_qsl_open_without_times_is_the_batched_bound_at_zero():
@@ -364,5 +364,44 @@ def test_bounds_report_computes_the_deviation_once(monkeypatch):
         target=operators.plus_state(),
         measured=tf.Moments(mean=0.3, std=0.2, raw=np.array([0.3, 0.13])))
     assert len(calls) == 1
-    assert report.tau_tf_closed_derived == qsl.tf_qsl_closed(
+    assert report["tau_tf_closed_derived"] == qsl.tf_qsl_closed(
         h, operators.plus_state(), 0.5).derived
+
+
+# the report's keys, in the order the CLI has always written them
+REPORT_KEYS = ["delta_theta", "trace_term", "tau_tf", "tau_tf_closed_printed",
+               "tau_tf_closed_derived", "spread_bound_chebyshev", "spread_bound_qsl",
+               "uncertainty_eta", "uncertainty_product", "measured", "satisfied"]
+
+
+def test_bounds_report_keeps_its_key_order():
+    measured = tf.Moments(mean=0.3, std=0.2, raw=np.array([0.3, 0.13]))
+    dephasing = qsl.build_bounds_report(
+        delta_theta=0.5, trace_term=2.0, measured=measured, pi_max=2.0,
+        mt_bound=qsl.mt_dephasing_bound(1.0))
+    assert list(dephasing) == REPORT_KEYS + ["mt_bound", "std_over_qsl_spread_bound"]
+    assert list(dephasing["measured"]) == ["mean", "std", "pi_max"]
+    assert list(dephasing["satisfied"]) == [
+        "spread_chebyshev", "spread_qsl", "mt_comparison_ratio_half"]
+    h = models.hadamard_model(2.0, 0.0).model.hamiltonian(0.0)
+    closed = qsl.build_bounds_report(
+        delta_theta=0.5, trace_term=1.0, measured=measured, pi_max=2.0,
+        hamiltonian=h, target=operators.plus_state())
+    assert list(closed) == REPORT_KEYS
+    assert list(closed["satisfied"]) == ["spread_chebyshev", "spread_qsl", "uncertainty"]
+    eigen = qsl.build_bounds_report(
+        delta_theta=0.5, trace_term=1.0, measured=measured, pi_max=2.0,
+        hamiltonian=operators.SIGMA_Z, target=0)
+    assert list(eigen) == REPORT_KEYS
+    assert eigen["tau_tf_closed_printed"] is None
+    assert eigen["tau_tf_closed_derived"] is None
+    assert list(eigen["satisfied"]) == ["spread_chebyshev", "spread_qsl"]
+
+
+def test_frozen_target_bound_is_written_as_null():
+    report = qsl.build_bounds_report(
+        delta_theta=0.5, trace_term=0.0, pi_max=2.0,
+        measured=tf.Moments(mean=0.3, std=0.2, raw=np.array([0.3, 0.13])))
+    assert report["tau_tf"] == np.inf
+    assert report["spread_bound_qsl"] == 0.0
+    assert cli._jsonable(report)["tau_tf"] is None

@@ -226,6 +226,18 @@ def test_step_statistics_validation():
         tf.step_model_statistics([])
 
 
+@pytest.mark.parametrize("steps, name", [
+    ([(np.nan, 0.5), (2.0, 0.5)], "step_times"),
+    ([(1.0, 0.5), (np.inf, 0.5)], "step_times"),
+    ([(1.0, np.nan), (2.0, 0.5)], "weights"),
+], ids=["nan-time", "inf-time", "nan-weight"])
+def test_step_statistics_refuse_non_finite_steps(steps, name):
+    # they gave a NaN mean, an infinite mean with a NaN std, and a
+    # DegenerateDistributionError
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        tf.step_model_statistics(steps)
+
+
 def test_delta_pulse_limit_concentrates():
     t0 = 1.0
     for sigma in (0.2, 0.1, 0.05):
