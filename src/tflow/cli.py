@@ -27,6 +27,7 @@ import argparse
 import datetime
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -468,6 +469,14 @@ def _run_optimize(args, seed: int, factor: float) -> Run:
 # parser
 
 
+def finite(text: str) -> float:
+    """argparse type of every float option: NaN and +-inf exit 2 at parsing."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, not {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tflow",
@@ -491,17 +500,17 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(default: automatic)")
 
     p = sub.add_parser("two-level", help="driven two-level transfer")
-    p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--phi", type=float, default=0.0)
+    p.add_argument("--theta", type=finite, default=0.0)
+    p.add_argument("--phi", type=finite, default=0.0)
     p.add_argument("--waveform", choices=["constant", "polynomial", "gaussian"],
                    default="constant")
-    p.add_argument("--omega0", type=float, default=1.0)
-    p.add_argument("--coefficients", type=float, nargs=4, default=None,
+    p.add_argument("--omega0", type=finite, default=1.0)
+    p.add_argument("--coefficients", type=finite, nargs=4, default=None,
                    metavar=("A1", "A2", "A3", "A4"))
-    p.add_argument("--t0", type=float, default=None, help="gaussian pulse center")
-    p.add_argument("--sigma", type=float, default=None, help="gaussian pulse width")
-    p.add_argument("--t-start", type=float, default=0.0)
-    p.add_argument("--t-end", type=float, default=None)
+    p.add_argument("--t0", type=finite, default=None, help="gaussian pulse center")
+    p.add_argument("--sigma", type=finite, default=None, help="gaussian pulse width")
+    p.add_argument("--t-start", type=finite, default=0.0)
+    p.add_argument("--t-end", type=finite, default=None)
     p.add_argument("--points", type=int, default=1000)
     p.add_argument("--protocol", type=int, default=None, metavar="N",
                    help="also sample the measurement protocol with N trials per point")
@@ -509,9 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_run_two_level)
 
     p = sub.add_parser("sta", help="counterdiabatic sweep arrival statistics")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--t-final", type=float, default=1.0)
-    p.add_argument("--omega0", type=float, default=10.0)
+    p.add_argument("--alpha", type=finite, required=True)
+    p.add_argument("--t-final", type=finite, default=1.0)
+    p.add_argument("--omega0", type=finite, default=10.0)
     p.add_argument("--points", type=int, default=1000)
     p.add_argument("--numeric", action="store_true",
                    help="also propagate numerically and report the deviation")
@@ -519,26 +528,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_run_sta)
 
     p = sub.add_parser("lambda", help="three-level detuning sweep")
-    p.add_argument("--omega1", type=float, required=True)
-    p.add_argument("--omega2", type=float, required=True)
-    p.add_argument("--delta-i", type=float, required=True)
-    p.add_argument("--delta-f", type=float, required=True)
-    p.add_argument("--t-final", type=float, required=True)
+    p.add_argument("--omega1", type=finite, required=True)
+    p.add_argument("--omega2", type=finite, required=True)
+    p.add_argument("--delta-i", type=finite, required=True)
+    p.add_argument("--delta-f", type=finite, required=True)
+    p.add_argument("--t-final", type=finite, required=True)
     p.add_argument("--points", type=int, default=2000)
     add_common(p, substeps=True)
     p.set_defaults(func=_run_lambda)
 
     p = sub.add_parser("dephasing", help="pure dephasing transition")
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--t-end", type=float, default=None)
+    p.add_argument("--gamma", type=finite, required=True)
+    p.add_argument("--t-end", type=finite, default=None)
     p.add_argument("--points", type=int, default=2000)
     add_common(p, substeps=True)
     p.set_defaults(func=_run_dephasing)
 
     p = sub.add_parser("hadamard", help="Hadamard rotation with dephasing")
-    p.add_argument("--omega0", type=float, required=True)
-    p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--t-end", type=float, default=None)
+    p.add_argument("--omega0", type=finite, required=True)
+    p.add_argument("--gamma", type=finite, default=0.0)
+    p.add_argument("--t-end", type=finite, default=None)
     p.add_argument("--points", type=int, default=2000)
     add_common(p, substeps=True)
     p.set_defaults(func=_run_hadamard)

@@ -35,6 +35,7 @@ practice and only the magnitude matters for flow distributions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -74,10 +75,15 @@ class TimeGrid:
     n_points: int
 
     def __post_init__(self):
+        operators.assert_finite(t_start=self.t_start, t_end=self.t_end)
         if self.n_points < 2:
             raise ValueError("a time grid needs at least 2 points")
         if not self.t_end > self.t_start:
             raise ValueError("t_end must exceed t_start")
+        # a subnormal step has lost digits and overflows 1/dt; an infinite
+        # one comes from a window wider than the largest float
+        if not sys.float_info.min <= self.dt < math.inf:
+            raise ValueError(f"the grid step {self.dt:.3g} is not a normal float")
 
     @property
     def dt(self) -> float:
@@ -474,16 +480,6 @@ def lindblad_adjoint(model: LindbladModel, m: np.ndarray,
         t = 0.0
     h = model.hamiltonian(t)
     return 1.0j * operators.commutator(h, m) + dissipator_adjoint(model, m)
-
-
-def lindblad_rhs(model: LindbladModel, rho: np.ndarray,
-                 t: float = 0.0) -> np.ndarray:
-    """L(rho) at time t; the forward generator dual to lindblad_adjoint."""
-    rho = np.asarray(rho, dtype=complex)
-    jumps, jump_dags, half_b = model.scaled_jumps()
-    return kernels.lindblad_rhs_dense(
-        model.hamiltonian(t), rho, jumps, jump_dags, half_b
-    )
 
 
 def population_series(traj: Trajectory, m: np.ndarray) -> np.ndarray:

@@ -58,18 +58,6 @@ import numpy as np
 _BATCH_STEPS = 1024
 
 
-def lindblad_rhs_dense(hmat, rho, jump_ops, jump_dags, half_b):
-    """-i[H, rho] + sum_j A_j rho A_j^dag - (B/2) rho - rho (B/2).
-
-    One-shot evaluation used outside the stepping kernels (adjoint
-    duality checks, diagnostics).
-    """
-    dr = -1j * (hmat @ rho - rho @ hmat) - (half_b @ rho + rho @ half_b)
-    for j in range(jump_ops.shape[0]):
-        dr = dr + jump_ops[j] @ (rho @ jump_dags[j])
-    return dr
-
-
 def _mm(a, b):
     """a @ b on (D, D, ...) stacks, batch axes last: a sum of D broadcast
     products, each one ufunc over the contiguous batch."""

@@ -13,16 +13,15 @@ Four families are bundled:
 * open-system examples: pure sigma_z dephasing, and a Hadamard-axis
   rotation with a dephasing channel.
 
-Frequencies are angular (rad per time unit, hbar = 1); helpers accepting
-cyclic MHz multiply by 2*pi at the boundary.
+Frequencies are angular (rad per time unit, hbar = 1).
 
 The closed-form moments of the constant drive and of the counterdiabatic
 sweep are exact sums: closed forms over the pieces between the analytic
 roots of the rate, and term-by-term integrals of Taylor series. The
 polynomial and gaussian drives enumerate every sign change of the rate
 exactly (zeros of the drive, and inversions of the monotone pieces of W)
-and integrate between them with one fixed Gauss-Legendre rule. Custom
-drives are probed on a grid. Nothing here imports scipy.
+and integrate between them with one fixed Gauss-Legendre rule. Nothing
+here imports scipy.
 """
 
 from __future__ import annotations
@@ -49,17 +48,13 @@ from .errors import DegenerateDistributionError, IntegrationError
 from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z
 from .tf import Moments, PopulationSeries, TFDistribution
 
-# Gauss-Legendre order of every quadrature below: the moment integrals
-# over pieces spanning at most pi/8 of W, and the panels of a custom
-# drive's cumulative (at most _PANEL long). 8 is the smallest order that
-# holds the moments of the old adaptive quadrature to 1e-13 relative;
-# 6 is off by up to 2e-9.
+# Gauss-Legendre order of the moment integrals over pieces spanning at
+# most pi/8 of W. 8 is the smallest order that holds the moments of the
+# old adaptive quadrature to 1e-13 relative; 6 is off by up to 2e-9.
 _GL_ORDER = 8
-_PANEL = 2.0 ** -6
 # W may span at most this much on a moment window: 2^20 pieces of pi/8
 _MAX_ANGLE_SPAN = 2.0 ** 17 * np.pi
-# pieces (or cumulative panels) integrated per numpy pass, which bounds the
-# memory of a long window
+# pieces integrated per numpy pass, which bounds the memory of a long window
 _CHUNK = 2 ** 14
 _SQRT_HALF = math.sqrt(0.5)
 _ERFC = np.frompyfunc(math.erfc, 1, 1)
@@ -76,8 +71,7 @@ class ControlWaveform:
     """Drive frequency w(t) together with its accumulated angle W(t).
 
     W is in closed form for the constant, polynomial and gaussian kinds
-    (the gaussian through ``_ndtr``); custom waveforms without a supplied
-    antiderivative use composite Gauss-Legendre quadrature.
+    (the gaussian through ``_ndtr``).
     """
 
     def __init__(self, kind: str, omega: Callable, cumulative: Callable,
@@ -139,26 +133,6 @@ class ControlWaveform:
         return cls("gaussian", omega, cumulative,
                    {"t0": t0, "sigma": sigma, "area": area})
 
-    @classmethod
-    def custom(cls, omega: Callable[[float], float],
-               cumulative: Callable[[float], float] | None = None) -> "ControlWaveform":
-        """A drive given by a scalar callable w(t).
-
-        Without ``cumulative``, W(t) is composite Gauss-Legendre quadrature
-        from 0 (``_GL_ORDER`` points on panels at most 2^-6 long), exact to
-        rounding for drives smooth on that scale. The moments of a custom drive
-        find its sign changes only where a probe grid brackets them (see
-        ``two_level_moments_closed``).
-        """
-        omega_v = np.vectorize(omega, otypes=[float])
-        if cumulative is None:
-            def cumulative_v(t):
-                out = _composite_cumulative(omega_v, t)
-                return out if np.ndim(t) else float(out)
-        else:
-            cumulative_v = np.vectorize(cumulative, otypes=[float])
-        return cls("custom", omega_v, cumulative_v, {})
-
 
 def _ndtr(x):
     """Standard normal CDF 0.5 erfc(-x/sqrt 2), element-wise through
@@ -173,42 +147,6 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     from numpy.polynomial import legendre
 
     return legendre.leggauss(_GL_ORDER)
-
-
-def _panel_integrals(omega: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """int_lo^hi omega for every pair, by one Gauss-Legendre panel each."""
-    nodes, weights = _gauss_legendre()
-    half = 0.5 * (hi - lo)
-    return omega(0.5 * (hi + lo)[:, None] + half[:, None] * nodes) @ weights * half
-
-
-def _composite_cumulative(omega: Callable, t) -> np.ndarray:
-    """int_0^t omega for every entry of t, by composite Gauss-Legendre.
-
-    0 and the sorted times cut the line into gaps; each gap is split into
-    equal panels at most _PANEL long, and the panel integrals are summed
-    cumulatively. Panels are integrated _CHUNK at a time, so memory does
-    not grow with |t|.
-    """
-    t = np.asarray(t, dtype=float)
-    knots = np.concatenate(([0.0], t.ravel()))
-    order = np.argsort(knots, kind="stable")
-    left = knots[order]
-    gaps = np.diff(left)
-    panels = np.maximum(np.ceil(gaps / _PANEL), 1).astype(int)
-    width = gaps / panels
-    ends = np.cumsum(panels)
-    first = ends - panels  # index of each gap's first panel
-    per_gap = np.zeros(gaps.size)
-    for s in range(0, int(panels.sum()), _CHUNK):
-        index = np.arange(s, min(s + _CHUNK, ends[-1]))
-        gap = np.searchsorted(ends, index, side="right")
-        start = left[gap] + width[gap] * (index - first[gap])
-        per_gap += np.bincount(gap, _panel_integrals(omega, start, start + width[gap]),
-                               minlength=gaps.size)
-    out = np.empty_like(knots)
-    out[order] = np.concatenate(([0.0], np.cumsum(per_gap)))
-    return (out[1:] - out[0]).reshape(t.shape)
 
 
 @dataclass(frozen=True)
@@ -260,11 +198,8 @@ def two_level_population(waveform: ControlWaveform, init: TwoLevelInitial, t):
 
 def two_level_rate(waveform: ControlWaveform, init: TwoLevelInitial, t):
     """Signed dp_1/dt = (w/2)[cos(theta) sin(W) - sin(theta) cos(W) sin(phi)]."""
-    return _rate(waveform.omega(t), waveform.cumulative(t), init)
-
-
-def _rate(omega, angle, init: TwoLevelInitial):
-    return 0.5 * omega * (
+    angle = waveform.cumulative(t)
+    return 0.5 * waveform.omega(t) * (
         np.cos(init.theta) * np.sin(angle)
         - np.sin(init.theta) * np.cos(angle) * np.sin(init.phi)
     )
@@ -288,15 +223,14 @@ def two_level_moments_closed(waveform: ControlWaveform, init: TwoLevelInitial,
     exact sums (``_constant_drive_integrals``), whatever the number of sign
     changes. For polynomial and gaussian drives ``_drive_cuts`` finds every
     sign change: the real roots of w, and the solutions of
-    W = delta + k pi on each piece where W is monotone. A custom drive is
-    probed on a grid on which W moves by at most pi/8 between points
-    (``_probed_cuts``); its sign changes are found only where the probe
-    brackets them, so two within one probe interval are missed. Between the
-    cuts ``_piece_moments`` applies one Gauss-Legendre rule, and no scipy
-    is involved. ``IntegrationError`` is raised when that needs more than
-    2^20 pieces of pi/8: W spans more than 2^17 pi on the window, or a
-    custom drive's probe needs more than 2^20 intervals.
+    W = delta + k pi on each piece where W is monotone. Between the cuts
+    ``_piece_moments`` applies one Gauss-Legendre rule, and no scipy is
+    involved. ``IntegrationError`` is raised when W spans more than 2^17 pi
+    on the window (more than 2^20 pieces of pi/8). Any other waveform kind
+    is refused with ``ValueError``.
     """
+    if waveform.kind not in ("constant", "polynomial", "gaussian"):
+        raise ValueError(f"no closed-form moments for a {waveform.kind!r} drive")
     if t_start < 0:
         raise ValueError("transfer windows start at t >= 0")
     if not t_end > t_start:
@@ -307,12 +241,8 @@ def two_level_moments_closed(waveform: ControlWaveform, init: TwoLevelInitial,
         mus = integrals[1:] / tf._flow_mass(integrals[0])
         var = mus[1] - mus[0] ** 2
     else:
-        if waveform.kind == "custom":
-            cuts = _probed_cuts(waveform, init, t_start, t_end)
-        else:
-            delta = np.arctan2(np.sin(init.theta) * np.sin(init.phi),
-                               np.cos(init.theta))
-            cuts = _drive_cuts(waveform, delta, t_start, t_end)
+        delta = np.arctan2(np.sin(init.theta) * np.sin(init.phi), np.cos(init.theta))
+        cuts = _drive_cuts(waveform, delta, t_start, t_end)
         mean, var = _piece_moments(waveform, init, cuts)
         mus = np.array([mean, var + mean * mean])
     var = max(var, 0.0)
@@ -462,40 +392,6 @@ def _invert_angle(waveform: ControlWaveform, target: np.ndarray, lo: np.ndarray,
         if np.all(done):
             break
     return t
-
-
-def _probed_cuts(waveform: ControlWaveform, init: TwoLevelInitial, t0: float,
-                 t1: float) -> np.ndarray:
-    """Cuts of [t0, t1] for a custom drive.
-
-    The cuts are a probe grid on which W moves by at most pi/8 between
-    points, plus the sign changes of the rate that it brackets, refined by
-    50 bisections (below the rounding of t for any probe interval). Two
-    sign changes inside one probe interval leave no trace on the probe and
-    are missed.
-    """
-    intervals = 4096
-    while True:
-        probe = np.linspace(t0, t1, intervals + 1)
-        angle = waveform.cumulative(probe)
-        if np.max(np.abs(np.diff(angle))) <= np.pi / 8.0:
-            break
-        intervals *= 2
-        if intervals > 2 ** 20:
-            raise IntegrationError(
-                "the drive angle moves by more than pi/8 between points of a "
-                f"2^20-interval probe on [{t0}, {t1}]"
-            )
-    signs = np.sign(_rate(waveform.omega(probe), angle, init))
-    nonzero = np.flatnonzero(signs)
-    flips = np.flatnonzero(signs[nonzero[1:]] != signs[nonzero[:-1]])
-    lo, hi = probe[nonzero[flips]], probe[nonzero[flips + 1]]
-    side = signs[nonzero[flips]]
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        same = np.sign(two_level_rate(waveform, init, mid)) == side
-        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
-    return np.sort(np.concatenate((probe, 0.5 * (lo + hi))))
 
 
 def _piece_moments(waveform: ControlWaveform, init: TwoLevelInitial,
@@ -683,14 +579,6 @@ class LambdaConfig:
         if self.t_final <= 0:
             raise ValueError("t_final must be positive")
 
-    @classmethod
-    def from_cyclic_mhz(cls, omega1, omega2, delta_initial, delta_final,
-                        t_final) -> "LambdaConfig":
-        """Convenience constructor taking frequencies in cyclic MHz."""
-        two_pi = 2.0 * np.pi
-        return cls(two_pi * omega1, two_pi * omega2, two_pi * delta_initial,
-                   two_pi * delta_final, t_final)
-
     @property
     def omega_eff(self) -> float:
         return float(np.hypot(self.omega1, self.omega2))
@@ -825,6 +713,7 @@ class HadamardModel:
 
 
 def hadamard_model(omega0: float, gamma: float = 0.0) -> HadamardModel:
+    operators.assert_finite(omega0=omega0, gamma=gamma)
     if not omega0 > 0:
         raise ValueError("omega0 must be positive")
     if not gamma >= 0:

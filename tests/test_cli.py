@@ -99,11 +99,9 @@ def test_failed_run_writes_nothing(tmp_path, capsys):
 @pytest.mark.parametrize("extra", [
     ["--omega1", "1e308", "--units", "mhz-cyclic"],
     ["--omega1", "1e308", "--units", "mhz-cyclic", "--substeps", "2"],
-    ["--omega1", "nan"],
-], ids=["inf", "inf-fixed-substeps", "nan"])
+], ids=["inf", "inf-fixed-substeps"])
 def test_non_finite_generator_exits_2_and_names_the_time(tmp_path, capsys, extra):
-    # these exited 1 with an OverflowError, 3 with "refine the grid", and 2
-    # with "cannot convert float NaN to integer"
+    # these exited 1 with an OverflowError, and 3 with "refine the grid"
     rc = main(["lambda", "--omega2", "1", "--delta-i", "-10", "--delta-f", "10",
                "--t-final", "4", "--points", "50", *extra, "--outdir", str(tmp_path)])
     assert rc == 2
@@ -600,13 +598,8 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
     ]
     code = (
         "import sys, json; sys.modules['scipy'] = None\n"
-        "import numpy as np\n"
-        "from tflow import models\n"
         "from tflow.cli import main\n"
         "codes = [main(argv + ['--outdir', sys.argv[1]]) for argv in json.loads(sys.argv[2])]\n"
-        "wf = models.ControlWaveform.custom(np.cos)\n"
-        "assert abs(wf.cumulative(1.3) - np.sin(1.3)) <= 1e-14\n"
-        "models.two_level_moments_closed(wf, models.TwoLevelInitial(), 0.0, 4.0)\n"
         "print(codes)\n"
     )
     src = str(Path(tflow.__file__).resolve().parent.parent)
@@ -646,7 +639,7 @@ def test_nan_gamma_is_refused_and_writes_nothing(tmp_path, capsys):
     rc = main(["hadamard", "--omega0", "1", "--gamma", "nan", "--points", "50",
                "--outdir", str(tmp_path)])
     assert rc == 2
-    assert "gamma must be >= 0" in capsys.readouterr().err
+    assert "argument --gamma: must be finite, not 'nan'" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -664,8 +657,55 @@ def test_non_finite_scenario_number_exits_2_and_writes_nothing(tmp_path, capsys,
                                                                 argv, name):
     # each exited 3 as a flat flow, or 0 with a NaN report (sta --omega0)
     assert main(argv + ["--outdir", str(tmp_path)]) == 2
-    assert f"{name} must be finite" in capsys.readouterr().err
+    assert f"argument --{name}: must be finite, not 'nan'" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["hadamard", "--omega0", "inf", "--points", "50"],
+     "argument --omega0: must be finite, not 'inf'"),
+    (["two-level", "--waveform", "gaussian", "--omega0", "nan", "--t0", "0.5",
+      "--sigma", "0.1", "--t-end", "1", "--points", "50"],
+     "argument --omega0: must be finite, not 'nan'"),
+    (["sta", "--alpha", "1", "--t-final", "1e-320", "--points", "50"],
+     "the grid step 2.03e-322 is not a normal float"),
+    (["two-level", "--t-end", "inf", "--points", "50"],
+     "argument --t-end: must be finite, not 'inf'"),
+    (["lambda", "--omega1", "1", "--omega2", "1", "--delta-i", "-5", "--delta-f", "5",
+      "--t-final", "inf", "--points", "50"],
+     "argument --t-final: must be finite, not 'inf'"),
+    (["hadamard", "--omega0", "1", "--gamma", "inf", "--points", "50"],
+     "argument --gamma: must be finite, not 'inf'"),
+    # reached the generator check: "error: schedule is not finite at t = 0"
+    (["lambda", "--omega1", "nan", "--omega2", "1", "--delta-i", "-10", "--delta-f",
+      "10", "--t-final", "4", "--points", "50"],
+     "argument --omega1: must be finite, not 'nan'"),
+], ids=["hadamard-omega0-inf", "gaussian-omega0-nan", "sta-subnormal-window",
+        "two-level-t-end-inf", "lambda-t-final-inf", "hadamard-gamma-inf",
+        "lambda-omega1-nan"])
+def test_ill_posed_number_exits_2_before_any_arithmetic(tmp_path, capsys, argv,
+                                                        message):
+    # under error::RuntimeWarning each exited 1 at a numpy warning, except
+    # the gaussian run, which exited 0 with "omega0": null in its report
+    outdir = tmp_path / "out"
+    assert main(argv + ["--outdir", str(outdir)]) == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not outdir.exists() or list(outdir.iterdir()) == []
+
+
+def test_every_float_option_is_parsed_as_finite():
+    import argparse
+
+    from tflow.cli import build_parser, finite
+
+    assert finite("-1e-3") == -1e-3
+    for text in ("nan", "inf", "-inf", "NaN", "1e999"):
+        with pytest.raises(argparse.ArgumentTypeError, match="must be finite"):
+            finite(text)
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    types = {a.type for p in sub.choices.values() for a in p._actions}
+    assert float not in types and finite in types
 
 
 @pytest.mark.parametrize("entry", [

@@ -28,6 +28,28 @@ def test_time_grid_validation():
     assert g.midpoints[0] == pytest.approx(0.05)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_time_grid_refuses_non_finite_endpoints(bad):
+    with pytest.raises(ValueError, match="^t_start must be finite"):
+        TimeGrid(bad, 1.0, 11)
+    with pytest.raises(ValueError, match="^t_end must be finite"):
+        TimeGrid(0.0, bad, 11)
+
+
+@pytest.mark.parametrize("t_start, t_end, n_points, dt", [
+    (0.0, 1e-320, 50, "2.03e-322"),
+    (0.0, 1e-300, 2 ** 40, "9.09e-313"),
+    (-1e308, 1e308, 2, "inf"),
+])
+def test_time_grid_refuses_a_step_that_is_not_a_normal_float(t_start, t_end, n_points,
+                                                             dt):
+    # a subnormal step overflowed 1/dt in the flow densities
+    with pytest.raises(ValueError, match=f"^the grid step {dt} is not a normal float$"):
+        TimeGrid(t_start, t_end, n_points)
+    # the smallest normal step is kept
+    assert TimeGrid(0.0, 2.0 ** -1022, 2).dt == 2.0 ** -1022
+
+
 def test_constant_drive_full_transfer():
     omega0 = 1.0
     grid = TimeGrid(0.0, np.pi / omega0, 801)
@@ -225,6 +247,15 @@ def test_lindblad_adjoint_requires_time_for_schedules():
     operators.assert_hermitian(adj)
 
 
+def _lindblad_rhs(model, rho):
+    """L(rho) = -i[H, rho] + sum_j A_j rho A_j^dag - (B/2) rho - rho (B/2) at
+    t = 0, the forward generator dual to lindblad_adjoint."""
+    h = model.hamiltonian(0.0)
+    jumps, jump_dags, half_b = model.scaled_jumps()
+    out = -1j * (h @ rho - rho @ h) - (half_b @ rho + rho @ half_b)
+    return out + sum(a @ rho @ a_dag for a, a_dag in zip(jumps, jump_dags))
+
+
 @pytest.mark.parametrize("form,channels", [
     (DOUBLE_COMMUTATOR, ((operators.SIGMA_Z, 0.7),)),
     (GKS, ((operators.SIGMA_Z, 1.1), (operators.SIGMA_X, 0.4))),
@@ -240,7 +271,7 @@ def test_adjoint_duality(form, channels):
         rho /= np.trace(rho)
         vec = rng.normal(size=2) + 1j * rng.normal(size=2)
         m = operators.projector_from_state(vec / np.linalg.norm(vec))
-        lhs = np.trace(dynamics.lindblad_rhs(model, rho) @ m)
+        lhs = np.trace(_lindblad_rhs(model, rho) @ m)
         rhs = np.trace(rho @ dynamics.lindblad_adjoint(model, m))
         assert abs(lhs - rhs) <= 1e-10
 

@@ -34,8 +34,11 @@ def reference_lindblad_steps(h_table, jump_ops, jump_dags, half_b, rho0,
     max_asym = 0.0
 
     def rhs(node, x):
-        return kernels.lindblad_rhs_dense(h_table[node], x, jump_ops, jump_dags,
-                                          half_b)
+        h = h_table[node]
+        out = -1j * (h @ x - x @ h) - (half_b @ x + x @ half_b)
+        for a, a_dag in zip(jump_ops, jump_dags):
+            out = out + a @ (x @ a_dag)
+        return out
 
     for g in range(n_grid - 1):
         for s in range(substeps):

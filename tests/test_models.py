@@ -39,11 +39,6 @@ def test_gaussian_cumulative_matches_quadrature():
     assert float(wf.cumulative(10.0)) == pytest.approx(want_total, abs=1e-12)
 
 
-def test_custom_waveform_quadrature_fallback():
-    wf = models.ControlWaveform.custom(lambda t: np.cos(t))
-    assert float(wf.cumulative(1.3)) == pytest.approx(np.sin(1.3), abs=1e-10)
-
-
 def test_two_level_initial_validation():
     with pytest.raises(ValueError):
         models.TwoLevelInitial(theta=4.0)
@@ -211,9 +206,16 @@ def test_two_level_moments_closed_zero_drive_degenerate():
                                         models.TwoLevelInitial(), 0.0, 1.0)
 
 
+def test_two_level_moments_closed_refuses_an_unknown_kind():
+    # it fell into the gaussian branch of _drive_cuts: KeyError: 't0'
+    wf = models.ControlWaveform("foo", np.cos, np.sin, {})
+    with pytest.raises(ValueError, match="^no closed-form moments for a 'foo' drive$"):
+        models.two_level_moments_closed(wf, models.TwoLevelInitial(), 0.0, 1.0)
+
+
 def test_probed_moments_resolve_every_sign_change():
     # a polynomial drive with zero coefficients is the constant drive, but
-    # goes through the probe: 3183 sign changes on [0, 10]
+    # goes through the enumeration: 3183 sign changes on [0, 10]
     init = models.TwoLevelInitial()
     probed = models.two_level_moments_closed(
         models.ControlWaveform.polynomial(1000.0, [0.0, 0.0, 0.0, 0.0]), init, 0.0, 10.0
@@ -247,7 +249,6 @@ DRIVES = {
     "gauss-narrow": (lambda: models.ControlWaveform.gaussian_pulse(0.505, 0.001), 0.0, 1.0),
     # clipped at t = 0, 2.5 sigma after the peak
     "gauss-clipped": (lambda: models.ControlWaveform.gaussian_pulse(0.05, 0.02), 0.0, 1.0),
-    "custom-cos": (lambda: models.ControlWaveform.custom(np.cos), 0.0, 4.0),
 }
 INITS = ((0.0, 0.0), (np.pi / 3, np.pi / 2), (2.0, 4.0))
 
@@ -276,9 +277,6 @@ SCIPY_MOMENTS = {
     "gauss-clipped": [(0.050405362923238835, 0.012951024219169445),
                       (0.05514801070428028, 0.02145740095564581),
                       (0.055282072067012626, 0.0212999624235287)],
-    "custom-cos": [(2.052906590431869, 1.1742844620057586),
-                   (2.4077159238956507, 1.354576464926761),
-                   (2.423154184873231, 1.3559907699327518)],
 }
 
 # the narrow pulse by 30-digit mpmath quadrature between its exact sign
@@ -357,57 +355,6 @@ def test_polynomial_moments_match_exact_root_quadrature(name, k):
     assert m.std == pytest.approx(std, rel=1e-13)
 
 
-def test_custom_moments_with_and_without_antiderivative():
-    init = models.TwoLevelInitial(2.0, 4.0)
-    quadrature = models.two_level_moments_closed(
-        models.ControlWaveform.custom(np.cos), init, 0.0, 4.0)
-    exact = models.two_level_moments_closed(
-        models.ControlWaveform.custom(np.cos, np.sin), init, 0.0, 4.0)
-    assert quadrature.mean == pytest.approx(exact.mean, rel=1e-14)
-    assert quadrature.std == pytest.approx(exact.std, rel=1e-14)
-
-
-def test_custom_moments_match_the_polynomial_path():
-    # the same drive as a custom callable: its two probe-bracketed sign
-    # changes, refined by bisection, land on the exactly enumerated ones
-    make, t0, t1 = DRIVES["poly"]
-    exact = make()
-    custom = models.ControlWaveform.custom(
-        lambda t: 1.1 + t * (0.4 + t * (-0.2 + t * (0.05 + t * 0.01))),
-        lambda t: t * (1.1 + t * (0.2 + t * (-0.2 / 3 + t * (0.0125 + t * 0.002)))))
-    for theta, phi in INITS:
-        init = models.TwoLevelInitial(theta, phi)
-        want = models.two_level_moments_closed(exact, init, t0, t1)
-        got = models.two_level_moments_closed(custom, init, t0, t1)
-        assert got.mean == pytest.approx(want.mean, rel=1e-13)
-        assert got.std == pytest.approx(want.std, rel=1e-13)
-
-
-def test_custom_cumulative_composite_quadrature():
-    t = np.array([[2.5, -0.7, 0.0], [1e-9, 7.3, 2.5]])
-    wf = models.ControlWaveform.custom(np.cos)
-    assert np.max(np.abs(wf.cumulative(t) - np.sin(t))) <= 1e-14
-    assert isinstance(wf.cumulative(1.3), float)
-    # 20 rad per time unit: resolved only by panels at most 2^-6 long
-    fast = models.ControlWaveform.custom(lambda x: np.cos(20.0 * x))
-    assert np.max(np.abs(fast.cumulative(t) - np.sin(20.0 * t) / 20.0)) <= 1e-14
-
-
-def test_composite_cumulative_memory_does_not_grow_with_t():
-    # t = 250 is one chunk of panels, t = 4000 sixteen; built at once, the
-    # nodes alone of the longer run would take 16 MB
-    import tracemalloc
-
-    peaks = []
-    for t in (250.0, 4000.0):
-        tracemalloc.start()
-        got = models._composite_cumulative(np.cos, t)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.stop()
-        assert got == pytest.approx(np.sin(t), abs=1e-13)
-    assert peaks[1] < 1.5 * peaks[0]
-
-
 def test_drive_cut_memory_grows_by_the_cuts_only():
     # omega0 = 1e3 gives 25,467 cuts (two chunks of the pi/8 lattice), 4e3
     # gives 101,862 (seven). Beyond the 8 bytes of each cut, the peak stays
@@ -453,7 +400,7 @@ def test_gaussian_outputs_move_by_rounding_only(t0, sigma, t_end, points, theta,
 
     wf = models.ControlWaveform.gaussian_pulse(t0, sigma)
     ref = models.ControlWaveform(
-        "custom", wf.omega,
+        "scipy-ndtr", wf.omega,
         lambda t: np.pi * (ndtr((t - t0) / sigma) - ndtr(-t0 / sigma)), {})
     init = models.TwoLevelInitial(theta, phi)
     grid = TimeGrid(0.0, t_end, points)
@@ -631,12 +578,6 @@ def test_lambda_config_validation():
         models.LambdaConfig(1.0, 1.0, -1.0, -0.5, 1.0)
 
 
-def test_lambda_cyclic_constructor():
-    config = models.LambdaConfig.from_cyclic_mhz(1.0, 1.0, -10.0, 10.0, 4.0)
-    assert config.omega1 == pytest.approx(2.0 * np.pi)
-    assert config.delta_final == pytest.approx(20.0 * np.pi)
-
-
 def test_lambda_resonance_crossing():
     config = models.LambdaConfig(1.0, 1.0, -4.0, 12.0, 2.0)
     t_cross = 2.0 * 4.0 / 16.0
@@ -776,8 +717,13 @@ def test_nan_rates_are_refused(build):
     (lambda bad: models.ControlWaveform.gaussian_pulse(bad, 0.1), "t0"),
     (lambda bad: models.ControlWaveform.gaussian_pulse(0.5, bad), "sigma"),
     (lambda bad: models.ControlWaveform.gaussian_pulse(0.5, 0.1, bad), "area"),
+    # an infinite rate passed the sign checks, and propagation failed with
+    # "not Hermitian (defect nan)"
+    (lambda bad: models.hadamard_model(bad, 0.5), "omega0"),
+    (lambda bad: models.hadamard_model(1.0, bad), "gamma"),
 ], ids=["sta-alpha", "sta-t_final", "sta-omega0", "constant", "polynomial-omega0",
-        "polynomial-coefficient", "gaussian-t0", "gaussian-sigma", "gaussian-area"])
+        "polynomial-coefficient", "gaussian-t0", "gaussian-sigma", "gaussian-area",
+        "hadamard-omega0", "hadamard-gamma"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_scenario_numbers_are_refused(build, name, bad):
     # a NaN compared false against every sign check and passed, then gave a
