@@ -15,8 +15,9 @@ parameters reproduces the CSV byte for byte and the JSON up to the
 manifest timestamp.
 
 Frequencies are angular (rad per time unit) unless ``--units
-mhz-cyclic`` is passed, which multiplies the frequency-like inputs by
-2*pi at the boundary. Exit codes: 0 success, 2 usage or validation
+mhz-cyclic`` is passed: ``main`` then multiplies the frequency options
+of ``_FREQUENCIES`` by 2*pi once, before any subcommand runs, and the
+manifest keeps them as parsed. Exit codes: 0 success, 2 usage or validation
 problem, 3 numerical failure. ``TFLOW_SEED`` supplies the seed when
 ``--seed`` is absent.
 """
@@ -29,6 +30,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -134,18 +136,16 @@ def _emit(args, seed: int, run: Run) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each computes one Run from the parsed arguments, the resolved
-# seed and the frequency factor of --units
+# subcommands: each computes one Run from the parsed arguments, their
+# frequencies in angular units, and the resolved seed
 
 
-def _run_two_level(args, seed: int, factor: float) -> Run:
-    omega0 = args.omega0 * factor
-
+def _run_two_level(args, seed: int) -> Run:
     if args.waveform == "constant":
-        waveform = models.ControlWaveform.constant(omega0)
+        waveform = models.ControlWaveform.constant(args.omega0)
     elif args.waveform == "polynomial":
         coeffs = args.coefficients or [0.0, 0.0, 0.0, 0.0]
-        waveform = models.ControlWaveform.polynomial(omega0, coeffs)
+        waveform = models.ControlWaveform.polynomial(args.omega0, coeffs)
     else:
         if args.sigma is None or args.t0 is None:
             raise ValueError("the gaussian waveform needs --t0 and --sigma")
@@ -154,8 +154,8 @@ def _run_two_level(args, seed: int, factor: float) -> Run:
     init = models.TwoLevelInitial(theta=args.theta, phi=args.phi)
     t_end = args.t_end
     if t_end is None:
-        if args.waveform == "constant" and omega0 > 0:
-            t_end = np.pi / omega0
+        if args.waveform == "constant" and args.omega0 > 0:
+            t_end = np.pi / args.omega0
         else:
             raise ValueError("--t-end is required for this waveform")
     grid = TimeGrid(args.t_start, t_end, args.points)
@@ -179,7 +179,7 @@ def _run_two_level(args, seed: int, factor: float) -> Run:
 
     run = Run(
         inputs={"theta": args.theta, "phi": args.phi, "waveform": args.waveform,
-                "omega0": omega0, "t_start": grid.t_start, "t_end": grid.t_end,
+                "omega0": args.omega0, "t_start": grid.t_start, "t_end": grid.t_end,
                 "points": args.points},
         tables={
             "series": (
@@ -225,7 +225,7 @@ def _run_two_level(args, seed: int, factor: float) -> Run:
     return run
 
 
-def _run_sta(args, seed: int, factor: float) -> Run:
+def _run_sta(args, seed: int) -> Run:
     config = models.STAConfig(alpha=args.alpha, t_final=args.t_final,
                               omega0=args.omega0)
     grid = TimeGrid(0.0, args.t_final, args.points)
@@ -258,11 +258,10 @@ def _run_sta(args, seed: int, factor: float) -> Run:
     return run
 
 
-def _run_lambda(args, seed: int, factor: float) -> Run:
+def _run_lambda(args, seed: int) -> Run:
     config = models.LambdaConfig(
-        omega1=args.omega1 * factor, omega2=args.omega2 * factor,
-        delta_initial=args.delta_i * factor, delta_final=args.delta_f * factor,
-        t_final=args.t_final,
+        omega1=args.omega1, omega2=args.omega2, delta_initial=args.delta_i,
+        delta_final=args.delta_f, t_final=args.t_final,
     )
     grid = TimeGrid(0.0, args.t_final, args.points)
     schedule = models.lambda_hamiltonian(config)
@@ -282,11 +281,9 @@ def _run_lambda(args, seed: int, factor: float) -> Run:
         fd_dists.append(d)
         stats.append({"state": k + 1, "mean": m.mean, "std": m.std})
 
-    dark = models.lambda_dark_state(config)
-    probe_ts = np.linspace(0.0, args.t_final, 100)
-    dark_defect = max(
-        abs(complex(schedule(t)[1] @ dark)) for t in probe_ts
-    )
+    # <2|H(t)|dark> at 100 times; each (1, 3) @ (3,) product is one dot
+    rows = schedule.sample(np.linspace(0.0, args.t_final, 100))[:, 1:2]
+    dark_defect = np.max(np.abs(rows @ models.lambda_dark_state(config)))
     dens = fd_dists[1].density
     interior = (dens[1:-1] > dens[:-2]) & (dens[1:-1] > dens[2:])
     peak_count = int(np.sum(interior & (dens[1:-1] > 0.05 * dens.max())))
@@ -322,15 +319,13 @@ def _run_lambda(args, seed: int, factor: float) -> Run:
     )
 
 
-def _run_dephasing(args, seed: int, factor: float) -> Run:
-    gamma = args.gamma * factor
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
+def _run_dephasing(args, seed: int) -> Run:
+    gamma = args.gamma
+    model = models.dephasing_model(gamma)  # refuses gamma <= 0 before 10 / gamma
     t_end = args.t_end if args.t_end is not None else 10.0 / gamma
     grid = TimeGrid(0.0, t_end, args.points)
     analytics = models.dephasing_analytics(gamma, grid)
 
-    model = models.dephasing_model(gamma)
     rho0 = operators.projector_from_state(operators.plus_state())
     traj = dynamics.propagate_lindblad(model, rho0, grid, args.substeps)
     minus = operators.projector_from_state(operators.minus_state())
@@ -376,11 +371,9 @@ def _run_dephasing(args, seed: int, factor: float) -> Run:
     )
 
 
-def _run_hadamard(args, seed: int, factor: float) -> Run:
-    omega0 = args.omega0 * factor
-    gamma = args.gamma * factor
-    bundle = models.hadamard_model(omega0, gamma)
-    t_end = args.t_end if args.t_end is not None else np.pi / omega0
+def _run_hadamard(args, seed: int) -> Run:
+    bundle = models.hadamard_model(args.omega0, args.gamma)
+    t_end = args.t_end if args.t_end is not None else np.pi / args.omega0
     grid = TimeGrid(0.0, t_end, args.points)
 
     rho0 = operators.projector(2, 0).astype(complex)
@@ -403,7 +396,7 @@ def _run_hadamard(args, seed: int, factor: float) -> Run:
     )
 
     return Run(
-        inputs={"omega0": omega0, "gamma": gamma, "t_end": t_end,
+        inputs={"omega0": args.omega0, "gamma": args.gamma, "t_end": t_end,
                 "points": args.points},
         tables={
             "series": (
@@ -421,7 +414,7 @@ def _run_hadamard(args, seed: int, factor: float) -> Run:
     )
 
 
-def _run_optimize(args, seed: int, factor: float) -> Run:
+def _run_optimize(args, seed: int) -> Run:
     from . import optimize as opt
 
     path = Path(args.config)
@@ -442,9 +435,7 @@ def _run_optimize(args, seed: int, factor: float) -> Run:
     grid = result.population.grid
 
     return Run(
-        inputs={k: getattr(config, k) for k in (
-            "t_horizon", "omega0", "lambda_mono", "lambda_reg", "grid_points",
-            "max_iterations", "simplex_scale", "tolerance")},
+        inputs={k: v for k, v in vars(config).items() if k != "initial_coefficients"},
         tables={
             "series": (
                 ["time", "omega", "p_1", "pi_1"],
@@ -467,6 +458,29 @@ def _run_optimize(args, seed: int, factor: float) -> Run:
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+# the frequency options of each subcommand that --units mhz-cyclic converts
+_FREQUENCIES = {"two-level": ("omega0",), "dephasing": ("gamma",),
+                "hadamard": ("omega0", "gamma"),
+                "lambda": ("omega1", "omega2", "delta_i", "delta_f")}
+# a negative number, exponent forms included; argparse's own pattern has no
+# exponent, so it read "--delta-i -1e1" as an option with no value
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
+def _angular(args) -> argparse.Namespace:
+    """The arguments with every frequency option in angular units; a value
+    that the 2 pi factor of mhz-cyclic makes infinite is refused."""
+    if getattr(args, "units", "angular") == "angular":
+        return args
+    angular = argparse.Namespace(**vars(args))
+    for name in _FREQUENCIES[args.command]:
+        setattr(angular, name, getattr(args, name) * TWO_PI)
+        if not math.isfinite(getattr(angular, name)):
+            raise ValueError(f"argument --{name.replace('_', '-')}: "
+                             f"{getattr(args, name):g} times 2 pi is not finite")
+    return angular
 
 
 def finite(text: str) -> float:
@@ -557,6 +571,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, units=False)
     p.set_defaults(func=_run_optimize)
 
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 
@@ -567,14 +583,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        # the outdir is made first, so a bad path fails before any computing
+        angular = _angular(args)
+        # the outdir is made next, so a bad path fails before any computing
         Path(args.outdir).mkdir(parents=True, exist_ok=True)
         if args.seed is not None:
             seed = args.seed
         else:
             seed = int(os.environ.get("TFLOW_SEED", "0"))
-        factor = TWO_PI if getattr(args, "units", "angular") == "mhz-cyclic" else 1.0
-        _emit(args, seed, args.func(args, seed, factor))
+        _emit(args, seed, args.func(angular, seed))
         return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ a grid plus one state per grid point.
 
 The driver keeps one entry: the last propagation that passed, as its
 propagator (closed or open), grid, substeps, generator table, initial
-operands (psi0; or rho0, the jump stacks and B/2) and a copy of its grid
+operands (psi0; or rho0, the jump stack and B/2) and a copy of its grid
 states. A table the schedule sampled into memory of its own is kept as
 it is; the other parts are copied. Each attempt samples its table first.
 When every one of these parts equals the entry's bit for bit (0.0 and
@@ -102,40 +102,36 @@ class TimeGrid:
 class HamiltonianSchedule:
     """Hermitian generator H(t) of a fixed dimension.
 
-    ``func(t)`` returns the (d, d) matrix at a scalar time. An optional
-    ``batch(ts)`` evaluator returning (n, d, d) speeds up table sampling;
-    ``constant=True`` short-circuits sampling entirely, and the
-    propagators then build the map of one grid interval and reuse it.
+    ``batch(ts)`` returns the (n, d, d) stack of H at n times, and
+    ``sample`` refuses any other shape. ``constant=True`` declares H
+    time-independent; the propagators then build the map of one grid
+    interval and reuse it.
     """
 
-    def __init__(self, dim: int, func: Callable[[float], np.ndarray], *,
-                 batch: Callable[[np.ndarray], np.ndarray] | None = None,
+    def __init__(self, dim: int, *, batch: Callable[[np.ndarray], np.ndarray],
                  constant: bool = False):
         self.dim = dim
-        self._func = func
         self._batch = batch
         self.constant = constant
 
     def __call__(self, t: float) -> np.ndarray:
-        return np.asarray(self._func(t), dtype=complex)
+        return self.sample([t])[0]
 
-    def sample(self, ts: np.ndarray) -> np.ndarray:
+    def sample(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        if self.constant:
-            h = self(ts.flat[0] if ts.size else 0.0)
-            return np.broadcast_to(h, (ts.size,) + h.shape)
-        if self._batch is not None:
-            return np.asarray(self._batch(ts), dtype=complex)
-        out = np.empty((ts.size, self.dim, self.dim), dtype=complex)
-        for i, t in enumerate(ts):
-            out[i] = self(t)
-        return out
+        table = np.asarray(self._batch(ts), dtype=complex)
+        shape = (len(ts), self.dim, self.dim)
+        if table.shape != shape:
+            raise DimensionMismatchError(f"schedule gave shape {table.shape}, not {shape}")
+        return table
 
 
 def constant_hamiltonian(h: np.ndarray) -> HamiltonianSchedule:
     h = np.asarray(h, dtype=complex)
     operators.assert_hermitian(h, name="Hamiltonian")
-    return HamiltonianSchedule(h.shape[0], lambda t: h, constant=True)
+    return HamiltonianSchedule(
+        h.shape[0], batch=lambda ts: np.broadcast_to(h, (len(ts),) + h.shape),
+        constant=True)
 
 
 @dataclass(frozen=True)
@@ -173,22 +169,18 @@ class LindbladModel:
     def dim(self) -> int:
         return self.hamiltonian.dim
 
-    def scaled_jumps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(A_j stack, A_j^dag stack, B/2) with A_j = sqrt(g_eff) L_j so the
-        dissipator is sum A rho A^dag - (B/2) rho - rho (B/2)."""
+    def scaled_jumps(self) -> tuple[np.ndarray, np.ndarray]:
+        """(A_j stack, B/2) with A_j = sqrt(g_eff) L_j so the dissipator is
+        sum A rho A^dag - (B/2) rho - rho (B/2)."""
         d = self.dim
-        mats, dags = [], []
+        mats = []
         half_b = np.zeros((d, d), dtype=complex)
         for op, rate in self.channels:
             g_eff = rate if self.form == DOUBLE_COMMUTATOR else 0.5 * rate
             a = np.sqrt(g_eff) * np.asarray(op, dtype=complex)
             mats.append(a)
-            dags.append(a.conj().T)
             half_b += 0.5 * (a.conj().T @ a)
-        if mats:
-            return np.array(mats), np.array(dags), half_b
-        empty = np.zeros((0, d, d), dtype=complex)
-        return empty, empty.copy(), half_b
+        return np.array(mats, dtype=complex).reshape(len(mats), d, d), half_b
 
 
 @dataclass(frozen=True)
@@ -407,12 +399,11 @@ def propagate_lindblad(model: LindbladModel, rho0: np.ndarray, grid: TimeGrid,
         )
     operators.assert_density_matrix(rho0, name="initial state")
 
-    jumps, jump_dags, half_b = model.scaled_jumps()
+    jumps, half_b = model.scaled_jumps()
 
     def attempt(table, r):
         raw = np.empty((grid.n_points, model.dim, model.dim), dtype=complex)
-        kernels.lindblad_steps(table, jumps, jump_dags, half_b, rho0, r,
-                               grid.dt / r, raw)
+        kernels.lindblad_steps(table, jumps, half_b, rho0, r, grid.dt / r, raw)
         raw_dag = raw.conj().transpose(0, 2, 1)
         asym = 0.5 * float(np.max(np.abs(raw - raw_dag)))
         out = 0.5 * (raw + raw_dag)
@@ -424,7 +415,7 @@ def propagate_lindblad(model: LindbladModel, rho0: np.ndarray, grid: TimeGrid,
 
     dissipation = 4.0 * float(np.real(np.trace(half_b)))
     out = _integrate(model.hamiltonian, grid, substeps, dissipation, "open",
-                     (rho0, jumps, jump_dags, half_b), attempt)
+                     (rho0, jumps, half_b), attempt)
     lo = float(np.min(np.linalg.eigvalsh(out)))
     if lo < _EIG_FLOOR:
         message = f"density matrix eigenvalue {lo:.3e} below {_EIG_FLOOR:.0e}"
@@ -454,14 +445,26 @@ def current_operator(h: np.ndarray, m: np.ndarray, sign: int = +1) -> np.ndarray
     return sign * 1.0j * operators.commutator(h, m)
 
 
-def dissipator_adjoint(model: LindbladModel, m: np.ndarray) -> np.ndarray:
-    """Adjoint dissipator D^dag(M) for the model's channel convention."""
+def _adjoint_stack(model: LindbladModel, m: np.ndarray, times,
+                   what: str) -> np.ndarray:
+    """L^dag(M) = i[H(t), M] + D^dag(M) as an (n, d, d) stack over ``times``,
+    H sampled at all of them in one call; D^dag(M) = sum A^dag M A -
+    (B/2) M - M (B/2). No times means a constant H's one time, t = 0; a
+    time-dependent model is then refused, asking for the evaluation ``what``.
+    """
     m = np.asarray(m, dtype=complex)
-    jumps, _, half_b = model.scaled_jumps()
-    out = -(half_b @ m + m @ half_b)
+    if m.shape != (model.dim, model.dim):
+        raise DimensionMismatchError("measurement operator dimension mismatch")
+    if times is None:
+        if not model.hamiltonian.constant:
+            raise ValueError(f"time-dependent model: supply the evaluation {what}")
+        times = [0.0]
+    hs = model.hamiltonian.sample(times)
+    jumps, half_b = model.scaled_jumps()
+    dissipator = -(half_b @ m + m @ half_b)
     for a in jumps:
-        out = out + a.conj().T @ m @ a
-    return out
+        dissipator = dissipator + a.conj().T @ m @ a
+    return 1j * (hs @ m - m @ hs) + dissipator
 
 
 def lindblad_adjoint(model: LindbladModel, m: np.ndarray,
@@ -471,15 +474,7 @@ def lindblad_adjoint(model: LindbladModel, m: np.ndarray,
     A time must be supplied when the Hamiltonian schedule is not
     constant.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (model.dim, model.dim):
-        raise DimensionMismatchError("measurement operator dimension mismatch")
-    if t is None:
-        if not model.hamiltonian.constant:
-            raise ValueError("time-dependent model: supply the evaluation time t")
-        t = 0.0
-    h = model.hamiltonian(t)
-    return 1.0j * operators.commutator(h, m) + dissipator_adjoint(model, m)
+    return _adjoint_stack(model, m, None if t is None else [t], "time t")[0]
 
 
 def population_series(traj: Trajectory, m: np.ndarray) -> np.ndarray:
@@ -497,16 +492,11 @@ def population_series(traj: Trajectory, m: np.ndarray) -> np.ndarray:
 def expectation_series(traj: Trajectory, op) -> np.ndarray:
     """Real expectation of a Hermitian operator along a trajectory.
 
-    ``op`` may be a fixed matrix or a callable t -> matrix for
-    time-dependent current operators.
+    ``op`` is one (d, d) matrix for every grid time, or an (n, d, d) stack
+    of a time-dependent current operator at the n grid times.
     """
-    times = traj.grid.times
-    if callable(op):
-        mats = np.array([np.asarray(op(t), dtype=complex) for t in times])
-    else:
-        mats = np.broadcast_to(
-            np.asarray(op, dtype=complex), (times.size, traj.dim, traj.dim)
-        )
+    mats = np.broadcast_to(np.asarray(op, dtype=complex),
+                           (traj.grid.n_points, traj.dim, traj.dim))
     if traj.is_pure:
         vals = np.einsum("ti,tij,tj->t", traj.states.conj(), mats, traj.states)
     else:

@@ -188,15 +188,16 @@ def schrodinger_steps(h_table, psi0, substeps, h, out):
     _propagate(generators, h_table, psi0, substeps, h, out)
 
 
-def lindblad_steps(h_table, jump_ops, jump_dags, half_b, rho0, substeps, h, out):
+def lindblad_steps(h_table, jump_ops, half_b, rho0, substeps, h, out):
     """RK4 for the master equation; the contiguous out (n_grid, d, d) receives
     the unsymmetrized rho at grid points."""
     d = rho0.shape[0]
     eye = np.eye(d)
-    # row-major vec: vec(X rho Y) = (X kron Y^T) vec(rho)
+    # row-major vec: vec(X rho Y) = (X kron Y^T) vec(rho), so A rho A^dag
+    # is A kron conj(A)
     dissipator = -np.kron(half_b, eye) - np.kron(eye, half_b.T)
-    for a, a_dag in zip(jump_ops, jump_dags):
-        dissipator = dissipator + np.kron(a, a_dag.T)
+    for a in jump_ops:
+        dissipator = dissipator + np.kron(a, a.conj())
     dissipator = dissipator[..., None]
 
     def superoperators(rows):

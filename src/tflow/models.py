@@ -121,6 +121,8 @@ class ControlWaveform:
         operators.assert_finite(t0=t0, sigma=sigma, area=area)
         if sigma <= 0:
             raise ValueError("sigma must be positive")
+        if sigma * sigma < np.finfo(float).tiny:  # the norm would divide by 0
+            raise ValueError(f"sigma {sigma:g} is too small: its square underflows")
         norm = area / np.sqrt(2.0 * np.pi * sigma * sigma)
         clipped = float(_ndtr(-t0 / sigma))
 
@@ -172,13 +174,8 @@ class TwoLevelInitial:
 
 def two_level_hamiltonian(waveform: ControlWaveform) -> HamiltonianSchedule:
     """H(t) = (w(t)/2) sigma_x."""
-    def batch(ts):
-        w = np.atleast_1d(waveform.omega(ts))
-        return 0.5 * w[:, None, None] * SIGMA_X
-
     return HamiltonianSchedule(
-        2, lambda t: 0.5 * float(waveform.omega(t)) * SIGMA_X, batch=batch
-    )
+        2, batch=lambda ts: 0.5 * waveform.omega(ts)[:, None, None] * SIGMA_X)
 
 
 def two_level_population(waveform: ControlWaveform, init: TwoLevelInitial, t):
@@ -469,17 +466,11 @@ def sta_hamiltonian(config: STAConfig) -> HamiltonianSchedule:
     w0 = config.omega0
 
     def batch(ts):
-        th = np.atleast_1d(config.theta(ts))
-        td = np.atleast_1d(config.theta_dot(ts))
-        out = np.empty((th.size, 2, 2), dtype=complex)
-        out[:] = 0.5 * (
-            -w0 * (np.sin(th)[:, None, None] * SIGMA_X
-                   + np.cos(th)[:, None, None] * SIGMA_Z)
-            + td[:, None, None] * SIGMA_Y
-        )
-        return out
+        th = config.theta(ts)[:, None, None]
+        td = config.theta_dot(ts)[:, None, None]
+        return 0.5 * (-w0 * (np.sin(th) * SIGMA_X + np.cos(th) * SIGMA_Z) + td * SIGMA_Y)
 
-    return HamiltonianSchedule(2, lambda t: batch(np.array([t]))[0], batch=batch)
+    return HamiltonianSchedule(2, batch=batch)
 
 
 def sta_instantaneous_state(config: STAConfig, t: float) -> np.ndarray:
@@ -572,6 +563,9 @@ class LambdaConfig:
     t_final: float
 
     def __post_init__(self):
+        operators.assert_finite(omega1=self.omega1, omega2=self.omega2,
+                                delta_initial=self.delta_initial,
+                                delta_final=self.delta_final, t_final=self.t_final)
         if self.omega1 <= 0 or self.omega2 <= 0:
             raise ValueError("couplings must be positive")
         if not (self.delta_initial < 0.0 < self.delta_final):
@@ -594,14 +588,14 @@ def lambda_hamiltonian(config: LambdaConfig) -> HamiltonianSchedule:
     o1, o2 = 0.5 * config.omega1, 0.5 * config.omega2
 
     def batch(ts):
-        d = np.atleast_1d(config.detuning(ts))
+        d = config.detuning(ts)
         out = np.zeros((d.size, 3, 3), dtype=complex)
         out[:, 0, 1] = out[:, 1, 0] = o1
         out[:, 1, 2] = out[:, 2, 1] = o2
         out[:, 1, 1] = d
         return out
 
-    return HamiltonianSchedule(3, lambda t: batch(np.array([t]))[0], batch=batch)
+    return HamiltonianSchedule(3, batch=batch)
 
 
 def lambda_bright_state(config: LambdaConfig) -> np.ndarray:
@@ -640,6 +634,7 @@ def landau_zener_probability(config: LambdaConfig) -> float:
 def dephasing_model(gamma: float) -> LindbladModel:
     """Pure sigma_z dephasing, double-commutator convention:
     d rho/dt = -(gamma/2)[sigma_z, [sigma_z, rho]]."""
+    operators.assert_finite(gamma=gamma)
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     return LindbladModel(
@@ -674,6 +669,7 @@ def dephasing_population(gamma: float, t):
 
 
 def dephasing_analytics(gamma: float, grid: TimeGrid) -> DephasingAnalytics:
+    operators.assert_finite(gamma=gamma)
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     times = grid.times

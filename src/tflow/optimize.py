@@ -20,6 +20,7 @@ coefficients, cost, iteration count and success flag equal scipy's.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,18 +59,34 @@ class OptimizeConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "OptimizeConfig":
-        coeffs = data.get("initial_coefficients", (0.0, 0.0, 0.0, 0.0))
-        return cls(
-            t_horizon=float(data["t_horizon"]),
-            omega0=float(data["omega0"]),
-            lambda_mono=float(data.get("lambda_mono", 1.0)),
-            lambda_reg=float(data.get("lambda_reg", 0.0)),
-            grid_points=int(data.get("grid_points", 200)),
-            initial_coefficients=tuple(float(c) for c in coeffs),
-            max_iterations=int(data.get("max_iterations", 2000)),
-            simplex_scale=float(data.get("simplex_scale", 0.1)),
-            tolerance=float(data.get("tolerance", 1e-10)),
-        )
+        """The config of a JSON object; an absent field keeps its default. A
+        missing required key raises KeyError, an unknown key or a value not
+        of its field's kind (``_field_value``) ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError("the config must be a JSON object")
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        unknown = sorted(set(data) - set(fields))
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        for name, f in fields.items():
+            if f.default is dataclasses.MISSING and name not in data:
+                raise KeyError(name)
+        return cls(**{k: _field_value(k, fields[k].type, v) for k, v in data.items()})
+
+
+_KINDS = {"float": "a number", "int": "a whole number", "tuple": "a list of numbers"}
+
+
+def _field_value(name: str, kind: str, value):
+    """``value`` as a float, a whole-number int or a tuple of floats, by ``kind``."""
+    try:
+        if kind == "tuple":
+            return tuple(float(c) for c in value)
+        if kind == "int" and (isinstance(value, bool) or not float(value).is_integer()):
+            raise ValueError
+        return int(value) if kind == "int" else float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be {_KINDS[kind]}, not {value!r}") from None
 
 
 def _grid(config: OptimizeConfig) -> np.ndarray:

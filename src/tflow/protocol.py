@@ -89,23 +89,6 @@ def sample_frequencies(p: np.ndarray, n_trials: int, seed: int) -> np.ndarray:
     return np.array(out, dtype=float)
 
 
-def exact_populations(model, initial_state, config: ProtocolConfig,
-                      substeps: int | None = None) -> np.ndarray:
-    """Populations p(t_j) of the target under the given dynamics."""
-    if isinstance(model, LindbladModel):
-        state = np.asarray(initial_state, dtype=complex)
-        if state.ndim == 1:
-            state = np.outer(state, state.conj())
-        traj = dynamics.propagate_lindblad(model, state, config.grid, substeps)
-    elif isinstance(model, HamiltonianSchedule):
-        traj = dynamics.propagate_schrodinger(
-            model, np.asarray(initial_state, dtype=complex), config.grid, substeps
-        )
-    else:
-        raise TypeError("model must be a HamiltonianSchedule or LindbladModel")
-    return dynamics.population_series(traj, config.target)
-
-
 def empirical_from_populations(p: np.ndarray, config: ProtocolConfig,
                                sample: bool = True) -> EmpiricalTF:
     """Sample the protocol against known exact populations.
@@ -137,8 +120,19 @@ def empirical_from_populations(p: np.ndarray, config: ProtocolConfig,
 def simulate_protocol(model, initial_state, config: ProtocolConfig,
                       sample: bool = True,
                       substeps: int | None = None) -> EmpiricalTF:
-    """Run the measurement protocol against propagated exact dynamics."""
-    p = exact_populations(model, initial_state, config, substeps)
+    """Run the measurement protocol against propagated exact dynamics: the
+    target's populations under a HamiltonianSchedule from a state vector,
+    or under a LindbladModel from a state vector or density matrix."""
+    state = np.asarray(initial_state, dtype=complex)
+    if isinstance(model, LindbladModel):
+        if state.ndim == 1:
+            state = np.outer(state, state.conj())
+        traj = dynamics.propagate_lindblad(model, state, config.grid, substeps)
+    elif isinstance(model, HamiltonianSchedule):
+        traj = dynamics.propagate_schrodinger(model, state, config.grid, substeps)
+    else:
+        raise TypeError("model must be a HamiltonianSchedule or LindbladModel")
+    p = dynamics.population_series(traj, config.target)
     return empirical_from_populations(p, config, sample)
 
 

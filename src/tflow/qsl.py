@@ -24,7 +24,6 @@ import numpy as np
 
 from . import dynamics, operators
 from .dynamics import LindbladModel
-from .errors import DimensionMismatchError
 from .tf import Moments
 
 CHEBYSHEV_FACTOR = 1.0 / (3.0 * np.sqrt(3.0))
@@ -59,38 +58,23 @@ def hamiltonian_std(h: np.ndarray, target) -> float:
     return float(np.sqrt(max(second - first * first, 0.0)))
 
 
-def liouvillian_trace_term(model: LindbladModel, m: np.ndarray,
-                           t: float | None = None) -> float:
-    """|Tr(L^dag(M)^2)| at a single time (rates squared)."""
-    adj = dynamics.lindblad_adjoint(model, m, t)
-    return abs(float(np.real(np.trace(adj @ adj))))
-
-
 def tf_qsl_open(model: LindbladModel, m: np.ndarray, delta_theta: float,
                 times=None) -> float:
     """Transfer-time bound delta_theta / sqrt(|Tr(L^dag(M)^2)|).
 
     For time-dependent Hamiltonians supply ``times``; the largest trace
     term along them is used, which keeps the bound valid over the whole
-    window. A constant Hamiltonian needs none (its one time is t = 0). H
-    is sampled at all of them in one call and L^dag(M) = i[H, M] +
-    D^dag(M) is formed for the whole stack, so the result is the maximum
-    of ``liouvillian_trace_term`` over the times (up to rounding). A
+    window. A constant Hamiltonian needs none (its one time is t = 0).
+    L^dag(M) is formed at all of them at once by the builder behind
+    ``dynamics.lindblad_adjoint``, so the result is the bound of the
+    largest |Tr(lindblad_adjoint(t)^2)| over the times (up to rounding). A
     vanishing trace term means M is frozen by the dynamics and the bound
     is +inf.
     """
     if not 0.0 < delta_theta <= 1.0:
         raise ValueError("delta_theta must lie in (0, 1]")
     operators.assert_projector(m, name="measurement operator")
-    if times is None:
-        if not model.hamiltonian.constant:
-            raise ValueError("time-dependent model: supply the evaluation times")
-        times = [0.0]
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (model.dim, model.dim):
-        raise DimensionMismatchError("measurement operator dimension mismatch")
-    hs = model.hamiltonian.sample(times)
-    adj = 1j * (hs @ m - m @ hs) + dynamics.dissipator_adjoint(model, m)
+    adj = dynamics._adjoint_stack(model, m, times, "times")
     term = float(np.max(np.abs(np.real(np.einsum("nij,nji->n", adj, adj)))))
     if term <= 0.0:
         return np.inf

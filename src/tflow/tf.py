@@ -141,8 +141,8 @@ def tf_from_rate(grid: TimeGrid, rate, align: str = "grid") -> TFDistribution:
 def tf_from_current(traj: Trajectory, op, align: str = "grid") -> TFDistribution:
     """``tf_from_rate`` of the expectations of a current-like operator.
 
-    ``op`` is the fixed matrix (or callable t -> matrix) whose
-    expectation equals dp/dt.
+    ``op`` is the fixed matrix whose expectation equals dp/dt, or an
+    (n, d, d) stack of a time-dependent one at the n grid times.
     """
     return tf_from_rate(traj.grid, dynamics.expectation_series(traj, op), align)
 

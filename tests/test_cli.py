@@ -96,19 +96,6 @@ def test_failed_run_writes_nothing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("extra", [
-    ["--omega1", "1e308", "--units", "mhz-cyclic"],
-    ["--omega1", "1e308", "--units", "mhz-cyclic", "--substeps", "2"],
-], ids=["inf", "inf-fixed-substeps"])
-def test_non_finite_generator_exits_2_and_names_the_time(tmp_path, capsys, extra):
-    # these exited 1 with an OverflowError, and 3 with "refine the grid"
-    rc = main(["lambda", "--omega2", "1", "--delta-i", "-10", "--delta-f", "10",
-               "--t-final", "4", "--points", "50", *extra, "--outdir", str(tmp_path)])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("error: schedule is not finite at t = 0\n")
-    assert list(tmp_path.iterdir()) == []
-
-
 @pytest.mark.parametrize("extra, substeps", [([], 4096), (["--substeps", "4"], 4)],
                          ids=["auto", "fixed-substeps"])
 def test_overflowing_attempt_exits_3_without_warnings(tmp_path, capsys, extra, substeps):
@@ -680,9 +667,34 @@ def test_non_finite_scenario_number_exits_2_and_writes_nothing(tmp_path, capsys,
     (["lambda", "--omega1", "nan", "--omega2", "1", "--delta-i", "-10", "--delta-f",
       "10", "--t-final", "4", "--points", "50"],
      "argument --omega1: must be finite, not 'nan'"),
+    # finite as parsed, infinite after the 2 pi of --units mhz-cyclic: the
+    # lambda runs reached the generator check ("schedule is not finite at
+    # t = 0"), the dephasing run a window of 10/gamma = 0 ("t_end must
+    # exceed t_start")
+    (["lambda", "--omega1", "1e308", "--omega2", "1", "--delta-i", "-10",
+      "--delta-f", "10", "--t-final", "4", "--points", "50", "--units", "mhz-cyclic"],
+     "argument --omega1: 1e+308 times 2 pi is not finite"),
+    (["lambda", "--omega1", "1e308", "--omega2", "1", "--delta-i", "-10",
+      "--delta-f", "10", "--t-final", "4", "--points", "50", "--units", "mhz-cyclic",
+      "--substeps", "2"],
+     "argument --omega1: 1e+308 times 2 pi is not finite"),
+    (["lambda", "--omega1", "1", "--omega2", "1", "--delta-i", "-1e308",
+      "--delta-f", "10", "--t-final", "4", "--points", "50", "--units", "mhz-cyclic"],
+     "argument --delta-i: -1e+308 times 2 pi is not finite"),
+    (["dephasing", "--gamma", "1e308", "--units", "mhz-cyclic"],
+     "argument --gamma: 1e+308 times 2 pi is not finite"),
+    (["two-level", "--omega0", "1e308", "--units", "mhz-cyclic", "--points", "50"],
+     "argument --omega0: 1e+308 times 2 pi is not finite"),
+    # the norm divided by sigma^2 = 0: exit 3, "flow is flat: its mass nan"
+    (["two-level", "--waveform", "gaussian", "--t0", "0.5", "--sigma", "1e-200",
+      "--t-end", "1", "--points", "50"],
+     "sigma 1e-200 is too small: its square underflows"),
 ], ids=["hadamard-omega0-inf", "gaussian-omega0-nan", "sta-subnormal-window",
         "two-level-t-end-inf", "lambda-t-final-inf", "hadamard-gamma-inf",
-        "lambda-omega1-nan"])
+        "lambda-omega1-nan", "lambda-omega1-cyclic-overflow",
+        "lambda-omega1-cyclic-overflow-fixed-substeps", "lambda-delta-i-cyclic-overflow",
+        "dephasing-gamma-cyclic-overflow", "two-level-omega0-cyclic-overflow",
+        "gaussian-sigma-underflow"])
 def test_ill_posed_number_exits_2_before_any_arithmetic(tmp_path, capsys, argv,
                                                         message):
     # under error::RuntimeWarning each exited 1 at a numpy warning, except
@@ -691,6 +703,62 @@ def test_ill_posed_number_exits_2_before_any_arithmetic(tmp_path, capsys, argv,
     assert main(argv + ["--outdir", str(outdir)]) == 2
     assert f"error: {message}\n" in capsys.readouterr().err
     assert not outdir.exists() or list(outdir.iterdir()) == []
+
+
+def test_units_convert_once_and_the_manifest_keeps_the_parsed_values(tmp_path):
+    assert main(["hadamard", "--omega0", "10", "--gamma", "5", "--units", "mhz-cyclic",
+                 "--points", "50", "--outdir", str(tmp_path)]) == 0
+    report = _read_report(tmp_path / "hadamard_report.json")
+    parameters = report["manifest"]["parameters"]
+    assert (parameters["omega0"], parameters["gamma"]) == (10.0, 5.0)
+    two_pi = 2.0 * np.pi
+    assert report["inputs"]["omega0"] == 10.0 * two_pi
+    assert report["inputs"]["gamma"] == 5.0 * two_pi
+
+
+@pytest.mark.parametrize("exponent, plain", [
+    ("-1e1", "-10"), ("-1.5E+1", "-15"), ("-.5e1", "-5"), ("-2.e0", "-2"),
+])
+def test_negative_value_in_exponent_form_is_a_value(tmp_path, exponent, plain):
+    # argparse's negative-number pattern has no exponent, so "--delta-i -1e1"
+    # exited 2 with "expected one argument"
+    base = ["lambda", "--omega1", "1", "--omega2", "1", "--delta-f", "10",
+            "--t-final", "4", "--points", "200"]
+    for name, value in (("exp", exponent), ("plain", plain)):
+        assert main(base + ["--delta-i", value, "--outdir", str(tmp_path / name)]) == 0
+    for csv in ("lambda_series.csv", "lambda_tf.csv"):
+        assert ((tmp_path / "exp" / csv).read_bytes()
+                == (tmp_path / "plain" / csv).read_bytes())
+    reports = [_read_report(tmp_path / name / "lambda_report.json")
+               for name in ("exp", "plain")]
+    for report in reports:
+        del report["manifest"]["timestamp"], report["manifest"]["parameters"]["outdir"]
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("config, message", [
+    ('{"t_horizon": 1.0, "omega0": 2.5, "lamda_mono": 0.0, "grid_points": 20.9}',
+     "unknown config keys: lamda_mono"),
+    ('{"t_horizon": 1.0, "omega0": 2.5, "grid_points": 20.9}',
+     "grid_points must be a whole number, not 20.9"),
+    ('{"t_horizon": 1.0, "omega0": 2.5, "max_iterations": Infinity}',
+     "max_iterations must be a whole number, not inf"),
+    ('{"t_horizon": 1.0, "omega0": 2.5, "lambda_mono": null}',
+     "lambda_mono must be a number, not None"),
+    ('[1.0, 2.5]', "the config must be a JSON object"),
+], ids=["unknown-key", "fractional-count", "infinite-count", "null-weight",
+        "not-an-object"])
+def test_optimize_config_refusals_exit_2_and_write_nothing(tmp_path, capsys, config,
+                                                           message):
+    # the unknown key and the fractional count ran with lambda_mono 1.0 and
+    # grid_points 20 (exit 0); the infinite count, the null and the list
+    # ended in a traceback (exit 1)
+    path = tmp_path / "config.json"
+    path.write_text(config, encoding="utf-8")
+    outdir = tmp_path / "out"
+    assert main(["optimize", "--config", str(path), "--outdir", str(outdir)]) == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert list(outdir.iterdir()) == []
 
 
 def test_every_float_option_is_parsed_as_finite():

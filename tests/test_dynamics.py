@@ -247,13 +247,77 @@ def test_lindblad_adjoint_requires_time_for_schedules():
     operators.assert_hermitian(adj)
 
 
+def test_lindblad_adjoint_is_the_row_of_the_qsl_stack():
+    # L^dag(M) has one builder: lindblad_adjoint at t is the row of the
+    # stack that tf_qsl_open reduces, bit for bit
+    config = models.LambdaConfig(2.0, 1.0, -5.0, 5.0, 2.0)
+    decay = np.zeros((3, 3))
+    decay[1, 0] = 1.0
+    model = LindbladModel(models.lambda_hamiltonian(config), ((decay, 0.6),), GKS)
+    m, ts = operators.projector(3, 1), np.linspace(0.0, 2.0, 7)
+    stack = dynamics._adjoint_stack(model, m, ts, "times")
+    for t, row in zip(ts, stack):
+        assert np.array_equal(dynamics.lindblad_adjoint(model, m, t), row)
+    with pytest.raises(ValueError, match="supply the evaluation time t$"):
+        dynamics.lindblad_adjoint(model, m)
+    with pytest.raises(DimensionMismatchError):
+        dynamics.lindblad_adjoint(model, M_PLUS, 0.0)
+
+
+def test_scaled_jumps_are_the_jump_stack_and_half_b():
+    model = LindbladModel(constant_hamiltonian(np.zeros((2, 2))),
+                          ((operators.SIGMA_Z, 1.1), (operators.SIGMA_X, 0.4)), GKS)
+    jumps, half_b = model.scaled_jumps()
+    assert jumps.shape == (2, 2, 2)
+    assert np.array_equal(half_b, 0.5 * sum(a.conj().T @ a for a in jumps))
+    empty, zero = LindbladModel(model.hamiltonian).scaled_jumps()
+    assert empty.shape == (0, 2, 2) and empty.dtype == complex
+    assert not zero.any()
+    # the reuse key holds the grid, the table and three operands
+    dynamics.propagate_lindblad(model, M_PLUS, TimeGrid(0.0, 1.0, 11), 2)
+    assert len(dynamics._last[2]) == 5
+
+
+def test_schedule_is_one_batch_evaluator():
+    calls = []
+
+    def batch(ts):
+        calls.append(ts.copy())
+        return ts[:, None, None] * operators.SIGMA_Z
+
+    schedule = dynamics.HamiltonianSchedule(2, batch=batch)
+    assert np.array_equal(schedule(0.5), 0.5 * operators.SIGMA_Z)
+    assert schedule.sample([0.0, 1.0, 2.0]).shape == (3, 2, 2)
+    assert [c.tolist() for c in calls] == [[0.5], [0.0, 1.0, 2.0]]
+    with pytest.raises(TypeError):
+        dynamics.HamiltonianSchedule(2, batch)  # batch is keyword-only
+    # a constant H is one matrix broadcast over the times
+    table = constant_hamiltonian(operators.SIGMA_X).sample(np.linspace(0.0, 1.0, 4))
+    assert table.shape == (4, 2, 2) and table.strides[0] == 0
+
+
+@pytest.mark.parametrize("func", [
+    lambda t: np.cos(t) * operators.SIGMA_X,  # a scalar function, (2, 2) for 2 times
+    lambda t: np.zeros((len(t), 3, 3)),
+    lambda t: np.zeros((len(t) + 1, 2, 2)),
+], ids=["scalar-function", "wrong-dim", "wrong-count"])
+def test_schedule_refuses_a_batch_of_the_wrong_shape(func):
+    schedule = dynamics.HamiltonianSchedule(2, batch=func)
+    with pytest.raises(DimensionMismatchError, match="not \\(2, 2, 2\\)"):
+        schedule.sample([0.0, 1.0])
+    # a scalar function may fail inside numpy first; either way a ValueError
+    with pytest.raises(ValueError):
+        dynamics.propagate_schrodinger(schedule, operators.basis_state(2, 0),
+                                       TimeGrid(0.0, 1.0, 11))
+
+
 def _lindblad_rhs(model, rho):
     """L(rho) = -i[H, rho] + sum_j A_j rho A_j^dag - (B/2) rho - rho (B/2) at
     t = 0, the forward generator dual to lindblad_adjoint."""
     h = model.hamiltonian(0.0)
-    jumps, jump_dags, half_b = model.scaled_jumps()
+    jumps, half_b = model.scaled_jumps()
     out = -1j * (h @ rho - rho @ h) - (half_b @ rho + rho @ half_b)
-    return out + sum(a @ rho @ a_dag for a, a_dag in zip(jumps, jump_dags))
+    return out + sum(a @ rho @ a.conj().T for a in jumps)
 
 
 @pytest.mark.parametrize("form,channels", [
@@ -323,8 +387,14 @@ def test_expectation_series_time_dependent_operator():
     grid = TimeGrid(0.0, 1.0, 30)
     states = np.tile(operators.basis_state(2, 0), (30, 1))
     traj = dynamics.Trajectory(grid, states)
-    vals = dynamics.expectation_series(traj, lambda t: t * operators.SIGMA_Z)
+    stack = grid.times[:, None, None] * operators.SIGMA_Z
+    vals = dynamics.expectation_series(traj, stack)
     assert np.allclose(vals, grid.times)
+    # one operator per grid time, and no callable
+    with pytest.raises(ValueError):
+        dynamics.expectation_series(traj, np.zeros((29, 2, 2)))
+    with pytest.raises(TypeError):
+        dynamics.expectation_series(traj, lambda t: t * operators.SIGMA_Z)
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +428,9 @@ def test_lindblad_retries_are_logged(caplog, monkeypatch):
 
     def asymmetric_once(*args):
         steps(*args)
-        calls.append(args[5])
+        calls.append(args[4])
         if len(calls) == 1:  # 0.5 * |2e-9| on the raw states
-            args[7][:, 0, 1] += 2e-9
+            args[-1][:, 0, 1] += 2e-9
 
     monkeypatch.setattr(dynamics.kernels, "lindblad_steps", asymmetric_once)
     caplog.set_level("INFO", logger="tflow.dynamics")
@@ -381,7 +451,7 @@ def _lindblad_steps_adding(monkeypatch, entries):
     def patched(*args):
         steps(*args)
         for (i, j), value in entries.items():
-            args[7][:, i, j] += value
+            args[-1][:, i, j] += value
 
     monkeypatch.setattr(dynamics.kernels, "lindblad_steps", patched)
 
@@ -433,8 +503,7 @@ def test_table_check_sees_a_defect_at_one_half_step_node(entry):
             out = np.repeat(base[None].astype(complex), np.size(ts), axis=0)
             out[np.asarray(ts) == node, entry[0], entry[1]] += 1j * size
             return out
-        return dynamics.HamiltonianSchedule(3, lambda t: batch(np.array([t]))[0],
-                                            batch=batch)
+        return dynamics.HamiltonianSchedule(3, batch=batch)
 
     size = 10 * tol / (2 if entry[0] == entry[1] else 1)
     assert dynamics._hermitian_defect(schedule_with(size).sample(grid.times)) == 0.0
@@ -458,10 +527,11 @@ def test_nan_at_one_half_step_node_is_refused_before_propagating(monkeypatch):
 
     grid = TimeGrid(0.0, 1.0, 201)
 
-    def h(t):
-        return (np.nan if abs(t - 0.5025) < 1e-12 else 1.0) * operators.SIGMA_X
+    def batch(ts):
+        w = np.where(np.abs(ts - 0.5025) < 1e-12, np.nan, 1.0)
+        return w[:, None, None] * operators.SIGMA_X
 
-    schedule = dynamics.HamiltonianSchedule(2, h)
+    schedule = dynamics.HamiltonianSchedule(2, batch=batch)
     calls = []
     monkeypatch.setattr(dynamics.kernels, "schrodinger_steps",
                         lambda *args, **kwargs: calls.append(args))
@@ -482,11 +552,13 @@ def test_non_finite_grid_point_is_refused_with_its_time(value):
 
     grid = TimeGrid(0.0, 1.0, 11)
 
-    def h(t):
-        v = value if abs(t - 0.3) < 1e-12 else 1.0
-        return np.array([[v, 0.0], [0.0, -v]], dtype=complex)
+    def batch(ts):
+        out = np.zeros((len(ts), 2, 2), dtype=complex)
+        out[:, 0, 0] = np.where(np.abs(ts - 0.3) < 1e-12, value, 1.0)
+        out[:, 1, 1] = -out[:, 0, 0]
+        return out
 
-    schedule = dynamics.HamiltonianSchedule(2, h)
+    schedule = dynamics.HamiltonianSchedule(2, batch=batch)
     with pytest.raises(OperatorConstraintError, match=r"not finite at t = 0\.3$"):
         dynamics.propagate_schrodinger(schedule, operators.basis_state(2, 0), grid)
     # with fixed substeps the table check names the same time
@@ -619,8 +691,7 @@ def test_schedule_changed_in_place_is_propagated_again(monkeypatch):
     # a batch evaluator makes a new table from the array it holds
     w = np.array([1.0, 0.2])
     schedule = dynamics.HamiltonianSchedule(
-        2, lambda t: (w[0] + w[1] * t) * operators.SIGMA_X,
-        batch=lambda ts: (w[0] + w[1] * ts)[:, None, None] * operators.SIGMA_X)
+        2, batch=lambda ts: (w[0] + w[1] * ts)[:, None, None] * operators.SIGMA_X)
     before = dynamics.propagate_schrodinger(schedule, psi0, grid, 4).states
     w[1] = 0.3
     after = dynamics.propagate_schrodinger(schedule, psi0, grid, 4).states
@@ -630,7 +701,7 @@ def test_schedule_changed_in_place_is_propagated_again(monkeypatch):
     # a batch evaluator that returns its own array each time: the kept table
     # is that array, so it changes with it and cannot be compared
     table = np.repeat(0.5 * operators.SIGMA_X[None].astype(complex), 2 * 30 * 4 + 1, axis=0)
-    schedule = dynamics.HamiltonianSchedule(2, lambda t: table[0], batch=lambda ts: table)
+    schedule = dynamics.HamiltonianSchedule(2, batch=lambda ts: table)
     before = dynamics.propagate_schrodinger(schedule, psi0, grid, 4).states
     table *= 2.0
     after = dynamics.propagate_schrodinger(schedule, psi0, grid, 4).states
@@ -642,7 +713,7 @@ def test_one_level_table_is_kept_unscaled(monkeypatch):
     # the closed kernel scaled a 1 x 1 table by -1j in place, so the schedule's
     # own array changed and the kept table never matched a new sample
     h = np.full((321, 1, 1), 2.0 + 0j)
-    schedule = dynamics.HamiltonianSchedule(1, lambda t: h[0], batch=lambda ts: h[:len(ts)])
+    schedule = dynamics.HamiltonianSchedule(1, batch=lambda ts: h[:len(ts)])
     psi0, grid = np.array([1.0 + 0j]), TimeGrid(0.0, 1.0, 11)
     calls = _counting(monkeypatch, "schrodinger_steps")
     for _ in range(2):

@@ -25,8 +25,7 @@ def reference_schrodinger_steps(h_table, psi0, substeps, h, out):
         out[g + 1] = psi
 
 
-def reference_lindblad_steps(h_table, jump_ops, jump_dags, half_b, rho0,
-                             substeps, h, out):
+def reference_lindblad_steps(h_table, jump_ops, half_b, rho0, substeps, h, out):
     """Symmetrizes rho after every step; returns the largest removed defect."""
     n_grid = out.shape[0]
     rho = rho0.copy()
@@ -36,8 +35,8 @@ def reference_lindblad_steps(h_table, jump_ops, jump_dags, half_b, rho0,
     def rhs(node, x):
         h = h_table[node]
         out = -1j * (h @ x - x @ h) - (half_b @ x + x @ half_b)
-        for a, a_dag in zip(jump_ops, jump_dags):
-            out = out + a @ (x @ a_dag)
+        for a in jump_ops:
+            out = out + a @ (x @ a.conj().T)
         return out
 
     for g in range(n_grid - 1):
@@ -82,12 +81,12 @@ def _hadamard_case(n_points):
 
 
 def _run_lindblad(model, grid, r):
-    jumps, jump_dags, half_b = model.scaled_jumps()
+    jumps, half_b = model.scaled_jumps()
     table = _half_step_table(model.hamiltonian, grid, r)
     rho0 = operators.projector(model.dim, 0).astype(complex)
     got = np.empty((grid.n_points, model.dim, model.dim), dtype=complex)
     want = np.empty_like(got)
-    args = (jumps, jump_dags, half_b, rho0, r, grid.dt / r)
+    args = (jumps, half_b, rho0, r, grid.dt / r)
     kernels.lindblad_steps(table, *args, got)
     reference_lindblad_steps(table, *args, want)
     # the kernel leaves the grid states unsymmetrized
@@ -181,8 +180,7 @@ def _unflagged(schedule):
     """The same H as a schedule that does not declare itself constant."""
     h = schedule(0.0)
     return dynamics.HamiltonianSchedule(
-        schedule.dim, schedule,
-        batch=lambda ts: np.repeat(h[None], np.size(ts), axis=0))
+        schedule.dim, batch=lambda ts: np.repeat(h[None], np.size(ts), axis=0))
 
 
 def _constant_schrodinger_cases():

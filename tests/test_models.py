@@ -721,15 +721,42 @@ def test_nan_rates_are_refused(build):
     # "not Hermitian (defect nan)"
     (lambda bad: models.hadamard_model(bad, 0.5), "omega0"),
     (lambda bad: models.hadamard_model(1.0, bad), "gamma"),
+    # an infinite gamma passed "gamma > 0"; the CLI then failed on a window
+    # of 10/gamma = 0 with "t_end must exceed t_start"
+    (lambda bad: models.dephasing_model(bad), "gamma"),
+    (lambda bad: models.dephasing_analytics(bad, TimeGrid(0.0, 1.0, 11)), "gamma"),
+    (lambda bad: models.LambdaConfig(bad, 1.0, -1.0, 1.0, 1.0), "omega1"),
+    (lambda bad: models.LambdaConfig(1.0, bad, -1.0, 1.0, 1.0), "omega2"),
+    (lambda bad: models.LambdaConfig(1.0, 1.0, -bad, 1.0, 1.0), "delta_initial"),
+    (lambda bad: models.LambdaConfig(1.0, 1.0, -1.0, bad, 1.0), "delta_final"),
+    (lambda bad: models.LambdaConfig(1.0, 1.0, -1.0, 1.0, bad), "t_final"),
 ], ids=["sta-alpha", "sta-t_final", "sta-omega0", "constant", "polynomial-omega0",
         "polynomial-coefficient", "gaussian-t0", "gaussian-sigma", "gaussian-area",
-        "hadamard-omega0", "hadamard-gamma"])
+        "hadamard-omega0", "hadamard-gamma", "dephasing-model", "dephasing-analytics",
+        "lambda-omega1", "lambda-omega2", "lambda-delta_initial", "lambda-delta_final",
+        "lambda-t_final"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_scenario_numbers_are_refused(build, name, bad):
     # a NaN compared false against every sign check and passed, then gave a
     # flat flow (exit 3) or a quiet NaN report
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         build(bad)
+
+
+@pytest.mark.parametrize("sigma", [1e-200, 1e-160, 1.4e-154])
+def test_gaussian_refuses_a_sigma_whose_square_underflows(sigma):
+    # sigma = 1e-200 divided the norm by 0: "flow is flat: its mass nan"
+    # (exit 3) after RuntimeWarnings
+    with pytest.raises(ValueError, match="its square underflows"):
+        models.ControlWaveform.gaussian_pulse(0.5, sigma)
+
+
+def test_gaussian_keeps_its_norm_at_the_smallest_sigma():
+    # the smallest accepted sigma: sigma^2 is the smallest normal float
+    sigma = float(np.sqrt(np.finfo(float).tiny)) * (1 + 2 ** -52)
+    wf = models.ControlWaveform.gaussian_pulse(0.5, sigma)
+    assert wf.omega(0.5) == np.pi / np.sqrt(2.0 * np.pi * sigma * sigma)
+    assert np.isfinite(wf.omega(0.5))
 
 
 def test_sta_tf_closed_refuses_a_single_interval():

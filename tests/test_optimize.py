@@ -153,6 +153,27 @@ def test_config_from_dict_roundtrip():
         optimize.OptimizeConfig.from_dict({"omega0": 1.0})
 
 
+def test_config_from_dict_takes_the_dataclass_defaults():
+    # from_dict repeated every default; an absent key must give the field's own
+    required = {"t_horizon": 1.0, "omega0": 2.5}
+    assert optimize.OptimizeConfig.from_dict(required) == optimize.OptimizeConfig(**required)
+    config = optimize.OptimizeConfig.from_dict(
+        {**required, "grid_points": 40.0, "max_iterations": 7, "lambda_reg": 1})
+    assert (config.grid_points, config.max_iterations) == (40, 7)
+    assert type(config.grid_points) is int and type(config.lambda_reg) is float
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"lamda_mono": 0.0}, "unknown config keys: lamda_mono"),
+    ({"grid_points": 20.9}, "grid_points must be a whole number, not 20.9"),
+    ({"max_iterations": True}, "max_iterations must be a whole number, not True"),
+    ({"initial_coefficients": 3.0}, "initial_coefficients must be a list of numbers"),
+], ids=["unknown-key", "fractional-count", "boolean-count", "scalar-coefficients"])
+def test_config_from_dict_refuses_unknown_keys_and_bad_values(entry, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        optimize.OptimizeConfig.from_dict({"t_horizon": 1.0, "omega0": 2.5, **entry})
+
+
 def test_sta_alpha_report_rows():
     rows = optimize.sta_alpha_report([5.0, 1.0, 0.7], t_final=1.0)
     assert [r.alpha for r in rows] == [0.7, 1.0, 5.0]

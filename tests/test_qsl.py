@@ -39,16 +39,22 @@ def test_tf_qsl_open_validates_inputs():
         qsl.tf_qsl_open(model, operators.SIGMA_X, 0.5)  # not a projector
 
 
+def _trace_term(model, m, t):
+    """|Tr(L^dag(M)^2)| at a single time, the per-time reference."""
+    adj = dynamics.lindblad_adjoint(model, m, t)
+    return abs(float(np.real(np.trace(adj @ adj))))
+
+
 def _time_dependent_models():
     lam = models.LambdaConfig(2 * np.pi, 2 * np.pi, -5 * np.pi, 5 * np.pi, 2.0)
     schedule = models.lambda_hamiltonian(lam)
     decay = np.zeros((3, 3))
     decay[1, 0] = 1.0
     psi = np.array([1.0, 1.0j, 1.0]) / np.sqrt(3.0)
-    # no batch evaluator: sample() calls the function once per time
-    scalar = dynamics.HamiltonianSchedule(
-        2, lambda t: 0.5 * np.cos(3.0 * t) * operators.SIGMA_X
-        + 0.2 * t * operators.SIGMA_Z + 0.3 * operators.SIGMA_Y)
+    # a drive along all three Pauli axes
+    driven = dynamics.HamiltonianSchedule(
+        2, batch=lambda ts: 0.5 * np.cos(3.0 * ts)[:, None, None] * operators.SIGMA_X
+        + 0.2 * ts[:, None, None] * operators.SIGMA_Z + 0.3 * operators.SIGMA_Y)
     phi = np.array([np.cos(0.4), np.exp(0.7j) * np.sin(0.4)])
     # generic channels and targets, so the cross term 2 Tr(i[H, M] D^dag(M))
     # is nonzero and the sign of the commutator matters
@@ -56,7 +62,7 @@ def _time_dependent_models():
         (dynamics.LindbladModel(schedule), operators.projector(3, 1), lam.t_final),
         (dynamics.LindbladModel(schedule, ((decay, 2.0),), form=dynamics.GKS),
          np.outer(psi, psi.conj()), lam.t_final),
-        (dynamics.LindbladModel(scalar, ((np.array([[0.2, 1.0], [0.3j, -0.1]]), 0.7),),
+        (dynamics.LindbladModel(driven, ((np.array([[0.2, 1.0], [0.3j, -0.1]]), 0.7),),
                                 form=dynamics.GKS),
          np.outer(phi, phi.conj()), 4.0),
     ]
@@ -66,7 +72,7 @@ def _time_dependent_models():
 def test_tf_qsl_open_times_matches_per_time_trace_terms(case):
     model, m, t_end = _time_dependent_models()[case]
     times = np.linspace(0.0, t_end, 401)
-    want = max(qsl.liouvillian_trace_term(model, m, float(t)) for t in times)
+    want = max(_trace_term(model, m, float(t)) for t in times)
     got = qsl.tf_qsl_open(model, m, 0.5, times=times)
     assert got == pytest.approx(0.5 / np.sqrt(want), rel=1e-12)
 

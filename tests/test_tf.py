@@ -177,10 +177,9 @@ def test_tf_from_current_time_dependent_operator():
     grid = TimeGrid(0.0, 1.0, 801)
     traj = models.sta_propagate(config, grid)
     m_plus = operators.projector_from_state(operators.plus_state())
-    schedule = models.sta_hamiltonian(config)
-    dist = tf.tf_from_current(
-        traj, lambda t: dynamics.current_operator(schedule(t), m_plus), "midpoints"
-    )
+    hs = models.sta_hamiltonian(config).sample(traj.grid.times)
+    currents = np.array([dynamics.current_operator(h, m_plus) for h in hs])
+    dist = tf.tf_from_current(traj, currents, "midpoints")
     p = models.sta_population_closed(config, grid.times)
     fd = tf.tf_from_population(tf.PopulationSeries(grid, p))
     assert np.max(np.abs(dist.density - fd.density)) <= 5.0 * grid.dt
