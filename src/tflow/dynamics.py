@@ -482,11 +482,7 @@ def population_series(traj: Trajectory, m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.shape != (traj.dim, traj.dim):
         raise DimensionMismatchError("measurement operator dimension mismatch")
-    if traj.is_pure:
-        vals = np.einsum("ti,ij,tj->t", traj.states.conj(), m, traj.states)
-    else:
-        vals = np.einsum("tij,ji->t", traj.states, m)
-    return np.clip(np.real(vals), 0.0, 1.0)
+    return np.clip(expectation_series(traj, m), 0.0, 1.0)
 
 
 def expectation_series(traj: Trajectory, op) -> np.ndarray:

@@ -1,26 +1,30 @@
 """Fixed-step RK4 kernels behind the propagators.
 
 RK4 applied to a linear ODE y' = A(t) y advances the state by one fixed
-matrix per step,
+matrix per step. The kernels receive the generator already multiplied by
+the step, B = h A, at the start, middle and end of the step:
 
-    M = I + h/6 (K1 + 2 K2 + 2 K3 + K4),
-    K1 = A0,  K2 = Am (I + h/2 K1),  K3 = Am (I + h/2 K2),  K4 = A1 (I + h K3),
+    M = I + (B0 + 2 K2 + 2 K3 + K4) / 6,
+    K2 = Bm (I + B0/2),  K3 = Bm (I + K2/2),  K4 = B1 (I + K3),
 
-with A0, Am and A1 the generator at the start, middle and end of the
-step. The kernels build these maps for a batch of steps in one broadcast
-expression, fold the ``substeps`` maps of each grid interval into one
-with pairwise batched products, and apply the n interval maps in blocks
-(``_apply``): prefix products inside blocks of about sqrt(n)/2 maps,
-formed for all blocks at once, one matrix-vector product per block to
-carry the state across, and one batched contraction for every grid
-state, so O(sqrt(n)) Python steps in all. At most ``_BATCH_STEPS`` step
-maps are held at a time; an interval with more substeps than that is
-folded batch by batch. The interval maps are written straight into one
-(D, D, n) stack (``_blocked``) and turned into prefix products in place,
-so the blocked application holds O(n D^2) memory: 16 n D^2 bytes, 1.3 GB
-for D = 9 and a million grid points. Closed systems use A = -iH on the
-state vector; open systems use the d^2 x d^2 Lindblad superoperator on
-the row-major vectorized density matrix.
+so every product is one of h A factors and cannot overflow while h A is
+of order one (a time-rescaled problem gives the same maps). The kernels
+build these maps for a batch of steps in one broadcast expression, fold
+the ``substeps`` maps of each grid interval into one with pairwise
+batched products, and apply the n interval maps in blocks (``_apply``):
+prefix products inside blocks of about sqrt(n)/2 maps, formed for all
+blocks at once, one matrix-vector product per block to carry the state
+across, and one batched contraction for every grid state, so O(sqrt(n))
+Python steps in all. One fold path serves every r: the step maps of
+whole intervals, about ``_BATCH_STEPS`` at a time, are built and folded
+together, so an interval with more substeps is a batch of its own, at
+most ``dynamics._MAX_SUBSTEPS`` maps. The interval maps are written
+straight into one (D, D, n) stack (``_blocked``) and turned into prefix
+products in place, so the blocked application holds O(n D^2) memory:
+16 n D^2 bytes, 1.3 GB for D = 9 and a million grid points. Closed
+systems use B = -i h H on the state vector; open systems use h times the
+d^2 x d^2 Lindblad superoperator on the row-major vectorized density
+matrix.
 
 Stacks of D x D matrices keep their batch axes last, (D, D, n), so every
 ufunc runs over one contiguous batch axis instead of inner loops of
@@ -36,13 +40,14 @@ matmul.
 
 Kernels consume a pre-sampled generator table ``h_table`` holding H(t)
 at every half-step node (2*n_steps + 1 matrices for n_steps RK4 steps),
-so no Python callback happens during stepping. A table of 2r + 1 rows
-for r substeps holds the one grid interval of a time-independent
-generator: its map, the same fold of the same r step maps as with the
-full table, is built once and written to every interval's slot of the
-blocked stack. Kernels do the arithmetic only: they write the raw grid
-states into ``out`` and return nothing; checks, symmetrization,
-renormalization and retries live in ``tflow.dynamics``.
+so no Python callback happens during stepping; each batch of rows is
+scaled into B as it is transposed. A table of 2r + 1 rows for r
+substeps holds the one grid interval of a time-independent generator:
+its map, the same fold of the same r step maps as with the full table,
+is built once and written to every interval's slot of the blocked stack.
+Kernels do the arithmetic only: they write the raw grid states into
+``out`` and return nothing; checks, symmetrization, renormalization and
+retries live in ``tflow.dynamics``.
 """
 
 from __future__ import annotations
@@ -51,10 +56,11 @@ import math
 
 import numpy as np
 
-# RK4 step maps held at once; bounds the memory of building and folding
-# them (the blocked application holds the n interval maps). A library-sweep
-# round took about 4,000 minor page faults at 2048 (its 3 x 3 stacks of
-# 300 kB were freed to the OS and faulted in again) and about one at 1024.
+# RK4 step maps of whole intervals (at least one) built and folded at once;
+# bounds the memory of building and folding them (the blocked application
+# holds the n interval maps). A library-sweep round took about 4,000 minor
+# page faults at 2048 (its 3 x 3 stacks of 300 kB were freed to the OS and
+# faulted in again) and about one at 1024.
 _BATCH_STEPS = 1024
 
 
@@ -67,13 +73,14 @@ def _mm(a, b):
     return out
 
 
-def _step_maps(gens, h):
-    """RK4 step maps (D, D, n) from generators (D, D, 2n + 1) at half-step nodes."""
-    a0, am, a1 = gens[..., :-1:2], gens[..., 1::2], gens[..., 2::2]
-    k2 = am + (0.5 * h) * _mm(am, a0)
-    k3 = am + (0.5 * h) * _mm(am, k2)
-    k4 = a1 + h * _mm(a1, k3)
-    maps = (h / 6.0) * (a0 + 2.0 * (k2 + k3) + k4)
+def _step_maps(gens):
+    """RK4 step maps (D, D, n) from step-scaled generators B = h A (D, D, 2n + 1)
+    at half-step nodes."""
+    b0, bm, b1 = gens[..., :-1:2], gens[..., 1::2], gens[..., 2::2]
+    k2 = bm + 0.5 * _mm(bm, b0)
+    k3 = bm + 0.5 * _mm(bm, k2)
+    k4 = b1 + _mm(b1, k3)
+    maps = (b0 + 2.0 * (k2 + k3) + k4) / 6.0
     diag = np.arange(maps.shape[0])
     maps[diag, diag] += 1.0
     return maps
@@ -95,22 +102,15 @@ def _fold(maps):
     return maps[..., 0] if tail is None else _mm(tail, maps[..., 0])
 
 
-def _interval_maps(generators, h_table, g0, g1, r, h):
+def _interval_maps(generators, h_table, g0, g1, r):
     """Maps (D, D, g1 - g0) across grid intervals g0..g1-1, each folded
     from r RK4 steps.
 
-    ``generators(rows)`` returns the generators (D, D, k) of k table rows.
+    ``generators(rows)`` returns the step-scaled generators (D, D, k) of k
+    table rows.
     """
-    if r <= _BATCH_STEPS:
-        maps = _step_maps(generators(h_table[2 * g0 * r:2 * g1 * r + 1]), h)
-        return _fold(maps.reshape(maps.shape[:2] + (g1 - g0, r)))
-    # one interval longer than a batch (g1 == g0 + 1): fold it batch by batch
-    total = None
-    for k0 in range(g0 * r, g1 * r, _BATCH_STEPS):
-        k1 = min(k0 + _BATCH_STEPS, g1 * r)
-        part = _fold(_step_maps(generators(h_table[2 * k0:2 * k1 + 1]), h)[:, :, None])
-        total = part if total is None else _mm(part, total)
-    return total
+    maps = _step_maps(generators(h_table[2 * g0 * r:2 * g1 * r + 1]))
+    return _fold(maps.reshape(maps.shape[:2] + (g1 - g0, r)))
 
 
 def _blocked(d, n):
@@ -157,18 +157,18 @@ def _apply(maps, y0, out):
     out[1:] = states.transpose(2, 1, 0).reshape(blocks * size, d)[:out.shape[0] - 1]
 
 
-def _propagate(generators, h_table, y0, r, h, out):
+def _propagate(generators, h_table, y0, r, out):
     """Fill out[g] (shape (n_grid, D)) with the state at grid point g."""
     d, n_intervals = y0.shape[0], out.shape[0] - 1
     maps, slots = _blocked(d, n_intervals)
     flat = maps.reshape(d, d, -1)
     if len(h_table) == 2 * r + 1:  # one interval: its map serves every slot
-        flat[..., slots] = _interval_maps(generators, h_table, 0, 1, r, h)
+        flat[..., slots] = _interval_maps(generators, h_table, 0, 1, r)
     else:
         per_batch = max(1, _BATCH_STEPS // r)
         for g0 in range(0, n_intervals, per_batch):
             g1 = min(g0 + per_batch, n_intervals)
-            flat[..., slots[g0:g1]] = _interval_maps(generators, h_table, g0, g1, r, h)
+            flat[..., slots[g0:g1]] = _interval_maps(generators, h_table, g0, g1, r)
     _apply(maps, y0, out)
 
 
@@ -182,10 +182,10 @@ def schrodinger_steps(h_table, psi0, substeps, h, out):
     """RK4 for i dpsi/dt = H(t) psi; out (n_grid, d) receives psi at grid points."""
     def generators(rows):
         gens = _batch_last(rows)
-        gens *= -1j
+        gens *= -1j * h
         return gens
 
-    _propagate(generators, h_table, psi0, substeps, h, out)
+    _propagate(generators, h_table, psi0, substeps, out)
 
 
 def lindblad_steps(h_table, jump_ops, half_b, rho0, substeps, h, out):
@@ -198,10 +198,10 @@ def lindblad_steps(h_table, jump_ops, half_b, rho0, substeps, h, out):
     dissipator = -np.kron(half_b, eye) - np.kron(eye, half_b.T)
     for a in jump_ops:
         dissipator = dissipator + np.kron(a, a.conj())
-    dissipator = dissipator[..., None]
+    dissipator = h * dissipator[..., None]
 
     def superoperators(rows):
-        # row-major vec: -i (H kron I - I kron H^T), indices (a, b, c, e)
+        # row-major vec: -i h (H kron I - I kron H^T), indices (a, b, c, e)
         hs = _batch_last(rows)
         comm = np.zeros((d, d, d, d, len(rows)), dtype=complex)
         for k in range(d):
@@ -209,9 +209,9 @@ def lindblad_steps(h_table, jump_ops, half_b, rho0, substeps, h, out):
         for k in range(d):
             comm[k, :, k, :] -= hs.transpose(1, 0, 2)
         comm = comm.reshape(d * d, d * d, len(rows))
-        comm *= -1j
+        comm *= -1j * h
         comm += dissipator
         return comm
 
-    _propagate(superoperators, h_table, rho0.reshape(d * d), substeps, h,
+    _propagate(superoperators, h_table, rho0.reshape(d * d), substeps,
                out.reshape(out.shape[0], d * d))

@@ -572,6 +572,10 @@ class LambdaConfig:
             raise ValueError("the ramp must cross resonance: delta_i < 0 < delta_f")
         if self.t_final <= 0:
             raise ValueError("t_final must be positive")
+        if not math.isfinite(self.delta_final - self.delta_initial):
+            raise ValueError(f"the ramp from delta_initial {self.delta_initial:g} to "
+                             f"delta_final {self.delta_final:g} spans more than the "
+                             f"largest float")
 
     @property
     def omega_eff(self) -> float:
@@ -631,6 +635,19 @@ def landau_zener_probability(config: LambdaConfig) -> float:
 # open-system examples
 
 
+def _trace_term(formula: Callable[[], float], **rates) -> float:
+    """Tr[(L^dag M)^2] = formula(), refused unless it is a normal float: a
+    subnormal one has lost digits, and an infinite one makes tau_tf zero."""
+    try:
+        value = formula()
+    except OverflowError:  # a float power
+        value = math.inf
+    if not np.finfo(float).tiny <= value < math.inf:
+        given = ", ".join(f"{name} {rate:g}" for name, rate in rates.items())
+        raise ValueError(f"{given}: the trace term {value:g} is not a normal float")
+    return value
+
+
 def dephasing_model(gamma: float) -> LindbladModel:
     """Pure sigma_z dephasing, double-commutator convention:
     d rho/dt = -(gamma/2)[sigma_z, [sigma_z, rho]]."""
@@ -672,6 +689,7 @@ def dephasing_analytics(gamma: float, grid: TimeGrid) -> DephasingAnalytics:
     operators.assert_finite(gamma=gamma)
     if not gamma > 0:
         raise ValueError("gamma must be positive")
+    trace_term = _trace_term(lambda: 2.0 * gamma * gamma, gamma=gamma)
     times = grid.times
     pop = PopulationSeries(grid, dephasing_population(gamma, times))
     dist = tf.tf_from_rate(grid, 2.0 * gamma * np.exp(-2.0 * gamma * times))
@@ -685,7 +703,7 @@ def dephasing_analytics(gamma: float, grid: TimeGrid) -> DephasingAnalytics:
         exact_mean=0.5 / gamma,
         exact_std=0.5 / gamma,
         delta_theta=0.5,
-        trace_term=2.0 * gamma * gamma,
+        trace_term=trace_term,
         truncation_mass=outside,
     )
 
@@ -714,6 +732,8 @@ def hadamard_model(omega0: float, gamma: float = 0.0) -> HadamardModel:
         raise ValueError("omega0 must be positive")
     if not gamma >= 0:
         raise ValueError("gamma must be >= 0")
+    trace_term = _trace_term(lambda: omega0 ** 2 / 4.0 + gamma ** 2 / 2.0,
+                             omega0=omega0, gamma=gamma)
     h = 0.5 * omega0 * operators.hadamard()
     channels = ((SIGMA_Z, gamma),) if gamma > 0 else ()
     model = LindbladModel(
@@ -725,6 +745,6 @@ def hadamard_model(omega0: float, gamma: float = 0.0) -> HadamardModel:
         gamma=gamma,
         model=model,
         current_op=current,
-        trace_term=omega0 ** 2 / 4.0 + gamma ** 2 / 2.0,
+        trace_term=trace_term,
         target=operators.projector_from_state(operators.plus_state()),
     )

@@ -165,10 +165,13 @@ def build_bounds_report(*, delta_theta: float, trace_term: float,
     not apply. ``mt_bound`` adds the fidelity-based comparison value and
     the ratio of the measured spread to the QSL spread bound.
 
-    Values are kept as computed, so a frozen target's tau_tf is +inf; a
-    form that does not apply is None. The CLI's JSON writer turns every
-    non-finite value into null.
+    Values are kept as computed, so a frozen target's tau_tf is +inf (a
+    trace term of 0); a form that does not apply is None. The CLI's JSON
+    writer turns every non-finite value into null. A NaN, infinite or
+    negative ``trace_term`` is refused with ValueError.
     """
+    if not 0.0 <= trace_term < np.inf:
+        raise ValueError(f"trace_term must be finite and non-negative, not {trace_term}")
     tau = delta_theta / np.sqrt(trace_term) if trace_term > 0 else np.inf
     cheb = chebyshev_spread_bound(pi_max)
     qsl_spread = spread_bound_from_qsl(tau) if 0.0 < tau < np.inf else 0.0

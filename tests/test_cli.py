@@ -689,16 +689,34 @@ def test_non_finite_scenario_number_exits_2_and_writes_nothing(tmp_path, capsys,
     (["two-level", "--waveform", "gaussian", "--t0", "0.5", "--sigma", "1e-200",
       "--t-end", "1", "--points", "50"],
      "sigma 1e-200 is too small: its square underflows"),
+    # a trace term that is not a normal float: the overflows and the
+    # dephasing run exited 1 with an OverflowError from a float power, the
+    # subnormal hadamard run exited 0 with std null and a tau_tf 1e-5 off
+    (["hadamard", "--omega0", "1e155", "--points", "50"],
+     "omega0 1e+155, gamma 0: the trace term inf is not a normal float"),
+    (["hadamard", "--omega0", "1", "--gamma", "1e155", "--points", "50"],
+     "omega0 1, gamma 1e+155: the trace term inf is not a normal float"),
+    (["hadamard", "--omega0", "1e-160", "--points", "50"],
+     "omega0 1e-160, gamma 0: the trace term 2.49997e-321 is not a normal float"),
+    (["dephasing", "--gamma", "1e-160", "--points", "50"],
+     "gamma 1e-160: the trace term 1.99998e-320 is not a normal float"),
+    # reached the generator check: "schedule is not finite at t = 0"
+    (["lambda", "--omega1", "1", "--omega2", "1", "--delta-i", "-1e308", "--delta-f",
+      "1e308", "--t-final", "4", "--points", "50"],
+     "the ramp from delta_initial -1e+308 to delta_final 1e+308 spans more than "
+     "the largest float"),
 ], ids=["hadamard-omega0-inf", "gaussian-omega0-nan", "sta-subnormal-window",
         "two-level-t-end-inf", "lambda-t-final-inf", "hadamard-gamma-inf",
         "lambda-omega1-nan", "lambda-omega1-cyclic-overflow",
         "lambda-omega1-cyclic-overflow-fixed-substeps", "lambda-delta-i-cyclic-overflow",
         "dephasing-gamma-cyclic-overflow", "two-level-omega0-cyclic-overflow",
-        "gaussian-sigma-underflow"])
+        "gaussian-sigma-underflow", "hadamard-omega0-trace-overflow",
+        "hadamard-gamma-trace-overflow", "hadamard-trace-subnormal",
+        "dephasing-trace-subnormal", "lambda-span-overflow"])
 def test_ill_posed_number_exits_2_before_any_arithmetic(tmp_path, capsys, argv,
                                                         message):
-    # under error::RuntimeWarning each exited 1 at a numpy warning, except
-    # the gaussian run, which exited 0 with "omega0": null in its report
+    # under error::RuntimeWarning the first rows exited 1 at a numpy warning,
+    # except the gaussian run, which exited 0 with "omega0": null in its report
     outdir = tmp_path / "out"
     assert main(argv + ["--outdir", str(outdir)]) == 2
     assert f"error: {message}\n" in capsys.readouterr().err

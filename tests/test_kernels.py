@@ -136,8 +136,8 @@ def test_interval_count_off_batch_multiple_matches_reference():
 @pytest.mark.parametrize("r", [3, 10])
 def test_batch_edges_match_reference(monkeypatch, r):
     # with 7 steps per batch, r = 3 packs 2 intervals per batch, so the 31
-    # intervals end on a partial batch; r = 10 splits each interval into
-    # batches of 7 and 3 steps
+    # intervals end on a partial batch; r = 10 makes each interval a batch
+    # of its own, longer than 7 steps
     monkeypatch.setattr(kernels, "_BATCH_STEPS", 7)
     got, want = _run_schrodinger(32, r)
     assert np.max(np.abs(got - want)) <= 1e-12
@@ -199,7 +199,7 @@ def _constant_lindblad_cases():
 
 @pytest.mark.parametrize("substeps", [None, 3, 4, 10])
 def test_constant_schedule_matches_unflagged_schrodinger(monkeypatch, substeps):
-    if substeps == 10:  # longer than a batch of 7: one interval folded 7 + 3
+    if substeps == 10:  # longer than a batch of 7: one interval per batch
         monkeypatch.setattr(kernels, "_BATCH_STEPS", 7)
     for schedule, grid in _constant_schrodinger_cases():
         psi0 = operators.basis_state(schedule.dim, 0)
@@ -235,6 +235,36 @@ def test_constant_table_holds_one_interval(monkeypatch):
     dynamics.propagate_schrodinger(schedule, psi0, grid, 5)
     dynamics.propagate_schrodinger(_unflagged(schedule), psi0, grid, 5)
     assert lengths == [2 * 5 + 1, 2 * 5 * (grid.n_points - 1) + 1]
+
+
+# ---------------------------------------------------------------------------
+# step-scaled generators: a time-rescaled problem gives the same maps
+
+
+def test_rescaled_dephasing_matches_the_unit_rate_run():
+    # products of unscaled generators overflowed at gamma = 1e200: five NaN
+    # attempts, the last at substeps = 1776; measured equal bit for bit
+    rho0 = operators.projector_from_state(operators.plus_state())
+    minus = operators.projector_from_state(operators.minus_state())
+    fast = dynamics.propagate_lindblad(models.dephasing_model(1e200), rho0,
+                                       dynamics.TimeGrid(0.0, 1e-199, 50))
+    unit = dynamics.propagate_lindblad(models.dephasing_model(1.0), rho0,
+                                       dynamics.TimeGrid(0.0, 10.0, 50))
+    got = dynamics.population_series(fast, minus)
+    want = dynamics.population_series(unit, minus)
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_rescaled_rotation_matches_the_unit_run():
+    # H = 1e160 sigma_x squared to inf in every product; measured 3.3e-16
+    psi0 = operators.basis_state(2, 0)
+    fast = dynamics.propagate_schrodinger(
+        dynamics.constant_hamiltonian(1e160 * operators.SIGMA_X), psi0,
+        dynamics.TimeGrid(0.0, 1e-160, 50), substeps=8)
+    unit = dynamics.propagate_schrodinger(
+        dynamics.constant_hamiltonian(operators.SIGMA_X), psi0,
+        dynamics.TimeGrid(0.0, 1.0, 50), substeps=8)
+    assert np.max(np.abs(fast.states - unit.states)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------

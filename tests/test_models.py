@@ -751,6 +751,32 @@ def test_gaussian_refuses_a_sigma_whose_square_underflows(sigma):
         models.ControlWaveform.gaussian_pulse(0.5, sigma)
 
 
+@pytest.mark.parametrize("build, value", [
+    (lambda: models.hadamard_model(1e155), "inf"),
+    (lambda: models.hadamard_model(1.0, 1e155), "inf"),
+    (lambda: models.hadamard_model(1e-160), "2.49997e-321"),
+    (lambda: models.dephasing_analytics(1e-160, TimeGrid(0.0, 1.0, 11)), "1.99998e-320"),
+    (lambda: models.dephasing_analytics(1e200, TimeGrid(0.0, 1e-199, 11)), "inf"),
+], ids=["hadamard-omega0-overflow", "hadamard-gamma-overflow", "hadamard-subnormal",
+        "dephasing-subnormal", "dephasing-overflow"])
+def test_trace_term_that_is_not_a_normal_float_is_refused(build, value):
+    # the overflows raised OverflowError from a float power or gave tau_tf 0;
+    # the subnormal hadamard term gave a tau_tf 1e-5 off
+    with pytest.raises(ValueError, match=f"the trace term {value} is not a normal float"):
+        build()
+
+
+def test_trace_term_keeps_a_rate_whose_square_alone_underflows():
+    assert models.hadamard_model(1.0, 1e-160).trace_term == 0.25
+
+
+def test_lambda_refuses_a_ramp_whose_span_overflows():
+    # the span was inf, and the generator check named no option: "schedule
+    # is not finite at t = 0"
+    with pytest.raises(ValueError, match="spans more than the largest float"):
+        models.LambdaConfig(1.0, 1.0, -1e308, 1e308, 4.0)
+
+
 def test_gaussian_keeps_its_norm_at_the_smallest_sigma():
     # the smallest accepted sigma: sigma^2 is the smallest normal float
     sigma = float(np.sqrt(np.finfo(float).tiny)) * (1 + 2 ** -52)

@@ -411,3 +411,14 @@ def test_frozen_target_bound_is_written_as_null():
     assert report["tau_tf"] == np.inf
     assert report["spread_bound_qsl"] == 0.0
     assert cli._jsonable(report)["tau_tf"] is None
+
+
+@pytest.mark.parametrize("trace_term", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("mt_bound", [None, 0.25])
+def test_bounds_report_refuses_a_trace_term_that_is_not_a_bound(trace_term, mt_bound):
+    # an infinite trace term gave tau_tf 0 and spread_bound_qsl 0, both flags
+    # satisfied, and divided by zero with mt_bound; NaN and -1 gave tau_tf inf
+    with pytest.raises(ValueError, match="trace_term"):
+        qsl.build_bounds_report(
+            delta_theta=0.5, trace_term=trace_term, pi_max=2.0, mt_bound=mt_bound,
+            measured=tf.Moments(mean=0.3, std=0.2, raw=np.array([0.3, 0.13])))
