@@ -18,8 +18,9 @@ Frequencies are angular (rad per time unit) unless ``--units
 mhz-cyclic`` is passed: ``main`` then multiplies the frequency options
 of ``_FREQUENCIES`` by 2*pi once, before any subcommand runs, and the
 manifest keeps them as parsed. Exit codes: 0 success, 2 usage or validation
-problem, 3 numerical failure. ``TFLOW_SEED`` supplies the seed when
-``--seed`` is absent.
+problem, 3 numerical failure. Only ``two-level --protocol`` samples: its
+seed is ``--seed``, then ``TFLOW_SEED``, then 0, and only its manifest
+carries ``seed``.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ class Run:
     parameters: dict = field(default_factory=dict)
 
 
-def _emit(args, seed: int, run: Run) -> None:
+def _emit(args, run: Run) -> None:
     """Write the run's tables as ``<command>_<name>.csv``, then its report."""
     stem = args.command.replace("-", "_")
     out = Path(args.outdir)
@@ -121,7 +122,7 @@ def _emit(args, seed: int, run: Run) -> None:
         "manifest": {
             "command": args.command,
             "parameters": _jsonable(parameters),
-            "seed": seed,
+            **({"seed": args.seed} if "seed" in parameters else {}),
             "version": __version__,
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         },
@@ -136,19 +137,17 @@ def _emit(args, seed: int, run: Run) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each computes one Run from the parsed arguments, their
-# frequencies in angular units, and the resolved seed
+# subcommands: each computes one Run from the parsed arguments with their
+# frequencies in angular units
 
 
-def _run_two_level(args, seed: int) -> Run:
+def _run_two_level(args) -> Run:
     if args.waveform == "constant":
         waveform = models.ControlWaveform.constant(args.omega0)
     elif args.waveform == "polynomial":
         coeffs = args.coefficients or [0.0, 0.0, 0.0, 0.0]
         waveform = models.ControlWaveform.polynomial(args.omega0, coeffs)
     else:
-        if args.sigma is None or args.t0 is None:
-            raise ValueError("the gaussian waveform needs --t0 and --sigma")
         waveform = models.ControlWaveform.gaussian_pulse(args.t0, args.sigma)
 
     init = models.TwoLevelInitial(theta=args.theta, phi=args.phi)
@@ -184,7 +183,7 @@ def _run_two_level(args, seed: int) -> Run:
         tables={
             "series": (
                 ["time", "p_1", "pi_tf", "segment"],
-                [times, p, dist.density, tf.point_kinds(rate, 1e-9 / grid.dt)],
+                [times, p, dist.density, tf.point_kinds(rate, tf.DEAD_BAND / grid.dt)],
             ),
         },
         results={
@@ -195,12 +194,11 @@ def _run_two_level(args, seed: int) -> Run:
             "segments": segments,
             "boundaries": boundaries,
         },
-        parameters={"seed": seed},
     )
 
     if args.protocol is not None:
         config = protocol.ProtocolConfig(
-            n_trials=args.protocol, grid=grid, seed=seed,
+            n_trials=args.protocol, grid=grid, seed=args.seed,
             target=operators.projector(2, 1),
         )
         empirical = protocol.empirical_from_populations(p, config)
@@ -225,7 +223,7 @@ def _run_two_level(args, seed: int) -> Run:
     return run
 
 
-def _run_sta(args, seed: int) -> Run:
+def _run_sta(args) -> Run:
     config = models.STAConfig(alpha=args.alpha, t_final=args.t_final,
                               omega0=args.omega0)
     grid = TimeGrid(0.0, args.t_final, args.points)
@@ -258,7 +256,7 @@ def _run_sta(args, seed: int) -> Run:
     return run
 
 
-def _run_lambda(args, seed: int) -> Run:
+def _run_lambda(args) -> Run:
     config = models.LambdaConfig(
         omega1=args.omega1, omega2=args.omega2, delta_initial=args.delta_i,
         delta_final=args.delta_f, t_final=args.t_final,
@@ -319,7 +317,7 @@ def _run_lambda(args, seed: int) -> Run:
     )
 
 
-def _run_dephasing(args, seed: int) -> Run:
+def _run_dephasing(args) -> Run:
     gamma = args.gamma
     model = models.dephasing_model(gamma)  # refuses gamma <= 0 before 10 / gamma
     t_end = args.t_end if args.t_end is not None else 10.0 / gamma
@@ -371,7 +369,7 @@ def _run_dephasing(args, seed: int) -> Run:
     )
 
 
-def _run_hadamard(args, seed: int) -> Run:
+def _run_hadamard(args) -> Run:
     bundle = models.hadamard_model(args.omega0, args.gamma)
     t_end = args.t_end if args.t_end is not None else np.pi / args.omega0
     grid = TimeGrid(0.0, t_end, args.points)
@@ -414,7 +412,7 @@ def _run_hadamard(args, seed: int) -> Run:
     )
 
 
-def _run_optimize(args, seed: int) -> Run:
+def _run_optimize(args) -> Run:
     from . import optimize as opt
 
     path = Path(args.config)
@@ -467,6 +465,34 @@ _FREQUENCIES = {"two-level": ("omega0",), "dephasing": ("gamma",),
 # a negative number, exponent forms included; argparse's own pattern has no
 # exponent, so it read "--delta-i -1e1" as an option with no value
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+# the two-level options each waveform reads; another one given is refused
+_WAVEFORM_OPTIONS = {"constant": ("omega0",), "polynomial": ("omega0", "coefficients"),
+                     "gaussian": ("t0", "sigma")}
+
+
+def _resolve_two_level(args) -> None:
+    """Refuse the two-level options that would change nothing, then fill in
+    place the default omega0 of 1.0 and the seed of a run that samples:
+    --seed, then TFLOW_SEED, then 0. A run that does not sample has no seed."""
+    for name in ("omega0", "coefficients", "t0", "sigma"):
+        if getattr(args, name) is not None and name not in _WAVEFORM_OPTIONS[args.waveform]:
+            raise ValueError(f"argument --{name}: the {args.waveform} waveform "
+                             "does not use it")
+    if args.waveform == "gaussian":
+        if args.t0 is None or args.sigma is None:
+            raise ValueError("the gaussian waveform needs --t0 and --sigma")
+    elif args.omega0 is None:
+        args.omega0 = 1.0
+    if args.protocol is None:
+        if args.seed is not None:
+            raise ValueError("argument --seed: only a --protocol run samples")
+        del args.seed
+    elif args.seed is None:
+        text = os.environ.get("TFLOW_SEED", "0")
+        try:
+            args.seed = int(text)
+        except ValueError:
+            raise ValueError(f"TFLOW_SEED must be an integer, not {text!r}") from None
 
 
 def _angular(args) -> argparse.Namespace:
@@ -476,6 +502,8 @@ def _angular(args) -> argparse.Namespace:
         return args
     angular = argparse.Namespace(**vars(args))
     for name in _FREQUENCIES[args.command]:
+        if getattr(args, name) is None:  # a gaussian drive has no omega0
+            continue
         setattr(angular, name, getattr(args, name) * TWO_PI)
         if not math.isfinite(getattr(angular, name)):
             raise ValueError(f"argument --{name.replace('_', '-')}: "
@@ -506,8 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
                            default="angular",
                            help="interpret frequency inputs as angular rad/time "
                                 "(default) or cyclic MHz (multiplied by 2 pi)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="sampling seed (default: TFLOW_SEED or 0)")
         if substeps:
             p.add_argument("--substeps", type=int, default=None,
                            help="integrator substeps per grid interval "
@@ -518,9 +544,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=finite, default=0.0)
     p.add_argument("--waveform", choices=["constant", "polynomial", "gaussian"],
                    default="constant")
-    p.add_argument("--omega0", type=finite, default=1.0)
+    p.add_argument("--omega0", type=finite, default=None,
+                   help="constant or polynomial drive amplitude (default 1.0)")
     p.add_argument("--coefficients", type=finite, nargs=4, default=None,
-                   metavar=("A1", "A2", "A3", "A4"))
+                   metavar=("A1", "A2", "A3", "A4"),
+                   help="polynomial drive coefficients (default 0 0 0 0)")
     p.add_argument("--t0", type=finite, default=None, help="gaussian pulse center")
     p.add_argument("--sigma", type=finite, default=None, help="gaussian pulse width")
     p.add_argument("--t-start", type=finite, default=0.0)
@@ -529,6 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", type=int, default=None, metavar="N",
                    help="also sample the measurement protocol with N trials per point")
     add_common(p)
+    p.add_argument("--seed", type=int, default=None,
+                   help="protocol sampling seed (default: TFLOW_SEED or 0)")
     p.set_defaults(func=_run_two_level)
 
     p = sub.add_parser("sta", help="counterdiabatic sweep arrival statistics")
@@ -583,14 +613,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.command == "two-level":
+            _resolve_two_level(args)
         angular = _angular(args)
         # the outdir is made next, so a bad path fails before any computing
         Path(args.outdir).mkdir(parents=True, exist_ok=True)
-        if args.seed is not None:
-            seed = args.seed
-        else:
-            seed = int(os.environ.get("TFLOW_SEED", "0"))
-        _emit(args, seed, args.func(angular, seed))
+        _emit(args, args.func(angular))
         return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -256,19 +256,25 @@ def _auto_substeps(schedule: HamiltonianSchedule, grid: TimeGrid,
     """Substep refinement targeting ~1e-9 accumulated RK4 error.
 
     The generator's magnitude w is the largest Frobenius norm of H at the
-    grid points, whose entries must be finite, plus ``dissipation``. The
+    grid points, whose entries must be finite, plus ``dissipation``. Each
+    norm is formed as m sqrt(sum |H/m|^2), m the largest entry modulus, so
+    it overflows only where the norm itself exceeds the largest float. The
     per-step truncation of RK4 is ~(w h)^5 / 120; summed over all steps and
     solved for the refinement. A w too large for dt raises IntegrationError.
     """
     ts = grid.times
     with np.errstate(over="ignore", invalid="ignore"):
         samples = schedule.sample(ts)
-        squares = np.sum(np.abs(samples) ** 2, axis=(1, 2))
-    scale = float(np.sqrt(np.max(squares)))
+        moduli = np.abs(samples)
+        largest = float(np.max(moduli))
+        # a NaN or inf largest gives a NaN scale
+        scale = largest * math.sqrt(float(np.max(np.sum(
+            np.square(moduli / largest), axis=(1, 2))))) if largest != 0.0 else 0.0
     if not math.isfinite(scale):
-        # a NaN or inf entry is named; finite entries whose squares overflow
-        # give an infinite budget below
+        # a NaN or inf entry is named; a norm that overflows is too large
+        # for any dt below
         _raise_if_not_finite(samples, ts)
+        scale = math.inf
     scale += dissipation
     if scale <= 0.0:
         return 1
@@ -279,9 +285,9 @@ def _auto_substeps(schedule: HamiltonianSchedule, grid: TimeGrid,
         budget = math.inf
     if budget == math.inf:
         # r would exceed 1e77, far past _MAX_SUBSTEPS: no attempt can pass
-        size = f"{scale:.3e} is" if math.isfinite(scale) else "overflows and is"
         raise IntegrationError(
-            f"generator scale {size} too large for dt = {grid.dt:.3e}; refine the grid"
+            f"generator scale {scale:.3e} is too large for dt = {grid.dt:.3e}; "
+            "refine the grid"
         )
     r = int(np.ceil(max(budget, 1.0) ** 0.25))
     return min(max(r, 1), _MAX_SUBSTEPS)

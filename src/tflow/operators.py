@@ -28,7 +28,6 @@ EIGENVALUE_TOL = 1e-9
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
 
 _PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
@@ -86,17 +85,6 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape != b.shape:
         raise DimensionMismatchError(f"commutator shapes {a.shape} vs {b.shape}")
     return a @ b - b @ a
-
-
-def su2_exponential(phi: float, axis: str) -> np.ndarray:
-    """exp(-i*phi*sigma_axis) = cos(phi) I - i sin(phi) sigma_axis.
-
-    The closed form follows from sigma^2 = I; it is exactly unitary up to
-    rounding for any finite angle.
-    """
-    if not np.isfinite(phi):
-        raise ValueError("angle must be finite")
-    return np.cos(phi) * IDENTITY_2 - 1.0j * np.sin(phi) * pauli(axis)
 
 
 def expectation(state: np.ndarray, op: np.ndarray) -> complex:

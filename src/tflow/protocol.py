@@ -89,16 +89,9 @@ def sample_frequencies(p: np.ndarray, n_trials: int, seed: int) -> np.ndarray:
     return np.array(out, dtype=float)
 
 
-def empirical_from_populations(p: np.ndarray, config: ProtocolConfig,
-                               sample: bool = True) -> EmpiricalTF:
-    """Sample the protocol against known exact populations.
-
-    With ``sample=False`` the exact populations stand in for the
-    frequencies (the infinite-trials limit), so the result coincides with
-    the finite-difference distribution of the exact series.
-    """
-    p = np.asarray(p, dtype=float)
-    f = sample_frequencies(p, config.n_trials, config.seed) if sample else p
+def empirical_from_populations(p: np.ndarray, config: ProtocolConfig) -> EmpiricalTF:
+    """Sample the protocol against known exact populations."""
+    f = sample_frequencies(p, config.n_trials, config.seed)
     series = PopulationSeries(config.grid, f)
     try:
         dist = tf_from_population(series)
@@ -117,9 +110,7 @@ def empirical_from_populations(p: np.ndarray, config: ProtocolConfig,
     )
 
 
-def simulate_protocol(model, initial_state, config: ProtocolConfig,
-                      sample: bool = True,
-                      substeps: int | None = None) -> EmpiricalTF:
+def simulate_protocol(model, initial_state, config: ProtocolConfig) -> EmpiricalTF:
     """Run the measurement protocol against propagated exact dynamics: the
     target's populations under a HamiltonianSchedule from a state vector,
     or under a LindbladModel from a state vector or density matrix."""
@@ -127,13 +118,13 @@ def simulate_protocol(model, initial_state, config: ProtocolConfig,
     if isinstance(model, LindbladModel):
         if state.ndim == 1:
             state = np.outer(state, state.conj())
-        traj = dynamics.propagate_lindblad(model, state, config.grid, substeps)
+        traj = dynamics.propagate_lindblad(model, state, config.grid)
     elif isinstance(model, HamiltonianSchedule):
-        traj = dynamics.propagate_schrodinger(model, state, config.grid, substeps)
+        traj = dynamics.propagate_schrodinger(model, state, config.grid)
     else:
         raise TypeError("model must be a HamiltonianSchedule or LindbladModel")
     p = dynamics.population_series(traj, config.target)
-    return empirical_from_populations(p, config, sample)
+    return empirical_from_populations(p, config)
 
 
 @dataclass(frozen=True)
@@ -143,24 +134,23 @@ class ConvergenceReport:
     ``l1_distance`` is the integral of |pi_hat - pi| over the window and
     ``mean_abs_distance`` the same integral divided by the window length.
     ``noise_density`` estimates the per-bin sampling noise on the density,
-    2 sqrt(p(1-p)) / (dt sqrt(N)); ``snr`` is the reference density over
-    that noise floor.
+    2 sqrt(p(1-p)) / (dt sqrt(N)) at the exact interval-mean population p.
+    ``freq_sup_error`` is the largest |f - p| at the grid points, and
+    ``binomial_flag`` whether it is within 5/sqrt(N).
     """
 
     sup_distance: float
     l1_distance: float
     mean_abs_distance: float
     noise_density: np.ndarray
-    snr: np.ndarray
-    freq_sup_error: float | None
-    binomial_flag: bool | None
-    passed: bool | None
+    freq_sup_error: float
+    binomial_flag: bool
 
 
 def convergence_report(empirical: EmpiricalTF, exact: TFDistribution,
-                       p_exact: np.ndarray | None = None,
-                       tolerance: float | None = None) -> ConvergenceReport:
-    """Compare an empirical density against an exact one on the same grid."""
+                       p_exact: np.ndarray) -> ConvergenceReport:
+    """Compare an empirical density against an exact one on the same grid,
+    and its frequencies against the exact populations ``p_exact``."""
     mid = empirical.midpoint_times
     if exact.times.shape != mid.shape or np.max(np.abs(exact.times - mid)) > 1e-12:
         raise GridMismatchError("empirical and exact distributions use different grids")
@@ -170,26 +160,16 @@ def convergence_report(empirical: EmpiricalTF, exact: TFDistribution,
     l1 = float(np.sum(diff) * dt)
 
     n = empirical.n_trials
-    if p_exact is not None:
-        p_exact = np.asarray(p_exact, dtype=float)
-        p_mid = 0.5 * (p_exact[1:] + p_exact[:-1])
-        freq_sup = float(np.max(np.abs(empirical.frequencies - p_exact)))
-        flag = bool(freq_sup <= 5.0 / np.sqrt(n))
-    else:
-        p_mid = 0.5 * (empirical.frequencies[1:] + empirical.frequencies[:-1])
-        freq_sup = None
-        flag = None
+    p_exact = np.asarray(p_exact, dtype=float)
+    p_mid = 0.5 * (p_exact[1:] + p_exact[:-1])
+    freq_sup = float(np.max(np.abs(empirical.frequencies - p_exact)))
     noise = 2.0 * np.sqrt(np.clip(p_mid * (1.0 - p_mid), 0.0, None) / n) / dt
-    with np.errstate(divide="ignore", invalid="ignore"):
-        snr = np.where(noise > 0, exact.density / noise, np.inf)
 
     return ConvergenceReport(
         sup_distance=float(np.max(diff)),
         l1_distance=l1,
         mean_abs_distance=l1 / window,
         noise_density=noise,
-        snr=snr,
         freq_sup_error=freq_sup,
-        binomial_flag=flag,
-        passed=None if tolerance is None else bool(l1 <= tolerance),
+        binomial_flag=bool(freq_sup <= 5.0 / np.sqrt(n)),
     )

@@ -12,8 +12,9 @@ one of two conventions, each with one builder:
 
 Every distribution is made by ``_normalized``, which refuses a flow mass
 that is not above 1e-12 as flat. ``split_toa_tod`` separates the
-time-of-arrival (increasing) and time-of-departure (decreasing) parts
-with a slope dead-band, excluding flat plateaus from both supports.
+time-of-arrival (increasing) and time-of-departure (decreasing) parts;
+an interval whose population changes by at most ``DEAD_BAND`` is neutral,
+which excludes flat plateaus from both supports.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ KIND_NEUTRAL = "neutral"
 _KIND_OF_CODE = np.array([KIND_NEUTRAL, KIND_TOA, KIND_TOD])
 
 _FLAT_TOL = 1e-12
+# the population change per grid interval at or below which it is neutral;
+# it suppresses floating-point sign flips at extrema
+DEAD_BAND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -46,10 +50,6 @@ class PopulationSeries:
     def __post_init__(self):
         if len(self.values) != self.grid.n_points:
             raise DimensionMismatchError("one probability per grid point required")
-
-    @classmethod
-    def from_trajectory(cls, traj: Trajectory, m: np.ndarray) -> "PopulationSeries":
-        return cls(traj.grid, dynamics.population_series(traj, m))
 
 
 @dataclass(frozen=True)
@@ -176,22 +176,19 @@ class SplitResult:
     n_d: float
 
 
-def split_toa_tod(series: PopulationSeries,
-                  slope_tolerance: float | None = None) -> SplitResult:
+def split_toa_tod(series: PopulationSeries) -> SplitResult:
     """Partition grid intervals by the sign of the population change.
 
-    Intervals with |delta p| <= slope_tolerance * dt are neutral and
-    excluded from both supports; the default dead-band 1e-9/dt suppresses
-    floating-point sign flips at extrema.
+    Intervals with |delta p| <= DEAD_BAND are neutral and excluded from
+    both supports.
     """
     p = np.asarray(series.values, dtype=float)
     if p.size < 3:
         raise ValueError("need at least 3 samples to segment a flow")
     dt = series.grid.dt
-    tol = (1e-9 / dt) if slope_tolerance is None else float(slope_tolerance)
     dp = np.diff(p)
     # the classifier of point_kinds, on int codes: runs end where the code changes
-    code = _sign_codes(dp, tol * dt)
+    code = _sign_codes(dp, DEAD_BAND)
     ends = np.flatnonzero(code[1:] != code[:-1]) + 1
     starts = np.concatenate(([0], ends))
     segments = list(zip(starts.tolist(), [*ends.tolist(), code.size],
@@ -212,14 +209,10 @@ def split_toa_tod(series: PopulationSeries,
     return SplitResult(segments=segments, toa=toa, tod=tod, n_a=n_a, n_d=n_d)
 
 
-def moments(dist: TFDistribution, max_order: int = 2) -> Moments:
-    """Raw moments mu^(p) = sum t^p density dt, mean and spread."""
-    if max_order < 2:
-        raise ValueError("max_order must be at least 2")
-    raw = np.array([
-        float(np.sum(dist.times ** p * dist.density) * dist.dt)
-        for p in range(1, max_order + 1)
-    ])
+def moments(dist: TFDistribution) -> Moments:
+    """Raw moments mu^(p) = sum t^p density dt for p = 1, 2, mean and spread."""
+    raw = np.array([float(np.sum(dist.times ** p * dist.density) * dist.dt)
+                    for p in (1, 2)])
     mean = raw[0]
     var = max(raw[1] - mean * mean, 0.0)
     return Moments(mean=mean, std=float(np.sqrt(var)), raw=raw)

@@ -59,7 +59,7 @@ def test_criterion_01_constant_drive_moments():
         constant_hamiltonian(0.5 * omega0 * operators.SIGMA_X),
         operators.basis_state(2, 0), grid,
     )
-    series = tf.PopulationSeries.from_trajectory(traj, operators.projector(2, 1))
+    series = tf.PopulationSeries(grid, dynamics.population_series(traj, operators.projector(2, 1)))
     grid_m = tf.moments(tf.tf_from_population(series))
     assert grid_m.mean == pytest.approx(want_mean, rel=1e-4)
     assert grid_m.std == pytest.approx(want_std, rel=1e-4)
@@ -93,7 +93,7 @@ def test_criterion_03_dephasing_pipeline_and_bounds():
     gamma = 1.0
     grid = TimeGrid(0.0, 10.0 / gamma, 4000)
     traj = dynamics.propagate_lindblad(models.dephasing_model(gamma), M_PLUS, grid)
-    series = tf.PopulationSeries.from_trajectory(traj, M_MINUS)
+    series = tf.PopulationSeries(grid, dynamics.population_series(traj, M_MINUS))
     grid_m = tf.moments(tf.tf_from_population(series))
     assert grid_m.mean == pytest.approx(0.5 / gamma, rel=0.01)
     assert grid_m.std == pytest.approx(0.5 / gamma, rel=0.01)

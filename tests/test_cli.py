@@ -113,16 +113,19 @@ def test_overflowing_attempt_exits_3_without_warnings(tmp_path, capsys, extra, s
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("omega1", ["1e160", "1e200"])
-def test_overflowing_generator_norm_exits_3(tmp_path, capsys, omega1):
-    # every entry of H is finite, but its squared norm overflows: this
-    # exited 2 with "error: schedule is not finite at t = 0"
+@pytest.mark.parametrize("omega1, scale", [("1e160", "7.071e+159"),
+                                           ("1e200", "7.071e+199")],
+                         ids=["1e160", "1e200"])
+def test_overflowing_generator_norm_exits_3(tmp_path, capsys, omega1, scale):
+    # every entry of H is finite and so is its norm, formed without squaring
+    # the entries; (scale * dt)^5 overflows. This exited 2 with "error:
+    # schedule is not finite at t = 0", then 3 with an overflowed scale
     rc = main(["lambda", "--omega1", omega1, "--omega2", "1", "--delta-i", "-10",
                "--delta-f", "10", "--t-final", "4", "--points", "50",
                "--outdir", str(tmp_path)])
     assert rc == 3
     assert capsys.readouterr().err == (
-        "numerical failure: generator scale overflows and is too large for "
+        f"numerical failure: generator scale {scale} is too large for "
         "dt = 8.163e-02; refine the grid\n")
     assert list(tmp_path.iterdir()) == []
 
@@ -152,24 +155,23 @@ _WRITER_CONTRACT = {
                    "seed"]),
     "sta": (["--alpha", "1", "--points", "50", "--numeric"],
             ["series", "tf", "numeric"],
-            ["command", "alpha", "t_final", "omega0", "points", "numeric", "outdir",
-             "seed"]),
+            ["command", "alpha", "t_final", "omega0", "points", "numeric", "outdir"]),
     "lambda": (["--omega1", "1", "--omega2", "1", "--delta-i", "-5", "--delta-f", "5",
                 "--t-final", "1", "--points", "50"],
                ["series", "tf"],
                ["command", "omega1", "omega2", "delta_i", "delta_f", "t_final", "points",
-                "outdir", "units", "seed", "substeps"]),
+                "outdir", "units", "substeps"]),
     "dephasing": (["--gamma", "1", "--points", "50"],
                   ["series"],
-                  ["command", "gamma", "t_end", "points", "outdir", "units", "seed",
+                  ["command", "gamma", "t_end", "points", "outdir", "units",
                    "substeps"]),
     "hadamard": (["--omega0", "5", "--gamma", "1", "--points", "50"],
                  ["series", "tf"],
                  ["command", "omega0", "gamma", "t_end", "points", "outdir", "units",
-                  "seed", "substeps"]),
+                  "substeps"]),
     "optimize": (["--config", "{config}"],
                  ["series"],
-                 ["command", "config", "outdir", "seed", "config_data"]),
+                 ["command", "config", "outdir", "config_data"]),
 }
 
 
@@ -194,11 +196,62 @@ def test_writer_contract(tmp_path, monkeypatch, command):
     for name in report["series_files"]:
         assert _csv_lines(out / name)[0] == f"# manifest: {report_name}"
     assert list(report["manifest"]["parameters"]) == parameters
-    # two-level records the resolved seed among its parameters, the others
-    # the --seed flag as given
-    want_seed = 3 if command == "two-level" else None
-    assert report["manifest"]["parameters"]["seed"] == want_seed
-    assert report["manifest"]["seed"] == 3
+    # only the sampling run has a seed, resolved from TFLOW_SEED
+    if command == "two-level":
+        assert report["manifest"]["parameters"]["seed"] == 3
+        assert report["manifest"]["seed"] == 3
+    else:
+        assert "seed" not in report["manifest"]
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["sta", "--alpha", "1", "--seed", "5"], "--seed"),
+    (["two-level", "--seed", "5"], "--seed"),
+    (["two-level", "--waveform", "gaussian", "--omega0", "5", "--t0", "0.5",
+      "--sigma", "0.1", "--t-end", "1"], "--omega0"),
+    (["two-level", "--coefficients", "1", "2", "3", "4"], "--coefficients"),
+    (["two-level", "--t0", "0.5"], "--t0"),
+], ids=["sta-seed", "seed-without-protocol", "gaussian-omega0",
+        "constant-coefficients", "constant-t0"])
+def test_option_that_changes_nothing_exits_2(tmp_path, capsys, argv, option):
+    # each was accepted and ignored
+    assert main([*argv, "--points", "50", "--outdir", str(tmp_path / "out")]) == 2
+    assert option in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_seed_environment_is_read_only_by_a_sampling_run(tmp_path, capsys, monkeypatch):
+    # dephasing exited 2 with "invalid literal for int()", though it never samples
+    monkeypatch.setenv("TFLOW_SEED", "abc")
+    assert main(["dephasing", "--gamma", "1", "--points", "50",
+                 "--outdir", str(tmp_path / "dephasing")]) == 0
+    assert main(["two-level", "--points", "50", "--protocol", "100",
+                 "--outdir", str(tmp_path / "sampled")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: TFLOW_SEED must be an integer, not 'abc'\n")
+    assert not (tmp_path / "sampled").exists()
+
+
+def test_cyclic_units_skip_the_absent_omega0_of_a_gaussian_drive(tmp_path):
+    # a gaussian drive has no omega0 to convert; its outputs do not depend
+    # on the units of frequency options it does not take
+    argv = ["two-level", "--waveform", "gaussian", "--t0", "0.5", "--sigma", "0.1",
+            "--t-end", "1", "--points", "50"]
+    assert main([*argv, "--outdir", str(tmp_path / "angular")]) == 0
+    assert main([*argv, "--units", "mhz-cyclic", "--outdir", str(tmp_path / "cyclic")]) == 0
+    name = "two_level_series.csv"
+    assert (tmp_path / "angular" / name).read_bytes() == (tmp_path / "cyclic" / name).read_bytes()
+    report = _read_report(tmp_path / "cyclic" / "two_level_report.json")
+    assert report["inputs"]["omega0"] is None
+
+
+def test_two_level_run_that_does_not_sample_records_no_seed(tmp_path, monkeypatch):
+    # the other subcommands never sample; test_writer_contract covers them
+    monkeypatch.setenv("TFLOW_SEED", "3")
+    assert main(["two-level", "--points", "50", "--outdir", str(tmp_path)]) == 0
+    manifest = _read_report(tmp_path / "two_level_report.json")["manifest"]
+    assert "seed" not in manifest
+    assert "seed" not in manifest["parameters"]
 
 
 def test_reproducibility_byte_identical(tmp_path):

@@ -603,10 +603,11 @@ def test_four_level_dephasing_matches_closed_form():
 
 def test_overflowing_generator_norm_is_too_large_not_non_finite():
     # every entry is finite, but |H|^2 overflows: this was refused as "not
-    # finite at t = 0" (exit 2); it is a scale too large for dt (exit 3)
+    # finite at t = 0" (exit 2); it is a scale too large for dt (exit 3),
+    # and the scale, formed without squaring the entries, is finite
     h = 1e200 * operators.SIGMA_X
     grid = TimeGrid(0.0, 4.0, 50)
-    message = (r"^generator scale overflows and is too large for dt = 8\.163e-02; "
+    message = (r"^generator scale 1\.414e\+200 is too large for dt = 8\.163e-02; "
                r"refine the grid$")
     with pytest.raises(IntegrationError, match=message):
         dynamics.propagate_schrodinger(constant_hamiltonian(h), operators.basis_state(2, 0),

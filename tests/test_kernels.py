@@ -267,6 +267,19 @@ def test_rescaled_rotation_matches_the_unit_run():
     assert np.max(np.abs(fast.states - unit.states)) <= 1e-15
 
 
+def test_rescaled_rotation_with_automatic_substeps_matches_the_unit_run():
+    # the automatic start squared the entries of H, so 1e160 sigma_x was
+    # refused as a scale too large for dt; both runs now start at r = 2
+    psi0 = operators.basis_state(2, 0)
+    fast = dynamics.propagate_schrodinger(
+        dynamics.constant_hamiltonian(1e160 * operators.SIGMA_X), psi0,
+        dynamics.TimeGrid(0.0, 1e-160, 50))
+    unit = dynamics.propagate_schrodinger(
+        dynamics.constant_hamiltonian(operators.SIGMA_X), psi0,
+        dynamics.TimeGrid(0.0, 1.0, 50))
+    assert np.max(np.abs(fast.states - unit.states)) <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # unrolled products of tiny matrices
 

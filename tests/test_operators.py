@@ -86,47 +86,6 @@ def test_commutator_of_hermitians_is_antihermitian():
             assert np.max(np.abs(c + c.conj().T)) <= 1e-12
 
 
-def _taylor_exponential(phi, axis, terms=20):
-    # sigma^k alternates between I (even k) and sigma (odd k)
-    acc = np.zeros((2, 2), dtype=complex)
-    factorial = 1.0
-    for k in range(terms):
-        if k > 0:
-            factorial *= k
-        power = np.eye(2, dtype=complex) if k % 2 == 0 else operators.pauli(axis)
-        acc += ((-1j * phi) ** k / factorial) * power
-    return acc
-
-
-def test_su2_exponential_special_angles():
-    assert np.allclose(operators.su2_exponential(0.0, "x"), np.eye(2))
-    half = operators.su2_exponential(np.pi / 2, "x")
-    assert np.max(np.abs(half - (-1j) * operators.SIGMA_X)) <= 1e-12
-
-
-def test_su2_exponential_matches_taylor_series():
-    # oracle: truncated Taylor series of exp(-i phi sigma_x)
-    want = _taylor_exponential(np.pi / 4, "x")
-    got = operators.su2_exponential(np.pi / 4, "x")
-    assert np.max(np.abs(got - want)) <= 1e-12
-
-
-def test_su2_exponential_unitary_and_inverse():
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        phi = rng.uniform(-10, 10)
-        axis = rng.choice(["x", "y", "z"])
-        u = operators.su2_exponential(phi, axis)
-        v = operators.su2_exponential(-phi, axis)
-        assert np.max(np.abs(u @ v - np.eye(2))) <= 1e-12
-        assert np.max(np.abs(u @ u.conj().T - np.eye(2))) <= 1e-12
-
-
-def test_su2_exponential_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        operators.su2_exponential(np.inf, "x")
-
-
 def test_expectation_pure_and_mixed():
     assert operators.expectation(operators.basis_state(2, 0), operators.SIGMA_Z) == 1.0
     assert abs(operators.expectation(operators.plus_state(), operators.SIGMA_X) - 1.0) <= 1e-15

@@ -118,13 +118,14 @@ def test_simulate_protocol_accepts_open_models():
     assert empirical.frequencies[-1] == pytest.approx(0.5, abs=0.15)
 
 
-def test_exact_surrogate_matches_population_pipeline():
+def test_empirical_density_is_the_population_pipeline_of_its_frequencies():
     grid = TimeGrid(0.0, np.pi, 101)
     p = _constant_drive_populations(grid)
-    empirical = protocol.empirical_from_populations(p, _config(10, grid), sample=False)
-    dist = tf.tf_from_population(tf.PopulationSeries(grid, p))
+    empirical = protocol.empirical_from_populations(p, _config(1000, grid, seed=4))
+    assert np.array_equal(empirical.frequencies, protocol.sample_frequencies(p, 1000, 4))
+    dist = tf.tf_from_population(tf.PopulationSeries(grid, empirical.frequencies))
     assert np.array_equal(empirical.density, dist.density)
-    assert np.array_equal(empirical.frequencies, p)
+    assert empirical.normalization == dist.normalization
 
 
 def test_flat_population_raises_with_guidance():
@@ -147,12 +148,15 @@ def test_frequencies_within_binomial_envelope():
 def test_convergence_report_exact_vs_exact():
     grid = TimeGrid(0.0, np.pi, 80)
     p = _constant_drive_populations(grid)
-    empirical = protocol.empirical_from_populations(p, _config(10, grid), sample=False)
     dist = tf.tf_from_population(tf.PopulationSeries(grid, p))
-    report = protocol.convergence_report(empirical, dist, p_exact=p, tolerance=1e-12)
+    # the infinite-trials limit: the exact populations stand in for the frequencies
+    empirical = protocol.EmpiricalTF(grid, p, dist.density, dist.normalization,
+                                     n_trials=10, seed=0)
+    report = protocol.convergence_report(empirical, dist, p_exact=p)
     assert report.sup_distance == 0.0
     assert report.l1_distance == 0.0
-    assert report.passed is True
+    assert report.freq_sup_error == 0.0
+    assert report.binomial_flag is True
 
 
 def test_convergence_report_grid_mismatch():
@@ -160,10 +164,10 @@ def test_convergence_report_grid_mismatch():
     grid_b = TimeGrid(0.0, np.pi, 60)
     p_a = _constant_drive_populations(grid_a)
     p_b = _constant_drive_populations(grid_b)
-    empirical = protocol.empirical_from_populations(p_a, _config(10, grid_a), sample=False)
+    empirical = protocol.empirical_from_populations(p_a, _config(10, grid_a))
     dist = tf.tf_from_population(tf.PopulationSeries(grid_b, p_b))
     with pytest.raises(GridMismatchError):
-        protocol.convergence_report(empirical, dist)
+        protocol.convergence_report(empirical, dist, p_exact=p_a)
 
 
 def _median_l1(n_trials, grid, p, dist, seeds):
@@ -172,7 +176,7 @@ def _median_l1(n_trials, grid, p, dist, seeds):
         empirical = protocol.empirical_from_populations(
             p, _config(n_trials, grid, seed=seed)
         )
-        out.append(protocol.convergence_report(empirical, dist).l1_distance)
+        out.append(protocol.convergence_report(empirical, dist, p_exact=p).l1_distance)
     return float(np.median(out))
 
 
@@ -197,17 +201,16 @@ def test_l1_median_decreasing_in_trials_fixed_grid():
 
 
 def test_discretization_error_decreasing_in_grid_size():
-    # with sampling disabled the only error left is discretization of the
-    # continuous density, which shrinks with the grid step
+    # in the infinite-trials limit the protocol's estimate is the
+    # finite-difference density of the exact populations; the only error left
+    # is discretization of the continuous density, which shrinks with the step
     sups = []
     for n_points in (25, 100, 400):
         grid = TimeGrid(0.0, np.pi, n_points)
         p = _constant_drive_populations(grid)
-        empirical = protocol.empirical_from_populations(
-            p, _config(10, grid), sample=False
-        )
-        ref = 0.5 * np.sin(empirical.midpoint_times)
-        sups.append(float(np.max(np.abs(empirical.density - ref))))
+        limit = tf.tf_from_population(tf.PopulationSeries(grid, p))
+        ref = 0.5 * np.sin(grid.midpoints)
+        sups.append(float(np.max(np.abs(limit.density - ref))))
     assert sups[0] > sups[1] > sups[2]
 
 
@@ -243,5 +246,6 @@ def test_snr_diagnostic_flags_flat_regions():
     empirical = protocol.empirical_from_populations(p, _config(10 ** 4, grid, seed=5))
     report = protocol.convergence_report(empirical, dist, p_exact=p)
     # early bins carry real signal, late (flat) bins are noise dominated
-    assert report.snr[0] > 5.0
-    assert report.snr[-1] < 1.0
+    snr = dist.density / report.noise_density
+    assert snr[0] > 5.0
+    assert snr[-1] < 1.0

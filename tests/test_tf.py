@@ -149,8 +149,9 @@ def test_moments_uniform():
 def test_moments_raw_order():
     grid = TimeGrid(0.0, 1.0, 101)
     series = tf.PopulationSeries(grid, grid.times)
-    m = tf.moments(tf.tf_from_population(series), max_order=4)
-    assert m.raw.shape == (4,)
+    m = tf.moments(tf.tf_from_population(series))
+    assert m.raw.shape == (2,)
+    assert m.raw[0] == m.mean
     assert m.raw[1] >= m.raw[0] ** 2 - 1e-12
 
 
@@ -351,13 +352,14 @@ def test_point_kinds_and_split_classify_a_plateau_alike():
 
 
 def test_split_support_at_the_flatness_rule_is_none():
-    # an arrival of 5e-13 in all is not above the one 1e-12 mass rule, even
-    # with no dead-band; it was a distribution of its own
+    # an arrival of 5e-13 in all is not above the one 1e-12 mass rule; it was
+    # a distribution of its own. Every interval outside the dead-band carries
+    # more than 1e-9, so such an arrival is now neutral before the rule applies
     grid = TimeGrid(0.0, 1.0, 11)
     p = np.linspace(0.9, 0.4, 11)
     p[3:5] = p[2]
     p[4] += 5e-13
-    split = tf.split_toa_tod(tf.PopulationSeries(grid, p), slope_tolerance=0.0)
+    split = tf.split_toa_tod(tf.PopulationSeries(grid, p))
     assert split.toa is None and split.n_a == np.inf
     assert split.tod is not None
 
