@@ -27,9 +27,8 @@ array.
 
 Current-like operators: for a projector M and generator L, the rate of
 population change is d/dt Tr(rho M) = Tr(rho L^dag(M)); the closed-system
-special case L^dag(M) = i[H, M] (hbar = 1) is exposed separately with an
-explicit sign argument, since both sign conventions of -i[H, M] appear in
-practice and only the magnitude matters for flow distributions.
+special case L^dag(M) = i[H, M] (hbar = 1) is exposed separately as
+``current_operator``.
 """
 
 from __future__ import annotations
@@ -47,9 +46,6 @@ from .errors import (
     IntegrationError,
     OperatorConstraintError,
 )
-
-DOUBLE_COMMUTATOR = "double_commutator"
-GKS = "gks"
 
 _DRIFT_BUDGET = 1e-8
 _ASYM_BUDGET = 1e-10
@@ -138,30 +134,22 @@ def constant_hamiltonian(h: np.ndarray) -> HamiltonianSchedule:
 class LindbladModel:
     """Generator of Markovian dynamics: Hamiltonian plus decay channels.
 
-    Two dissipator conventions are supported. With channels (L_j, g_j):
-
-    * ``double_commutator``: D(rho) = -sum_j g_j/2 [L_j, [L_j, rho]]
-      (requires Hermitian L_j);
-    * ``gks``: D(rho) = sum_j g_j/2 (L_j rho L_j^dag - {L_j^dag L_j, rho}/2).
-
-    For Hermitian L the double-commutator form at rate g equals the gks
-    form at rate 2g; e.g. a sigma_z channel at double-commutator rate g
-    decays coherences as exp(-2 g t), the same channel at gks rate g as
-    exp(-g t). Rates are pinned by the propagation tests.
+    A channel (L_j, g_j) adds the GKSL term
+    g_j (L_j rho L_j^dag - {L_j^dag L_j, rho}/2). For a Hermitian L this
+    is the double commutator -(g/2)[L, [L, rho]]; e.g. a sigma_z channel
+    at rate g decays coherences as exp(-2 g t). Rates are pinned by the
+    propagation tests.
     """
 
     hamiltonian: HamiltonianSchedule
     channels: Sequence[tuple[np.ndarray, float]] = field(default_factory=tuple)
-    form: str = DOUBLE_COMMUTATOR
 
     def __post_init__(self):
-        if self.form not in (DOUBLE_COMMUTATOR, GKS):
-            raise ValueError(f"unknown Lindblad form {self.form!r}")
         for op, rate in self.channels:
             if not rate >= 0:  # NaN fails this too
                 raise ValueError(f"channel rates must be non-negative, not {rate}")
-            if self.form == DOUBLE_COMMUTATOR:
-                operators.assert_hermitian(op, name="double-commutator channel")
+            if not math.isfinite(rate):
+                raise ValueError(f"channel rates must be finite, not {rate}")
             if np.asarray(op).shape != (self.dim, self.dim):
                 raise DimensionMismatchError("channel dimension mismatch")
 
@@ -170,14 +158,13 @@ class LindbladModel:
         return self.hamiltonian.dim
 
     def scaled_jumps(self) -> tuple[np.ndarray, np.ndarray]:
-        """(A_j stack, B/2) with A_j = sqrt(g_eff) L_j so the dissipator is
+        """(A_j stack, B/2) with A_j = sqrt(g_j) L_j so the dissipator is
         sum A rho A^dag - (B/2) rho - rho (B/2)."""
         d = self.dim
         mats = []
         half_b = np.zeros((d, d), dtype=complex)
         for op, rate in self.channels:
-            g_eff = rate if self.form == DOUBLE_COMMUTATOR else 0.5 * rate
-            a = np.sqrt(g_eff) * np.asarray(op, dtype=complex)
+            a = np.sqrt(rate) * np.asarray(op, dtype=complex)
             mats.append(a)
             half_b += 0.5 * (a.conj().T @ a)
         return np.array(mats, dtype=complex).reshape(len(mats), d, d), half_b
@@ -434,21 +421,17 @@ def propagate_lindblad(model: LindbladModel, rho0: np.ndarray, grid: TimeGrid,
 # current-like operators and observables
 
 
-def current_operator(h: np.ndarray, m: np.ndarray, sign: int = +1) -> np.ndarray:
-    """sign * i [H, M] for Hermitian H and measurement operator M (hbar = 1).
+def current_operator(h: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """i [H, M] for Hermitian H and measurement operator M (hbar = 1).
 
-    With sign=+1 its expectation equals d/dt Tr(rho M) under closed
-    evolution, matching ``lindblad_adjoint`` at zero coupling; sign=-1
-    selects the opposite convention, which also circulates. Flow
-    densities take the magnitude, so the choice never affects them.
+    Its expectation equals d/dt Tr(rho M) under closed evolution, and it
+    is ``lindblad_adjoint`` at zero coupling.
     """
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
     h = np.asarray(h, dtype=complex)
     m = np.asarray(m, dtype=complex)
     operators.assert_hermitian(h, name="Hamiltonian")
     operators.assert_hermitian(m, name="measurement operator")
-    return sign * 1.0j * operators.commutator(h, m)
+    return 1.0j * operators.commutator(h, m)
 
 
 def _adjoint_stack(model: LindbladModel, m: np.ndarray, times,

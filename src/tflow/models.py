@@ -35,8 +35,6 @@ import numpy as np
 
 from . import operators, tf
 from .dynamics import (
-    DOUBLE_COMMUTATOR,
-    GKS,
     HamiltonianSchedule,
     LindbladModel,
     TimeGrid,
@@ -649,15 +647,15 @@ def _trace_term(formula: Callable[[], float], **rates) -> float:
 
 
 def dephasing_model(gamma: float) -> LindbladModel:
-    """Pure sigma_z dephasing, double-commutator convention:
-    d rho/dt = -(gamma/2)[sigma_z, [sigma_z, rho]]."""
+    """Pure sigma_z dephasing, a sigma_z channel at rate gamma:
+    d rho/dt = gamma (sigma_z rho sigma_z - rho)
+    = -(gamma/2)[sigma_z, [sigma_z, rho]]."""
     operators.assert_finite(gamma=gamma)
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     return LindbladModel(
         hamiltonian=constant_hamiltonian(np.zeros((2, 2), dtype=complex)),
         channels=((SIGMA_Z, gamma),),
-        form=DOUBLE_COMMUTATOR,
     )
 
 
@@ -712,10 +710,11 @@ def dephasing_analytics(gamma: float, grid: TimeGrid) -> DephasingAnalytics:
 class HadamardModel:
     """Hadamard-axis rotation with a sigma_z dephasing channel.
 
-    H = (omega0/2)(sigma_x + sigma_z)/sqrt(2) plus the gks channel
-    (gamma/2)(sigma_z rho sigma_z - rho). The current-like operator of
-    the |+> population is -(omega0/(2 sqrt 2)) sigma_y - (gamma/2) sigma_x
-    and Tr[(L^dag M_+)^2] = omega0^2/4 + gamma^2/2.
+    H = (omega0/2)(sigma_x + sigma_z)/sqrt(2) plus a sigma_z channel at
+    rate gamma/2, (gamma/2)(sigma_z rho sigma_z - rho). The current-like
+    operator of the |+> population is
+    -(omega0/(2 sqrt 2)) sigma_y - (gamma/2) sigma_x and
+    Tr[(L^dag M_+)^2] = omega0^2/4 + gamma^2/2.
     """
 
     omega0: float
@@ -727,6 +726,7 @@ class HadamardModel:
 
 
 def hadamard_model(omega0: float, gamma: float = 0.0) -> HadamardModel:
+    """The Hadamard rotation at omega0, its sigma_z channel at rate gamma/2."""
     operators.assert_finite(omega0=omega0, gamma=gamma)
     if not omega0 > 0:
         raise ValueError("omega0 must be positive")
@@ -735,10 +735,8 @@ def hadamard_model(omega0: float, gamma: float = 0.0) -> HadamardModel:
     trace_term = _trace_term(lambda: omega0 ** 2 / 4.0 + gamma ** 2 / 2.0,
                              omega0=omega0, gamma=gamma)
     h = 0.5 * omega0 * operators.hadamard()
-    channels = ((SIGMA_Z, gamma),) if gamma > 0 else ()
-    model = LindbladModel(
-        hamiltonian=constant_hamiltonian(h), channels=channels, form=GKS
-    )
+    channels = ((SIGMA_Z, 0.5 * gamma),) if gamma > 0 else ()
+    model = LindbladModel(hamiltonian=constant_hamiltonian(h), channels=channels)
     current = -(omega0 / (2.0 * np.sqrt(2.0))) * SIGMA_Y - 0.5 * gamma * SIGMA_X
     return HadamardModel(
         omega0=omega0,

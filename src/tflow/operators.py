@@ -29,17 +29,6 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-_PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
-
-
-def pauli(axis: str) -> np.ndarray:
-    """Return the 2x2 Pauli matrix for ``axis`` in {'x', 'y', 'z'}."""
-    try:
-        return _PAULI[axis].copy()
-    except KeyError:
-        raise ValueError(f"unknown Pauli axis {axis!r}, expected 'x', 'y' or 'z'")
-
-
 def hadamard() -> np.ndarray:
     """The 2x2 Hadamard operator (sigma_x + sigma_z)/sqrt(2)."""
     return (SIGMA_X + SIGMA_Z) / np.sqrt(2.0)
@@ -118,33 +107,29 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().T)))
 
 
-def assert_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL, name: str = "operator"):
+def assert_hermitian(a: np.ndarray, name: str = "operator"):
     defect = hermiticity_defect(a)
-    if not defect <= tol:
+    if not defect <= HERMITIAN_TOL:
         raise OperatorConstraintError(f"{name} is not Hermitian (defect {defect:.3e})")
 
 
-def is_projector(a: np.ndarray, tol: float = PROJECTOR_TOL) -> bool:
+def assert_projector(a: np.ndarray, name: str = "operator"):
     a = np.asarray(a, dtype=complex)
     idem = float(np.max(np.abs(a @ a - a)))
-    return idem <= tol and abs(np.trace(a) - 1.0) <= tol
-
-
-def assert_projector(a: np.ndarray, tol: float = PROJECTOR_TOL, name: str = "operator"):
-    if not is_projector(a, tol):
+    if not (idem <= PROJECTOR_TOL and abs(np.trace(a) - 1.0) <= PROJECTOR_TOL):
         raise OperatorConstraintError(f"{name} is not a rank-1 projector")
 
 
-def assert_unit_norm(psi: np.ndarray, tol: float = NORM_TOL):
+def assert_unit_norm(psi: np.ndarray):
     norm = float(np.linalg.norm(psi))
-    if not abs(norm - 1.0) <= tol:
-        raise StateConstraintError(f"state norm {norm} deviates from 1 by > {tol}")
+    if not abs(norm - 1.0) <= NORM_TOL:
+        raise StateConstraintError(f"state norm {norm} deviates from 1 by > {NORM_TOL}")
 
 
 def assert_density_matrix(rho: np.ndarray, name: str = "density matrix"):
     """Check Hermiticity, unit trace and positivity of a density matrix."""
     rho = np.asarray(rho, dtype=complex)
-    assert_hermitian(rho, HERMITIAN_TOL, name)
+    assert_hermitian(rho, name)
     tr = complex(np.trace(rho))
     if not abs(tr - 1.0) <= TRACE_TOL:
         raise StateConstraintError(f"{name} trace {tr} deviates from 1")

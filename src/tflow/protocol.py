@@ -51,9 +51,7 @@ class EmpiricalTF:
     grid: TimeGrid
     frequencies: np.ndarray
     density: np.ndarray  # at interval midpoints
-    normalization: float
     n_trials: int
-    seed: int
 
     @property
     def midpoint_times(self) -> np.ndarray:
@@ -104,9 +102,7 @@ def empirical_from_populations(p: np.ndarray, config: ProtocolConfig) -> Empiric
         grid=config.grid,
         frequencies=f,
         density=dist.density,
-        normalization=dist.normalization,
         n_trials=config.n_trials,
-        seed=config.seed,
     )
 
 

@@ -3,8 +3,6 @@ import pytest
 
 from tflow import dynamics, models, operators
 from tflow.dynamics import (
-    DOUBLE_COMMUTATOR,
-    GKS,
     LindbladModel,
     TimeGrid,
     constant_hamiltonian,
@@ -138,8 +136,7 @@ def test_dephasing_population_matches_exponential():
 def test_lindblad_zero_rates_match_schrodinger():
     h = 0.5 * 2.0 * operators.SIGMA_X
     grid = TimeGrid(0.0, 2.0, 301)
-    model = LindbladModel(constant_hamiltonian(h), ((operators.SIGMA_Z, 0.0),),
-                          DOUBLE_COMMUTATOR)
+    model = LindbladModel(constant_hamiltonian(h), ((operators.SIGMA_Z, 0.0),))
     rho_traj = dynamics.propagate_lindblad(
         model, operators.projector(2, 0).astype(complex), grid
     )
@@ -166,18 +163,19 @@ def test_hadamard_rotation_closed_limit():
     assert np.max(np.abs(p_rho - p_psi)) <= 1e-7
 
 
-def test_double_commutator_equals_gks_at_doubled_rate():
-    gamma = 0.8
-    h = 0.3 * operators.SIGMA_X
+def test_hermitian_channel_decays_coherences_at_twice_its_rate():
+    # oracle: g (s rho s - rho) = -(g/2)[s, [s, rho]] leaves the populations
+    # and multiplies the coherence rho_01 by exp(-2 g t)
+    g = 0.8
+    model = LindbladModel(constant_hamiltonian(np.zeros((2, 2))),
+                          ((operators.SIGMA_Z, g),))
     grid = TimeGrid(0.0, 3.0, 301)
-    rho0 = M_PLUS
-    dc = LindbladModel(constant_hamiltonian(h), ((operators.SIGMA_Z, gamma),),
-                       DOUBLE_COMMUTATOR)
-    gks = LindbladModel(constant_hamiltonian(h), ((operators.SIGMA_Z, 2.0 * gamma),),
-                        GKS)
-    t1 = dynamics.propagate_lindblad(dc, rho0, grid)
-    t2 = dynamics.propagate_lindblad(gks, rho0, grid)
-    assert np.max(np.abs(t1.states - t2.states)) <= 1e-10
+    rho0 = operators.projector_from_state(np.array([np.cos(0.3), np.sin(0.3)]))
+    traj = dynamics.propagate_lindblad(model, rho0, grid)
+    decay = np.exp(-2.0 * g * grid.times)
+    assert np.max(np.abs(traj.states[:, 0, 1] - rho0[0, 1] * decay)) <= 1e-10
+    assert np.max(np.abs(traj.states[:, 1, 0] - rho0[1, 0] * decay)) <= 1e-10
+    assert np.max(np.abs(traj.states[:, 0, 0] - rho0[0, 0])) <= 1e-12
 
 
 def test_trace_conservation_open_system():
@@ -193,10 +191,8 @@ def test_trace_conservation_open_system():
 def test_current_operator_sigma_x_drive():
     omega = 2.0
     h = 0.5 * omega * operators.SIGMA_X
-    got = dynamics.current_operator(h, operators.projector(2, 1), sign=-1)
-    assert np.max(np.abs(got - 0.5 * omega * operators.SIGMA_Y)) <= 1e-12
-    flipped = dynamics.current_operator(h, operators.projector(2, 1), sign=+1)
-    assert np.max(np.abs(flipped + got)) <= 1e-15
+    got = dynamics.current_operator(h, operators.projector(2, 1))
+    assert np.max(np.abs(got + 0.5 * omega * operators.SIGMA_Y)) <= 1e-12
 
 
 def test_current_operator_identity_is_zero():
@@ -211,7 +207,7 @@ def test_current_operator_lambda_model():
     schedule = models.lambda_hamiltonian(config)
     gamma = models.lambda_gamma(config)
     for t in (0.0, 0.77, 2.0):
-        got = dynamics.current_operator(schedule(t), operators.projector(3, 1), sign=+1)
+        got = dynamics.current_operator(schedule(t), operators.projector(3, 1))
         assert np.max(np.abs(got - gamma)) <= 1e-12
 
 
@@ -231,16 +227,16 @@ def test_lindblad_adjoint_hadamard():
 
 def test_lindblad_adjoint_closed_limit_is_current_operator():
     h = 0.9 * operators.SIGMA_Y + 0.2 * operators.SIGMA_Z
-    model = LindbladModel(constant_hamiltonian(h), (), DOUBLE_COMMUTATOR)
+    model = LindbladModel(constant_hamiltonian(h))
     m = operators.projector(2, 0)
     adj = dynamics.lindblad_adjoint(model, m)
-    want = dynamics.current_operator(h, m, sign=+1)
+    want = dynamics.current_operator(h, m)
     assert np.max(np.abs(adj - want)) <= 1e-12
 
 
 def test_lindblad_adjoint_requires_time_for_schedules():
     config = models.LambdaConfig(1.0, 1.0, -5.0, 5.0, 2.0)
-    model = LindbladModel(models.lambda_hamiltonian(config), (), DOUBLE_COMMUTATOR)
+    model = LindbladModel(models.lambda_hamiltonian(config))
     with pytest.raises(ValueError):
         dynamics.lindblad_adjoint(model, operators.projector(3, 1))
     adj = dynamics.lindblad_adjoint(model, operators.projector(3, 1), t=1.0)
@@ -253,7 +249,7 @@ def test_lindblad_adjoint_is_the_row_of_the_qsl_stack():
     config = models.LambdaConfig(2.0, 1.0, -5.0, 5.0, 2.0)
     decay = np.zeros((3, 3))
     decay[1, 0] = 1.0
-    model = LindbladModel(models.lambda_hamiltonian(config), ((decay, 0.6),), GKS)
+    model = LindbladModel(models.lambda_hamiltonian(config), ((decay, 0.3),))
     m, ts = operators.projector(3, 1), np.linspace(0.0, 2.0, 7)
     stack = dynamics._adjoint_stack(model, m, ts, "times")
     for t, row in zip(ts, stack):
@@ -266,7 +262,7 @@ def test_lindblad_adjoint_is_the_row_of_the_qsl_stack():
 
 def test_scaled_jumps_are_the_jump_stack_and_half_b():
     model = LindbladModel(constant_hamiltonian(np.zeros((2, 2))),
-                          ((operators.SIGMA_Z, 1.1), (operators.SIGMA_X, 0.4)), GKS)
+                          ((operators.SIGMA_Z, 0.55), (operators.SIGMA_X, 0.2)))
     jumps, half_b = model.scaled_jumps()
     assert jumps.shape == (2, 2, 2)
     assert np.array_equal(half_b, 0.5 * sum(a.conj().T @ a for a in jumps))
@@ -320,15 +316,16 @@ def _lindblad_rhs(model, rho):
     return out + sum(a @ rho @ a.conj().T for a in jumps)
 
 
-@pytest.mark.parametrize("form,channels", [
-    (DOUBLE_COMMUTATOR, ((operators.SIGMA_Z, 0.7),)),
-    (GKS, ((operators.SIGMA_Z, 1.1), (operators.SIGMA_X, 0.4))),
-])
-def test_adjoint_duality(form, channels):
+@pytest.mark.parametrize("channels", [
+    ((operators.SIGMA_Z, 0.7),),
+    ((operators.SIGMA_Z, 0.55), (operators.SIGMA_X, 0.2)),
+    ((np.array([[0.0, 1.0], [0.0, 0.0]]), 0.9),),
+], ids=["sigma_z", "sigma_z-sigma_x", "lowering"])
+def test_adjoint_duality(channels):
     # oracle: Tr(L(rho) M) == Tr(rho L^dag(M)) for random rho, M
     rng = np.random.default_rng(17)
     h = 0.5 * operators.SIGMA_X + 0.25 * operators.SIGMA_Z
-    model = LindbladModel(constant_hamiltonian(h), channels, form)
+    model = LindbladModel(constant_hamiltonian(h), channels)
     for _ in range(50):
         raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         rho = raw @ raw.conj().T
@@ -348,7 +345,7 @@ def test_closed_system_trace_identity():
             raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             h = raw + raw.conj().T
             k = rng.integers(dim)
-            model = LindbladModel(constant_hamiltonian(h), (), DOUBLE_COMMUTATOR)
+            model = LindbladModel(constant_hamiltonian(h))
             adj = dynamics.lindblad_adjoint(model, operators.projector(dim, k))
             trace_term = abs(np.real(np.trace(adj @ adj)))
             e1 = np.real(h[k, k])
@@ -581,7 +578,7 @@ def test_overflowing_substep_budget_fails_before_propagating(monkeypatch):
 
 
 def test_four_level_dephasing_matches_closed_form():
-    # H = diag(h), one double-commutator channel L = diag(l) at rate g:
+    # H = diag(h), one Hermitian channel L = diag(l) at rate g:
     # rho_jk(t) = rho_jk(0) exp(-i (h_j - h_k) t - g/2 (l_j - l_k)^2 t)
     h = np.array([0.0, 1.0, 2.5, -1.5])
     l = np.array([0.0, 1.0, -1.0, 2.0])
@@ -750,11 +747,11 @@ _OPEN = dict(model=LindbladModel(_H, [(operators.SIGMA_Z, 0.7)]),
     ("schrodinger", _CLOSED, dict(substeps=4)),
     ("lindblad", _OPEN, dict(rho0=M_PLUS)),
     ("lindblad", _OPEN, dict(model=LindbladModel(_H, [(operators.SIGMA_Z, 0.8)]))),
-    ("lindblad", _OPEN, dict(model=LindbladModel(_H, [(operators.SIGMA_Z, 0.7)], GKS))),
+    ("lindblad", _OPEN, dict(model=LindbladModel(_H, [(operators.SIGMA_X, 0.7)]))),
     ("lindblad", _OPEN, dict(grid=TimeGrid(0.0, 1.5, 21))),
     ("lindblad", _OPEN, dict(substeps=4)),
 ], ids=["psi0", "closed-t-end", "closed-points", "closed-substeps", "rho0", "rate",
-        "form", "open-t-end", "open-substeps"])
+        "channel", "open-t-end", "open-substeps"])
 def test_any_other_input_is_a_miss(monkeypatch, propagate, base, change):
     # the generator is constant, so its table does not depend on the grid
     calls = _counting(monkeypatch, f"{propagate}_steps")
@@ -799,6 +796,26 @@ def test_nan_channel_rate_is_refused_at_construction():
     # to integer"
     with pytest.raises(ValueError, match="channel rates must be non-negative, not nan"):
         LindbladModel(constant_hamiltonian(operators.SIGMA_X), [(operators.SIGMA_Z, np.nan)])
+
+
+def test_infinite_channel_rate_is_refused_at_construction():
+    # it warned "invalid value encountered in multiply" in scaled_jumps, then
+    # failed in the substep choice with "cannot convert float NaN to integer"
+    with pytest.raises(ValueError, match="^channel rates must be finite, not inf$"):
+        LindbladModel(constant_hamiltonian(operators.SIGMA_X), [(operators.SIGMA_Z, np.inf)])
+
+
+def test_one_convention_keeps_the_scaled_jumps_of_the_bundled_models():
+    # the jumps every open-system output rests on, as literals: the dephasing
+    # channel at rate 0.8, and the hadamard channel at rate 1.3/2
+    jumps, half_b = models.dephasing_model(0.8).scaled_jumps()
+    a, b = 0.8944271909999159, 0.39999999999999997
+    assert np.array_equal(jumps, np.array([[[a, 0.0], [0.0, -a]]], dtype=complex))
+    assert np.array_equal(half_b, np.array([[b, 0.0], [0.0, b]], dtype=complex))
+    jumps, half_b = models.hadamard_model(2.0 * np.pi, 1.3).model.scaled_jumps()
+    a, b = 0.806225774829855, 0.32500000000000007
+    assert np.array_equal(jumps, np.array([[[a, 0.0], [0.0, -a]]], dtype=complex))
+    assert np.array_equal(half_b, np.array([[b, 0.0], [0.0, b]], dtype=complex))
 
 
 def test_nan_initial_state_is_refused_before_stepping(monkeypatch):

@@ -214,7 +214,7 @@ def test_constant_schedule_matches_unflagged_lindblad(monkeypatch, substeps):
         monkeypatch.setattr(kernels, "_BATCH_STEPS", 7)
     for model, grid in _constant_lindblad_cases():
         unflagged = dynamics.LindbladModel(_unflagged(model.hamiltonian),
-                                           model.channels, model.form)
+                                           model.channels)
         rho0 = operators.projector(model.dim, 0).astype(complex)
         got = dynamics.propagate_lindblad(model, rho0, grid, substeps)
         want = dynamics.propagate_lindblad(unflagged, rho0, grid, substeps)

@@ -9,20 +9,17 @@ from tflow.errors import (
 )
 
 
+PAULI = (operators.SIGMA_X, operators.SIGMA_Y, operators.SIGMA_Z)
+
+
 def test_pauli_matrices_literal():
-    assert np.array_equal(operators.pauli("x"), [[0, 1], [1, 0]])
-    assert np.array_equal(operators.pauli("y"), [[0, -1j], [1j, 0]])
-    assert np.array_equal(operators.pauli("z"), [[1, 0], [0, -1]])
-
-
-def test_pauli_unknown_axis():
-    with pytest.raises(ValueError):
-        operators.pauli("w")
+    assert np.array_equal(operators.SIGMA_X, [[0, 1], [1, 0]])
+    assert np.array_equal(operators.SIGMA_Y, [[0, -1j], [1j, 0]])
+    assert np.array_equal(operators.SIGMA_Z, [[1, 0], [0, -1]])
 
 
 def test_pauli_algebra():
-    for axis in "xyz":
-        s = operators.pauli(axis)
+    for s in PAULI:
         assert abs(np.trace(s)) == 0
         assert np.allclose(s @ s, np.eye(2))
         operators.assert_hermitian(s)
@@ -90,8 +87,8 @@ def test_expectation_pure_and_mixed():
     assert operators.expectation(operators.basis_state(2, 0), operators.SIGMA_Z) == 1.0
     assert abs(operators.expectation(operators.plus_state(), operators.SIGMA_X) - 1.0) <= 1e-15
     mixed = 0.5 * np.eye(2, dtype=complex)
-    for axis in "xyz":
-        assert abs(operators.expectation(mixed, operators.pauli(axis))) <= 1e-15
+    for s in PAULI:
+        assert abs(operators.expectation(mixed, s)) <= 1e-15
 
 
 def test_expectation_hermitian_has_real_value():

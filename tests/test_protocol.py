@@ -125,7 +125,6 @@ def test_empirical_density_is_the_population_pipeline_of_its_frequencies():
     assert np.array_equal(empirical.frequencies, protocol.sample_frequencies(p, 1000, 4))
     dist = tf.tf_from_population(tf.PopulationSeries(grid, empirical.frequencies))
     assert np.array_equal(empirical.density, dist.density)
-    assert empirical.normalization == dist.normalization
 
 
 def test_flat_population_raises_with_guidance():
@@ -150,8 +149,7 @@ def test_convergence_report_exact_vs_exact():
     p = _constant_drive_populations(grid)
     dist = tf.tf_from_population(tf.PopulationSeries(grid, p))
     # the infinite-trials limit: the exact populations stand in for the frequencies
-    empirical = protocol.EmpiricalTF(grid, p, dist.density, dist.normalization,
-                                     n_trials=10, seed=0)
+    empirical = protocol.EmpiricalTF(grid, p, dist.density, n_trials=10)
     report = protocol.convergence_report(empirical, dist, p_exact=p)
     assert report.sup_distance == 0.0
     assert report.l1_distance == 0.0

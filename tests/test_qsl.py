@@ -60,10 +60,9 @@ def _time_dependent_models():
     # is nonzero and the sign of the commutator matters
     return [
         (dynamics.LindbladModel(schedule), operators.projector(3, 1), lam.t_final),
-        (dynamics.LindbladModel(schedule, ((decay, 2.0),), form=dynamics.GKS),
+        (dynamics.LindbladModel(schedule, ((decay, 1.0),)),
          np.outer(psi, psi.conj()), lam.t_final),
-        (dynamics.LindbladModel(driven, ((np.array([[0.2, 1.0], [0.3j, -0.1]]), 0.7),),
-                                form=dynamics.GKS),
+        (dynamics.LindbladModel(driven, ((np.array([[0.2, 1.0], [0.3j, -0.1]]), 0.35),)),
          np.outer(phi, phi.conj()), 4.0),
     ]
 

@@ -161,9 +161,7 @@ def test_tf_from_current_matches_finite_differences():
     grid = TimeGrid(0.0, np.pi, 2000)
     schedule = constant_hamiltonian(0.5 * omega0 * operators.SIGMA_X)
     traj = dynamics.propagate_schrodinger(schedule, operators.basis_state(2, 0), grid)
-    gamma_op = dynamics.current_operator(
-        schedule(0.0), operators.projector(2, 1), sign=+1
-    )
+    gamma_op = dynamics.current_operator(schedule(0.0), operators.projector(2, 1))
     p_exact = np.sin(omega0 * grid.times / 2.0) ** 2
     fd = tf.tf_from_population(tf.PopulationSeries(grid, p_exact))
     mid = tf.tf_from_current(traj, gamma_op, align="midpoints")
