@@ -205,7 +205,7 @@ def _run_two_level(args) -> Run:
         report = protocol.convergence_report(empirical, fd, p_exact=p)
         run.tables["protocol"] = (
             ["time", "pi_hat", "pi_exact", "noise_density"],
-            [empirical.midpoint_times, empirical.density, fd.density,
+            [grid.midpoints, empirical.density, fd.density,
              report.noise_density],
         )
         run.tables["frequencies"] = (
@@ -331,11 +331,7 @@ def _run_dephasing(args) -> Run:
     fd = tf.tf_from_population(tf.PopulationSeries(grid, p_num))
     grid_moments = tf.moments(fd)
 
-    exact = tf.Moments(
-        mean=analytics.exact_mean, std=analytics.exact_std,
-        raw=np.array([analytics.exact_mean,
-                      2.0 * analytics.exact_mean ** 2]),
-    )
+    exact = tf.Moments(mean=analytics.exact_mean, std=analytics.exact_std)
     bounds = qsl.build_bounds_report(
         delta_theta=analytics.delta_theta,
         trace_term=analytics.trace_term,

@@ -145,13 +145,14 @@ class LindbladModel:
     channels: Sequence[tuple[np.ndarray, float]] = field(default_factory=tuple)
 
     def __post_init__(self):
-        for op, rate in self.channels:
+        for j, (op, rate) in enumerate(self.channels):
             if not rate >= 0:  # NaN fails this too
                 raise ValueError(f"channel rates must be non-negative, not {rate}")
             if not math.isfinite(rate):
                 raise ValueError(f"channel rates must be finite, not {rate}")
             if np.asarray(op).shape != (self.dim, self.dim):
                 raise DimensionMismatchError("channel dimension mismatch")
+            operators.assert_finite(**{f"channel {j} operator": op})
 
     @property
     def dim(self) -> int:
@@ -440,15 +441,19 @@ def _adjoint_stack(model: LindbladModel, m: np.ndarray, times,
     H sampled at all of them in one call; D^dag(M) = sum A^dag M A -
     (B/2) M - M (B/2). No times means a constant H's one time, t = 0; a
     time-dependent model is then refused, asking for the evaluation ``what``.
+    M and the sampled H are refused, as in the propagators, if not Hermitian.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (model.dim, model.dim):
         raise DimensionMismatchError("measurement operator dimension mismatch")
+    operators.assert_hermitian(m, name="measurement operator")
     if times is None:
         if not model.hamiltonian.constant:
             raise ValueError(f"time-dependent model: supply the evaluation {what}")
         times = [0.0]
+    times = np.asarray(times, dtype=float)
     hs = model.hamiltonian.sample(times)
+    _check_table(hs, times)
     jumps, half_b = model.scaled_jumps()
     dissipator = -(half_b @ m + m @ half_b)
     for a in jumps:
@@ -480,10 +485,8 @@ def expectation_series(traj: Trajectory, op) -> np.ndarray:
     ``op`` is one (d, d) matrix for every grid time, or an (n, d, d) stack
     of a time-dependent current operator at the n grid times.
     """
-    mats = np.broadcast_to(np.asarray(op, dtype=complex),
-                           (traj.grid.n_points, traj.dim, traj.dim))
+    op = np.asarray(op, dtype=complex)
+    t = "" if op.ndim == 2 else "t"  # one matrix is contracted as it is
     if traj.is_pure:
-        vals = np.einsum("ti,tij,tj->t", traj.states.conj(), mats, traj.states)
-    else:
-        vals = np.einsum("tij,tji->t", traj.states, mats)
-    return np.real(vals)
+        return np.real(np.einsum(f"ti,{t}ij,tj->t", traj.states.conj(), op, traj.states))
+    return np.real(np.einsum(f"tij,{t}ji->t", traj.states, op))

@@ -233,15 +233,13 @@ def two_level_moments_closed(waveform: ControlWaveform, init: TwoLevelInitial,
     if waveform.kind == "constant":
         integrals = _constant_drive_integrals(waveform.params["omega0"], init,
                                               t_start, t_end)
-        mus = integrals[1:] / tf._flow_mass(integrals[0])
-        var = mus[1] - mus[0] ** 2
-    else:
-        delta = np.arctan2(np.sin(init.theta) * np.sin(init.phi), np.cos(init.theta))
-        cuts = _drive_cuts(waveform, delta, t_start, t_end)
-        mean, var = _piece_moments(waveform, init, cuts)
-        mus = np.array([mean, var + mean * mean])
-    var = max(var, 0.0)
-    return Moments(mean=float(mus[0]), std=float(np.sqrt(var)), raw=mus)
+        return Moments.from_raw(*integrals[1:] / tf._flow_mass(integrals[0]))
+    delta = np.arctan2(np.sin(init.theta) * np.sin(init.phi), np.cos(init.theta))
+    cuts = _drive_cuts(waveform, delta, t_start, t_end)
+    mean, var = _piece_moments(waveform, init, cuts)
+    # a central variance: mu2 - mu1^2 would cancel the spread of a pulse
+    # far from t = 0
+    return Moments(mean=mean, std=float(np.sqrt(max(var, 0.0))))
 
 
 def _constant_drive_integrals(omega: float, init: TwoLevelInitial, t0: float,
@@ -522,10 +520,7 @@ def sta_moments_closed(config: STAConfig) -> Moments:
     terms = _TAYLOR[n] * (0.5 * np.pi) ** n
     i0 = big_t * float(np.sum(terms / (config.alpha * n + 1.0)))
     i1 = big_t * big_t * float(np.sum(terms / (config.alpha * n + 2.0)))
-    mu1 = big_t - i0
-    mu2 = big_t * big_t - 2.0 * i1
-    var = max(mu2 - mu1 * mu1, 0.0)
-    return Moments(mean=mu1, std=float(np.sqrt(var)), raw=np.array([mu1, mu2]))
+    return Moments.from_raw(big_t - i0, big_t * big_t - 2.0 * i1)
 
 
 def sta_propagate(config: STAConfig, grid: TimeGrid,
@@ -666,10 +661,10 @@ class DephasingAnalytics:
     The population is p_-(t) = (1 - exp(-2 gamma t))/2 and the flow
     density 2 gamma exp(-2 gamma t); mean and spread both equal
     1/(2 gamma). The grid distribution is renormalized over the window
-    and ``truncation_mass`` records the flow mass beyond it.
+    and ``truncation_mass`` records the flow mass beyond it. The rate
+    gamma is the argument of ``dephasing_analytics`` and is not stored.
     """
 
-    gamma: float
     population: PopulationSeries
     distribution: TFDistribution
     exact_mean: float
@@ -695,7 +690,6 @@ def dephasing_analytics(gamma: float, grid: TimeGrid) -> DephasingAnalytics:
         np.exp(-2.0 * gamma * grid.t_end) + (1.0 - np.exp(-2.0 * gamma * grid.t_start))
     )
     return DephasingAnalytics(
-        gamma=gamma,
         population=pop,
         distribution=dist,
         exact_mean=0.5 / gamma,
@@ -714,11 +708,10 @@ class HadamardModel:
     rate gamma/2, (gamma/2)(sigma_z rho sigma_z - rho). The current-like
     operator of the |+> population is
     -(omega0/(2 sqrt 2)) sigma_y - (gamma/2) sigma_x and
-    Tr[(L^dag M_+)^2] = omega0^2/4 + gamma^2/2.
+    Tr[(L^dag M_+)^2] = omega0^2/4 + gamma^2/2. omega0 and gamma are the
+    arguments of ``hadamard_model`` and are not stored.
     """
 
-    omega0: float
-    gamma: float
     model: LindbladModel
     current_op: np.ndarray
     trace_term: float
@@ -739,8 +732,6 @@ def hadamard_model(omega0: float, gamma: float = 0.0) -> HadamardModel:
     model = LindbladModel(hamiltonian=constant_hamiltonian(h), channels=channels)
     current = -(omega0 / (2.0 * np.sqrt(2.0))) * SIGMA_Y - 0.5 * gamma * SIGMA_X
     return HadamardModel(
-        omega0=omega0,
-        gamma=gamma,
         model=model,
         current_op=current,
         trace_term=trace_term,

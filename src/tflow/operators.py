@@ -9,7 +9,7 @@ frequencies are in rad per time unit and hbar = 1 throughout.
 
 from __future__ import annotations
 
-import math
+import cmath
 
 import numpy as np
 
@@ -96,9 +96,10 @@ def expectation(state: np.ndarray, op: np.ndarray) -> complex:
 
 
 def assert_finite(**values) -> None:
-    """Refuse a NaN or infinite number, or array entry, by its name."""
+    """Refuse a NaN or infinite number, or array entry (real or complex),
+    by its name."""
     for name, value in values.items():
-        if not all(map(math.isfinite, np.ravel(value).tolist())):
+        if not all(map(cmath.isfinite, np.ravel(value).tolist())):
             raise ValueError(f"{name} must be finite, not {value}")
 
 

@@ -53,10 +53,6 @@ class EmpiricalTF:
     density: np.ndarray  # at interval midpoints
     n_trials: int
 
-    @property
-    def midpoint_times(self) -> np.ndarray:
-        return self.grid.midpoints
-
 
 def sample_frequencies(p: np.ndarray, n_trials: int, seed: int) -> np.ndarray:
     """Per-point binomial frequencies from independent (seed, j) streams.
@@ -147,7 +143,7 @@ def convergence_report(empirical: EmpiricalTF, exact: TFDistribution,
                        p_exact: np.ndarray) -> ConvergenceReport:
     """Compare an empirical density against an exact one on the same grid,
     and its frequencies against the exact populations ``p_exact``."""
-    mid = empirical.midpoint_times
+    mid = empirical.grid.midpoints
     if exact.times.shape != mid.shape or np.max(np.abs(exact.times - mid)) > 1e-12:
         raise GridMismatchError("empirical and exact distributions use different grids")
     diff = np.abs(empirical.density - exact.density)

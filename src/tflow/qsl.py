@@ -53,9 +53,7 @@ def hamiltonian_std(h: np.ndarray, target) -> float:
     operators.assert_hermitian(h, name="Hamiltonian")
     vec = _target_vector(h.shape[0], target)
     hv = h @ vec
-    first = float(np.real(np.vdot(vec, hv)))
-    second = float(np.real(np.vdot(hv, hv)))
-    return float(np.sqrt(max(second - first * first, 0.0)))
+    return Moments.from_raw(np.real(np.vdot(vec, hv)), np.real(np.vdot(hv, hv))).std
 
 
 def tf_qsl_open(model: LindbladModel, m: np.ndarray, delta_theta: float,
@@ -130,7 +128,6 @@ class UncertaintyResult:
     product: float
     eta: float
     satisfied: bool
-    margin: float
 
 
 def uncertainty_check(delta_t: float, h: np.ndarray, target,
@@ -140,9 +137,7 @@ def uncertainty_check(delta_t: float, h: np.ndarray, target,
         raise ValueError("delta_t must be a finite non-negative time")
     eta = abs(delta_theta) / _ETA_DIVISOR
     product = delta_t * hamiltonian_std(h, target)
-    margin = product / eta if eta > 0 else np.inf
-    return UncertaintyResult(product=product, eta=eta,
-                             satisfied=_holds(product, eta), margin=margin)
+    return UncertaintyResult(product=product, eta=eta, satisfied=_holds(product, eta))
 
 
 def mt_dephasing_bound(gamma: float) -> float:

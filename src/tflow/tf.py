@@ -15,6 +15,9 @@ that is not above 1e-12 as flat. ``split_toa_tod`` separates the
 time-of-arrival (increasing) and time-of-departure (decreasing) parts;
 an interval whose population changes by at most ``DEAD_BAND`` is neutral,
 which excludes flat plateaus from both supports.
+
+``Moments`` holds a mean and spread. ``Moments.from_raw`` forms them from
+the raw moments mu^(1), mu^(2); it holds the one clamp of mu2 - mu1^2.
 """
 
 from __future__ import annotations
@@ -86,11 +89,17 @@ class TFDistribution:
 
 @dataclass(frozen=True)
 class Moments:
-    """Mean, standard deviation and raw moments mu^(p) of a distribution."""
+    """Mean and standard deviation of a flow distribution."""
 
     mean: float
     std: float
-    raw: np.ndarray  # raw[p-1] = mu^(p)
+
+    @classmethod
+    def from_raw(cls, mu1: float, mu2: float) -> Moments:
+        """From the raw moments mu^(1) and mu^(2): the spread is
+        sqrt(mu2 - mu1^2), where rounding below 0 reads as 0."""
+        mean = float(mu1)
+        return cls(mean=mean, std=float(np.sqrt(max(float(mu2) - mean * mean, 0.0))))
 
 
 def _flow_mass(mass: float) -> float:
@@ -210,12 +219,9 @@ def split_toa_tod(series: PopulationSeries) -> SplitResult:
 
 
 def moments(dist: TFDistribution) -> Moments:
-    """Raw moments mu^(p) = sum t^p density dt for p = 1, 2, mean and spread."""
-    raw = np.array([float(np.sum(dist.times ** p * dist.density) * dist.dt)
-                    for p in (1, 2)])
-    mean = raw[0]
-    var = max(raw[1] - mean * mean, 0.0)
-    return Moments(mean=mean, std=float(np.sqrt(var)), raw=raw)
+    """Mean and spread from the raw moments mu^(p) = sum t^p density dt."""
+    return Moments.from_raw(*(float(np.sum(dist.times ** p * dist.density) * dist.dt)
+                              for p in (1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -223,19 +229,10 @@ def moments(dist: TFDistribution) -> Moments:
 
 
 @dataclass(frozen=True)
-class SpikeStats:
-    """Exact mean/std of a renormalized set of weighted time spikes."""
-
-    mean: float
-    std: float
-    total_weight: float
-
-
-@dataclass(frozen=True)
 class StepModelStats:
-    toa: SpikeStats | None
-    tod: SpikeStats | None
-    tf: SpikeStats
+    toa: Moments | None
+    tod: Moments | None
+    tf: Moments
 
 
 def step_model_statistics(steps: list[tuple[float, float]]) -> StepModelStats:
@@ -258,15 +255,13 @@ def step_model_statistics(steps: list[tuple[float, float]]) -> StepModelStats:
     if np.any(partial < -1e-12) or np.any(partial > 1.0 + 1e-12):
         raise ValueError("cumulative occupation leaves [0, 1]")
 
-    def _stats(mask: np.ndarray) -> SpikeStats | None:
+    def _stats(mask: np.ndarray) -> Moments | None:
         w = np.abs(ws[mask])
         total = float(np.sum(w))
         if not total > _FLAT_TOL:
             return None
         t = ts[mask]
-        mean = float(np.sum(w * t) / total)
-        var = max(float(np.sum(w * t * t) / total) - mean * mean, 0.0)
-        return SpikeStats(mean=mean, std=float(np.sqrt(var)), total_weight=total)
+        return Moments.from_raw(np.sum(w * t) / total, np.sum(w * t * t) / total)
 
     toa = _stats(ws > 0)
     tod = _stats(ws < 0)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,35 @@ def test_lindblad_adjoint_requires_time_for_schedules():
     operators.assert_hermitian(adj)
 
 
+def test_lindblad_adjoint_refuses_an_unfit_h_or_m():
+    # each gave a quiet wrong matrix: NaN entries, or the adjoint of a
+    # non-Hermitian H or M
+    from tflow.errors import OperatorConstraintError
+
+    def after_half_nan(ts):
+        return np.where(ts > 0.5, np.nan, 1.0)[:, None, None] * operators.SIGMA_X
+
+    def raising(ts):
+        return np.broadcast_to(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
+                               (len(ts), 2, 2))
+
+    m = operators.projector(2, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = LindbladModel(dynamics.HamiltonianSchedule(2, batch=after_half_nan))
+        with pytest.raises(OperatorConstraintError, match=r"^schedule is not finite at t = 0\.75$"):
+            dynamics.lindblad_adjoint(model, m, 0.75)
+        model = LindbladModel(dynamics.HamiltonianSchedule(2, batch=raising))
+        with pytest.raises(OperatorConstraintError,
+                           match=r"^schedule is not Hermitian on the grid \(defect 1\.000e\+00\)$"):
+            dynamics.lindblad_adjoint(model, m, 0.0)
+        # an idempotent M of unit trace that is not Hermitian
+        model = LindbladModel(constant_hamiltonian(operators.SIGMA_X))
+        with pytest.raises(OperatorConstraintError,
+                           match=r"^measurement operator is not Hermitian \(defect 1\.000e\+00\)$"):
+            dynamics.lindblad_adjoint(model, np.array([[1.0, 1.0], [0.0, 0.0]]))
+
+
 def test_lindblad_adjoint_is_the_row_of_the_qsl_stack():
     # L^dag(M) has one builder: lindblad_adjoint at t is the row of the
     # stack that tf_qsl_open reduces, bit for bit
@@ -392,6 +423,22 @@ def test_expectation_series_time_dependent_operator():
         dynamics.expectation_series(traj, np.zeros((29, 2, 2)))
     with pytest.raises(TypeError):
         dynamics.expectation_series(traj, lambda t: t * operators.SIGMA_Z)
+
+
+def test_expectation_series_of_one_matrix_equals_its_stack():
+    # one (d, d) matrix is contracted directly; the values are those of the
+    # (n, d, d) stack of it, bit for bit
+    rng = np.random.default_rng(5)
+    grid = TimeGrid(0.0, 1.0, 40)
+    raw = rng.normal(size=(40, 3, 3)) + 1j * rng.normal(size=(40, 3, 3))
+    rho = raw @ np.conj(np.swapaxes(raw, 1, 2))
+    rho /= np.trace(rho, axis1=1, axis2=2)[:, None, None]
+    psi = raw[:, :, 0] / np.linalg.norm(raw[:, :, 0], axis=1)[:, None]
+    op = operators.projector(3, 1) + 0.3 * operators.projector(3, 2)
+    for traj in (dynamics.Trajectory(grid, psi), dynamics.Trajectory(grid, rho)):
+        stack = np.broadcast_to(op, (40, 3, 3))
+        assert np.array_equal(dynamics.expectation_series(traj, op),
+                              dynamics.expectation_series(traj, stack))
 
 
 # ---------------------------------------------------------------------------
@@ -803,6 +850,21 @@ def test_infinite_channel_rate_is_refused_at_construction():
     # failed in the substep choice with "cannot convert float NaN to integer"
     with pytest.raises(ValueError, match="^channel rates must be finite, not inf$"):
         LindbladModel(constant_hamiltonian(operators.SIGMA_X), [(operators.SIGMA_Z, np.inf)])
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+def test_non_finite_channel_operator_is_refused_at_construction(value):
+    # it warned "invalid value encountered in multiply" and "in matmul", then
+    # failed in the substep choice with "cannot convert float NaN to
+    # integer"; a NaN entry gave an all-NaN lindblad_adjoint and a NaN bound
+    op = np.array([[value, 0.0], [0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            LindbladModel(constant_hamiltonian(operators.SIGMA_X),
+                          [(operators.SIGMA_Z, 0.5), (op, 1.0)])
+    assert str(info.value) == (f"channel 1 operator must be finite, "
+                               f"not [[{value}  0.]\n [ 0.  0.]]")
 
 
 def test_one_convention_keeps_the_scaled_jumps_of_the_bundled_models():

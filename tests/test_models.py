@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -127,6 +129,18 @@ def test_two_level_moments_closed_constant_drive():
     assert m.mean == pytest.approx(np.pi / 2.0, rel=1e-9)
     want_std = (np.pi / 2.0) * np.sqrt(1.0 - 8.0 / np.pi ** 2)
     assert m.std == pytest.approx(want_std, rel=1e-9)
+
+
+def test_two_level_moments_closed_bits():
+    # bit for bit, as the reports print them: the constant drive's exact
+    # sums and the polynomial drive's enumeration
+    m = models.two_level_moments_closed(
+        models.ControlWaveform.constant(2000.0), models.TwoLevelInitial(), 0.0, 10.0)
+    assert (m.mean, m.std) == (4.999918066439879, 2.886704028452463)
+    m = models.two_level_moments_closed(
+        models.ControlWaveform.polynomial(1.0, [0.5, -1.0, 0.3, 0.1]),
+        models.TwoLevelInitial(1.0, 1.5), 0.0, 3.0)
+    assert (m.mean, m.std) == (2.243683202913218, 0.7666119994760208)
 
 
 def test_two_level_moments_closed_with_sign_changes():
@@ -528,6 +542,12 @@ def test_sta_moments_linear_schedule():
     assert m.std == pytest.approx(np.sqrt(4.0 / np.pi - 12.0 / np.pi ** 2), rel=1e-9)
 
 
+def test_sta_moments_bits():
+    # bit for bit, as the reports print them
+    m = models.sta_moments_closed(models.STAConfig(0.5, 1.02, 20.0))
+    assert (m.mean, m.std) == (0.1932191414785237, 0.21110906498756385)
+
+
 @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.75, 1.0, 2.0, 7.0])
 def test_sta_moments_match_quadrature(alpha):
     big_t = 1.3
@@ -686,6 +706,12 @@ def test_hadamard_adjoint_square_proportional_to_identity():
     square = adj @ adj
     scale = (3.0 ** 2 / 8.0 + 1.2 ** 2 / 4.0)
     assert np.max(np.abs(square - scale * np.eye(2))) <= 1e-12
+
+
+def test_model_records_hold_only_what_is_read():
+    fields = lambda cls: [f.name for f in dataclasses.fields(cls)]
+    assert fields(models.HadamardModel) == ["model", "current_op", "trace_term", "target"]
+    assert "gamma" not in fields(models.DephasingAnalytics)
 
 
 def test_hadamard_model_validation():

@@ -76,6 +76,32 @@ def test_tf_qsl_open_times_matches_per_time_trace_terms(case):
     assert got == pytest.approx(0.5 / np.sqrt(want), rel=1e-12)
 
 
+def test_tf_qsl_open_refuses_an_unfit_schedule_or_target():
+    # each gave a quiet wrong number: nan, inf (the frozen target's value),
+    # and a finite bound for an M that is no observable
+    from tflow.errors import OperatorConstraintError
+
+    def after_half_nan(ts):
+        return np.where(ts > 0.5, np.nan, 1.0)[:, None, None] * operators.SIGMA_X
+
+    def raising(ts):
+        return np.broadcast_to(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
+                               (len(ts), 2, 2))
+
+    m = operators.projector(2, 0)
+    model = dynamics.LindbladModel(dynamics.HamiltonianSchedule(2, batch=after_half_nan))
+    with pytest.raises(OperatorConstraintError, match=r"^schedule is not finite at t = 1$"):
+        qsl.tf_qsl_open(model, m, 0.5, times=[0.0, 1.0])
+    model = dynamics.LindbladModel(dynamics.HamiltonianSchedule(2, batch=raising))
+    with pytest.raises(OperatorConstraintError,
+                       match=r"^schedule is not Hermitian on the grid \(defect 1\.000e\+00\)$"):
+        qsl.tf_qsl_open(model, m, 0.5, times=[0.0, 1.0])
+    model = dynamics.LindbladModel(dynamics.constant_hamiltonian(operators.SIGMA_X))
+    with pytest.raises(OperatorConstraintError,
+                       match=r"^measurement operator is not Hermitian \(defect 1\.000e\+00\)$"):
+        qsl.tf_qsl_open(model, np.array([[1.0, 1.0], [0.0, 0.0]]), 0.5)
+
+
 def test_tf_qsl_open_times_checks_dimension():
     model = dynamics.LindbladModel(models.lambda_hamiltonian(
         models.LambdaConfig(1.0, 1.0, -1.0, 1.0, 1.0)))
@@ -199,7 +225,7 @@ def test_mt_dephasing_bound():
 def test_build_bounds_report_dephasing():
     gamma = 1.0
     analytics = models.dephasing_analytics(gamma, TimeGrid(0.0, 10.0, 1001))
-    measured = tf.Moments(mean=0.5, std=0.5, raw=np.array([0.5, 0.5]))
+    measured = tf.Moments(mean=0.5, std=0.5)
     report = qsl.build_bounds_report(
         delta_theta=analytics.delta_theta,
         trace_term=analytics.trace_term,
@@ -222,7 +248,7 @@ def test_build_bounds_report_dephasing():
 def test_build_bounds_report_closed_variants():
     omega0 = 2.0 * np.pi
     h = models.hadamard_model(omega0, 0.0).model.hamiltonian(0.0)
-    measured = tf.Moments(mean=0.3, std=0.2, raw=np.array([0.3, 0.13]))
+    measured = tf.Moments(mean=0.3, std=0.2)
     report = qsl.build_bounds_report(
         delta_theta=0.5, trace_term=omega0 ** 2 / 4.0, measured=measured,
         pi_max=2.0, hamiltonian=h, target=operators.plus_state())
@@ -275,8 +301,7 @@ def _sta_cases():
 def _dephasing_case():
     gamma = 1.0
     analytics = models.dephasing_analytics(gamma, TimeGrid(0.0, 12.0, 4001))
-    m = tf.Moments(mean=analytics.exact_mean, std=analytics.exact_std,
-                   raw=np.array([0.5, 0.5]))
+    m = tf.Moments(mean=analytics.exact_mean, std=analytics.exact_std)
     return ("dephasing", m, 2.0 * gamma, analytics.delta_theta,
             analytics.trace_term, None)
 
@@ -340,7 +365,7 @@ def test_uncertainty_flag_agrees_with_the_report_inside_the_tolerance():
     check = qsl.uncertainty_check(delta_t, operators.SIGMA_X, 0, 1.0)
     report = qsl.build_bounds_report(
         delta_theta=1.0, trace_term=2.0, pi_max=1.0,
-        measured=tf.Moments(mean=1.0, std=delta_t, raw=np.array([1.0, 1.0])),
+        measured=tf.Moments(mean=1.0, std=delta_t),
         hamiltonian=operators.SIGMA_X, target=0)
     assert check.eta == report["uncertainty_eta"]
     assert check.product == report["uncertainty_product"]
@@ -367,7 +392,7 @@ def test_bounds_report_computes_the_deviation_once(monkeypatch):
     report = qsl.build_bounds_report(
         delta_theta=0.5, trace_term=1.0, pi_max=2.0, hamiltonian=h,
         target=operators.plus_state(),
-        measured=tf.Moments(mean=0.3, std=0.2, raw=np.array([0.3, 0.13])))
+        measured=tf.Moments(mean=0.3, std=0.2))
     assert len(calls) == 1
     assert report["tau_tf_closed_derived"] == qsl.tf_qsl_closed(
         h, operators.plus_state(), 0.5).derived
@@ -380,7 +405,7 @@ REPORT_KEYS = ["delta_theta", "trace_term", "tau_tf", "tau_tf_closed_printed",
 
 
 def test_bounds_report_keeps_its_key_order():
-    measured = tf.Moments(mean=0.3, std=0.2, raw=np.array([0.3, 0.13]))
+    measured = tf.Moments(mean=0.3, std=0.2)
     dephasing = qsl.build_bounds_report(
         delta_theta=0.5, trace_term=2.0, measured=measured, pi_max=2.0,
         mt_bound=qsl.mt_dephasing_bound(1.0))
@@ -406,7 +431,7 @@ def test_bounds_report_keeps_its_key_order():
 def test_frozen_target_bound_is_written_as_null():
     report = qsl.build_bounds_report(
         delta_theta=0.5, trace_term=0.0, pi_max=2.0,
-        measured=tf.Moments(mean=0.3, std=0.2, raw=np.array([0.3, 0.13])))
+        measured=tf.Moments(mean=0.3, std=0.2))
     assert report["tau_tf"] == np.inf
     assert report["spread_bound_qsl"] == 0.0
     assert cli._jsonable(report)["tau_tf"] is None
@@ -420,4 +445,4 @@ def test_bounds_report_refuses_a_trace_term_that_is_not_a_bound(trace_term, mt_b
     with pytest.raises(ValueError, match="trace_term"):
         qsl.build_bounds_report(
             delta_theta=0.5, trace_term=trace_term, pi_max=2.0, mt_bound=mt_bound,
-            measured=tf.Moments(mean=0.3, std=0.2, raw=np.array([0.3, 0.13])))
+            measured=tf.Moments(mean=0.3, std=0.2))

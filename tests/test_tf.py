@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -146,13 +148,24 @@ def test_moments_uniform():
     assert abs(m.std - total / np.sqrt(12.0)) <= 1e-5
 
 
-def test_moments_raw_order():
-    grid = TimeGrid(0.0, 1.0, 101)
-    series = tf.PopulationSeries(grid, grid.times)
+def test_moments_bits():
+    # bit for bit, as the reports print them
+    grid = TimeGrid(0.0, 3.0, 2001)
+    series = tf.PopulationSeries(grid, np.sin(grid.times) ** 2 / np.sin(3.0) ** 2)
     m = tf.moments(tf.tf_from_population(series))
-    assert m.raw.shape == (2,)
-    assert m.raw[0] == m.mean
-    assert m.raw[1] >= m.raw[0] ** 2 - 1e-12
+    assert (m.mean, m.std) == (1.5559460089480837, 0.8478923047750369)
+
+
+def test_moments_hold_mean_and_std_only():
+    assert [f.name for f in dataclasses.fields(tf.Moments)] == ["mean", "std"]
+
+
+def test_moments_from_raw():
+    m = tf.Moments.from_raw(np.float64(1.0), 2.0)
+    assert (m.mean, m.std) == (1.0, 1.0)
+    assert type(m.mean) is float
+    # rounding can leave mu2 below mu1^2; that spread is 0, not NaN
+    assert tf.Moments.from_raw(2.0, 3.0).std == 0.0
 
 
 def test_tf_from_current_matches_finite_differences():
@@ -207,6 +220,15 @@ def test_step_statistics_mixed_flow():
     assert stats.tod.std == pytest.approx(0.0, abs=1e-12)
     assert stats.tf.mean == pytest.approx(13.0 / 3.0, abs=1e-12)
     assert stats.tf.std == pytest.approx(np.sqrt(29.0) / 3.0, abs=1e-12)
+
+
+def test_step_statistics_bits():
+    # bit for bit, as the reports print them
+    stats = tf.step_model_statistics([(2.0, 0.5), (4.0, -0.25), (6.0, 0.75)])
+    assert (stats.toa.mean, stats.toa.std) == (4.4, 1.9595917942265415)
+    assert (stats.tod.mean, stats.tod.std) == (4.0, 0.0)
+    assert (stats.tf.mean, stats.tf.std) == (4.333333333333333, 1.7950549357115022)
+    assert all(type(m) is tf.Moments for m in (stats.toa, stats.tod, stats.tf))
 
 
 def test_step_statistics_single_step():
