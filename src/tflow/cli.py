@@ -6,7 +6,7 @@ writes each table ``<name>`` of command ``<command>`` as
 ``<command>_<name>.csv`` (dashes become underscores), in the order the
 run lists them, and last the JSON report ``<command>_report.json``. A CSV
 is comma-separated UTF-8: a single ``# manifest: <command>_report.json``
-comment line, then a header row, then ``%.16g``-formatted values. The
+comment line, a header row, then ``%.16g`` floats and plain labels. The
 report's top-level keys are ``manifest``, ``inputs``, ``series_files``
 (the CSV names, in write order), ``results``, ``bounds`` and
 ``diagnostics``. Nothing is written until the run has computed
@@ -45,29 +45,13 @@ from .errors import DegenerateDistributionError, IntegrationError
 TWO_PI = 2.0 * np.pi
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.16g}"
-
-
 def _write_csv(path: Path, manifest_name: str, header: list[str],
-               columns: list) -> None:
-    """Write the table with one ``%`` template: ``%.16g`` for float arrays,
-    ``%s`` of ``_fmt`` for every other column."""
-    fields, values = [], []
-    for column in columns:
-        if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-            fields.append("%.16g")
-            values.append(column.tolist())
-        else:
-            fields.append("%s")
-            values.append([_fmt(v) for v in column])
-    flat = tuple(itertools.chain.from_iterable(zip(*values)))
+               columns: list[np.ndarray]) -> None:
+    """Write the table with one ``%`` template over each column's
+    ``tolist()``: ``%.16g`` for a float array, ``%s`` for any other (a
+    string array of labels)."""
+    fields = ["%.16g" if column.dtype.kind == "f" else "%s" for column in columns]
+    flat = tuple(itertools.chain.from_iterable(zip(*(c.tolist() for c in columns))))
     body = (",".join(fields) + "\n") * (len(flat) // len(fields)) % flat
     path.write_text(f"# manifest: {manifest_name}\n{','.join(header)}\n{body}",
                     encoding="utf-8")
@@ -160,10 +144,11 @@ def _run_two_level(args) -> Run:
     grid = TimeGrid(args.t_start, t_end, args.points)
 
     p = models.two_level_population(waveform, init, grid.times)
+    series = tf.PopulationSeries(grid, np.clip(p, 0.0, 1.0))
+    # first, so that a grid too short for a density is refused as such
+    fd = tf.tf_from_population(series)
     rate = models.two_level_rate(waveform, init, grid.times)
     dist = tf.tf_from_rate(grid, rate)
-    series = tf.PopulationSeries(grid, np.clip(p, 0.0, 1.0))
-    fd = tf.tf_from_population(series)
     grid_moments = tf.moments(fd)
     closed_moments = models.two_level_moments_closed(
         waveform, init, grid.t_start, grid.t_end

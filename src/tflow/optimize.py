@@ -54,6 +54,10 @@ class OptimizeConfig:
             raise ValueError("penalty weights must be >= 0")
         if self.grid_points < 10:
             raise ValueError("grid_points must be >= 10")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
+        if self.simplex_scale <= 0:
+            raise ValueError("simplex_scale must be positive")
         if len(self.initial_coefficients) != 4:
             raise ValueError("expected 4 initial coefficients")
 
@@ -130,7 +134,8 @@ def _nelder_mead(func, simplex, xatol: float, fatol: float, maxiter: int,
     rho = 1, chi = 2, psi = sigma = 1/2 in the arithmetic form scipy
     uses, the vertices are re-sorted with ``np.argsort`` after each step,
     and an evaluation that would exceed ``maxfev`` ends the run before it
-    is made, as in scipy.
+    is made, as in scipy. Unlike scipy, it refuses an initial vertex whose
+    cost is not finite, evaluated without numpy's floating-point warnings.
     """
     sim = np.array(simplex, dtype=float)
     n = sim.shape[1]
@@ -145,10 +150,14 @@ def _nelder_mead(func, simplex, xatol: float, fatol: float, maxiter: int,
 
     fsim = np.full(n + 1, np.inf)
     try:
-        for k in range(n + 1):
-            fsim[k] = f(sim[k])
+        with np.errstate(all="ignore"):
+            for k in range(n + 1):
+                fsim[k] = f(sim[k])
     except _EvaluationLimit:
         pass
+    if not np.all(np.isfinite(fsim[:nfev])):
+        raise ValueError("the cost is not finite on the initial simplex of "
+                         "initial_coefficients, simplex_scale, omega0 and t_horizon")
     order = np.argsort(fsim)
     sim, fsim = sim[order], fsim[order]
     nit = 1
@@ -210,10 +219,14 @@ def optimize_polynomial(config: OptimizeConfig) -> OptimizationResult:
     point found so far is returned either way, flagged by ``converged``.
     """
     x0 = np.asarray(config.initial_coefficients, dtype=float)
-    scales = np.array([
-        config.simplex_scale * config.omega0 / config.t_horizon ** (p + 1)
-        for p in range(4)
-    ])
+    try:
+        scales = [config.simplex_scale * config.omega0 / config.t_horizon ** (p + 1)
+                  for p in range(4)]
+    except (ZeroDivisionError, OverflowError):
+        scales = [np.inf]
+    if not all(0 < abs(scale) < np.inf for scale in scales):
+        raise ValueError(
+            "simplex_scale * omega0 / t_horizon^p must be finite and nonzero")
     simplex = np.vstack([x0] + [x0 + np.eye(4)[i] * scales[i] for i in range(4)])
 
     a, fun, nit, _, success = _nelder_mead(

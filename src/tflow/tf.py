@@ -11,10 +11,11 @@ one of two conventions, each with one builder:
   samples of dp/dt, at the grid points or averaged onto the midpoints.
 
 Every distribution is made by ``_normalized``, which refuses a flow mass
-that is not above 1e-12 as flat. ``split_toa_tod`` separates the
-time-of-arrival (increasing) and time-of-departure (decreasing) parts;
-an interval whose population changes by at most ``DEAD_BAND`` is neutral,
-which excludes flat plateaus from both supports.
+not above 1e-12 as flat; its ``normalization`` is the inverse mass.
+``split_toa_tod`` separates the time-of-arrival (increasing) and
+time-of-departure (decreasing) parts, each normalized by the inverse of
+the probability it transfers; an interval whose population changes by at
+most ``DEAD_BAND`` is neutral, which excludes flat plateaus from both.
 
 ``Moments`` holds a mean and spread. ``Moments.from_raw`` forms them from
 the raw moments mu^(1), mu^(2); it holds the one clamp of mu2 - mu1^2.
@@ -30,7 +31,6 @@ from . import dynamics, operators
 from .dynamics import TimeGrid, Trajectory
 from .errors import DegenerateDistributionError, DimensionMismatchError
 
-KIND_TF = "TF"
 KIND_TOA = "TOA"
 KIND_TOD = "TOD"
 KIND_NEUTRAL = "neutral"
@@ -61,16 +61,15 @@ class TFDistribution:
 
     ``times`` may be grid points, interval midpoints, or a subset of
     midpoints (for a single TOA/TOD support); each sample owns a slot of
-    width ``dt``, so sum(density) * dt == 1. ``normalization`` records
-    the constant that was applied to the raw rates. ``kind`` is TF for a
-    whole window and TOA or TOD for one sign's support.
+    width ``dt``, so sum(density) * dt == 1. ``normalization`` is the
+    constant applied to the raw rates, the inverse of their flow mass:
+    for one TOA/TOD support, the inverse of the probability it transfers.
     """
 
     times: np.ndarray
     density: np.ndarray
     dt: float
     normalization: float
-    kind: str = KIND_TF
 
     def __post_init__(self):
         if self.times.shape != self.density.shape:
@@ -111,12 +110,12 @@ def _flow_mass(mass: float) -> float:
     return mass
 
 
-def _normalized(times: np.ndarray, raw: np.ndarray, mass: float, dt: float,
-                kind: str = KIND_TF) -> TFDistribution:
+def _normalized(times: np.ndarray, raw: np.ndarray, mass: float,
+                dt: float) -> TFDistribution:
     """raw / mass, where ``mass`` is the flow mass of the density ``raw``."""
     mass = _flow_mass(mass)
     return TFDistribution(times=times, density=raw / mass, dt=dt,
-                          normalization=1.0 / mass, kind=kind)
+                          normalization=1.0 / mass)
 
 
 def tf_from_population(series: PopulationSeries) -> TFDistribution:
@@ -174,15 +173,13 @@ class SplitResult:
     ``segments`` lists maximal runs of grid intervals as
     (first_interval, last_interval + 1, kind); ``toa``/``tod`` are the
     per-kind distributions normalized over their own support (None when
-    that kind has no support), with 1/n_a and 1/n_d the respective
-    supports' total probability transferred.
+    that kind has no support), so each one's ``normalization`` is the
+    inverse of the probability its support transfers.
     """
 
     segments: list[tuple[int, int, str]]
     toa: TFDistribution | None
     tod: TFDistribution | None
-    n_a: float
-    n_d: float
 
 
 def split_toa_tod(series: PopulationSeries) -> SplitResult:
@@ -204,18 +201,15 @@ def split_toa_tod(series: PopulationSeries) -> SplitResult:
                         _KIND_OF_CODE[code[starts]].tolist()))
     mid = series.grid.midpoints
 
-    def _support(sign: int, kind: str) -> tuple[TFDistribution | None, float]:
+    def _support(sign: int) -> TFDistribution | None:
         mask = code == sign
         change = np.abs(dp[mask])
-        weight = float(np.sum(change))
         try:
-            return _normalized(mid[mask], change / dt, weight, dt, kind), 1.0 / weight
+            return _normalized(mid[mask], change / dt, float(np.sum(change)), dt)
         except DegenerateDistributionError:
-            return None, np.inf
+            return None
 
-    toa, n_a = _support(1, KIND_TOA)
-    tod, n_d = _support(-1, KIND_TOD)
-    return SplitResult(segments=segments, toa=toa, tod=tod, n_a=n_a, n_d=n_d)
+    return SplitResult(segments=segments, toa=_support(1), tod=_support(-1))
 
 
 def moments(dist: TFDistribution) -> Moments:

@@ -49,6 +49,33 @@ def test_two_level_departure_arrival_boundary(tmp_path):
     assert kinds == ["TOD", "TOA"]
 
 
+def test_two_level_t_start_moves_the_window(tmp_path):
+    rc = main(["two-level", "--t-start", "0.5", "--t-end", "3", "--points", "2001",
+               "--outdir", str(tmp_path)])
+    assert rc == 0
+    report = _read_report(tmp_path / "two_level_report.json")
+    assert report["inputs"]["t_start"] == 0.5
+    assert _csv_lines(tmp_path / "two_level_series.csv")[2].split(",")[0] == "0.5"
+    results = report["results"]
+    assert results["segments"] == [{"t_start": 0.5, "t_end": 3.0, "kind": "TOA"}]
+    # closed-form moments on [0.5, 3], recorded when this test was written
+    closed = (results["closed_form_mean"], results["closed_form_std"])
+    assert closed == (1.6440909436236633, 0.6180346389271356)
+    assert abs(results["grid_mean"] - closed[0]) <= 1e-7
+    assert abs(results["grid_std"] - closed[1]) <= 1e-7
+
+
+@pytest.mark.parametrize("t_end", [None, "1"], ids=["pi-transfer", "t-end-1"])
+def test_two_level_two_points_exit_2_and_write_nothing(tmp_path, capsys, t_end):
+    # the full pi transfer exited 3 as a flat flow: its rate vanishes at both
+    # grid points, and the rate samples were normalized first
+    argv = ["two-level", "--points", "2", "--outdir", str(tmp_path / "out")]
+    assert main(argv + (["--t-end", t_end] if t_end else [])) == 2
+    err = capsys.readouterr().err
+    assert "error: need at least 3 samples to estimate a flow density\n" in err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_two_level_protocol_outputs(tmp_path):
     rc = main(["two-level", "--omega0", "1.0", "--points", "100",
                "--protocol", "10000", "--seed", "5", "--outdir", str(tmp_path)])
@@ -458,30 +485,35 @@ def test_csv_numeric_format_sixteen_digits(tmp_path):
     assert row[0] == f"{np.pi / 9:.16g}"
 
 
+def _cell(value) -> str:
+    # the per-value reference: a label as it is, a number to 16 digits
+    return value if isinstance(value, str) else f"{float(value):.16g}"
+
+
 def test_csv_columns_format_like_per_value(tmp_path):
-    from tflow.cli import _fmt, _write_csv
+    from tflow.cli import _write_csv
 
     floats = np.array([np.pi, -0.0, 1e-300, 2.5e17, np.nan, np.inf, 1.0, 1 / 3])
-    columns = [floats, np.arange(8) - 3, ["TOA", "TOD", "neutral"] * 2 + ["a", "b"],
-               np.array([True, False] * 4), floats.astype(np.float32)]
+    columns = [floats, np.array(["TOA", "TOD", "neutral"] * 2 + ["a", "b"]),
+               floats.astype(np.float32)]
     path = tmp_path / "mixed.csv"
-    _write_csv(path, "m.json", ["f", "i", "s", "b", "f32"], columns)
-    want = ["# manifest: m.json", "f,i,s,b,f32"]
-    want += [",".join(_fmt(v) for v in row) for row in zip(*columns)]
+    _write_csv(path, "m.json", ["f", "s", "f32"], columns)
+    want = ["# manifest: m.json", "f,s,f32"]
+    want += [",".join(_cell(v) for v in row) for row in zip(*columns)]
     assert path.read_bytes() == ("\n".join(want) + "\n").encode("utf-8")
 
 
 def test_csv_template_edge_cases(tmp_path):
-    from tflow.cli import _fmt, _write_csv
+    from tflow.cli import _write_csv
 
     path = tmp_path / "empty.csv"
-    _write_csv(path, "m.json", ["a", "b"], [np.array([]), []])
+    _write_csv(path, "m.json", ["a", "b"], [np.array([]), np.array([], dtype=str)])
     assert path.read_bytes() == b"# manifest: m.json\na,b\n"
-    columns = [np.array([1.5, np.pi]), ["100%", "%s%d%%"], np.array([2, 3])]
+    columns = [np.array([1.5, np.pi]), np.array(["100%", "%s%d%%"])]
     path = tmp_path / "percent.csv"
-    _write_csv(path, "m%s.json", ["x%", "s", "i"], columns)
-    want = ["# manifest: m%s.json", "x%,s,i"]
-    want += [",".join(_fmt(v) for v in row) for row in zip(*columns)]
+    _write_csv(path, "m%s.json", ["x%", "s"], columns)
+    want = ["# manifest: m%s.json", "x%,s"]
+    want += [",".join(_cell(v) for v in row) for row in zip(*columns)]
     assert path.read_bytes() == ("\n".join(want) + "\n").encode("utf-8")
 
 
@@ -828,6 +860,37 @@ def test_optimize_config_refusals_exit_2_and_write_nothing(tmp_path, capsys, con
     path.write_text(config, encoding="utf-8")
     outdir = tmp_path / "out"
     assert main(["optimize", "--config", str(path), "--outdir", str(outdir)]) == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert list(outdir.iterdir()) == []
+
+
+SIMPLEX_SCALES = "simplex_scale * omega0 / t_horizon^p must be finite and nonzero"
+
+
+@pytest.mark.parametrize("entry, message", [
+    ('"t_horizon": 1e-100, "omega0": 2.5', SIMPLEX_SCALES),
+    ('"t_horizon": 1e100, "omega0": 2.5', SIMPLEX_SCALES),
+    ('"t_horizon": 1.0, "omega0": 0.0', SIMPLEX_SCALES),
+    ('"t_horizon": 1.0, "omega0": 1e308',
+     "the cost is not finite on the initial simplex of initial_coefficients, "
+     "simplex_scale, omega0 and t_horizon"),
+    ('"t_horizon": 1.0, "omega0": 2.5, "simplex_scale": 0',
+     "simplex_scale must be positive"),
+    ('"t_horizon": 1.0, "omega0": 2.5, "max_iterations": 0',
+     "max_iterations must be >= 1"),
+    ('"t_horizon": 1.0, "omega0": 2.5, "max_iterations": -1',
+     "max_iterations must be >= 1"),
+], ids=["tiny-horizon", "huge-horizon", "zero-omega0", "huge-omega0", "zero-scale",
+        "no-iterations", "negative-iterations"])
+def test_optimize_ill_posed_simplex_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                               entry, message):
+    # the horizons ended in a ZeroDivisionError or OverflowError traceback
+    # (exit 1), omega0 1e308 in an overflow warning; a zero scale reported a
+    # convergence after one iteration, and no iterations took no simplex step
+    config = tmp_path / "config.json"
+    config.write_text("{" + entry + "}", encoding="utf-8")
+    outdir = tmp_path / "out"
+    assert main(["optimize", "--config", str(config), "--outdir", str(outdir)]) == 2
     assert f"error: {message}\n" in capsys.readouterr().err
     assert list(outdir.iterdir()) == []
 

@@ -143,6 +143,37 @@ def test_config_refuses_non_finite_values(field, bad):
         optimize.OptimizeConfig.from_dict(data)
 
 
+def test_config_refuses_no_iterations_and_a_scale_that_is_not_positive():
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="^max_iterations must be >= 1$"):
+            optimize.OptimizeConfig(t_horizon=1.0, omega0=2.5, max_iterations=bad)
+    for bad in (0.0, -0.1):
+        with pytest.raises(ValueError, match="^simplex_scale must be positive$"):
+            optimize.OptimizeConfig(t_horizon=1.0, omega0=2.5, simplex_scale=bad)
+    optimize.OptimizeConfig(t_horizon=1.0, omega0=2.5, max_iterations=1)
+
+
+def test_optimize_refuses_non_finite_simplex_scales_before_any_cost(monkeypatch):
+    evals = []
+    monkeypatch.setattr(optimize, "cost", lambda *a: evals.append(1) or 0.0)
+    config = optimize.OptimizeConfig(t_horizon=1e100, omega0=2.5)
+    with pytest.raises(ValueError, match="^simplex_scale \\* omega0 / t_horizon\\^p must be"):
+        optimize.optimize_polynomial(config)
+    assert evals == []
+
+
+def test_simplex_refuses_a_non_finite_initial_cost_without_a_warning():
+    # scipy carries a NaN or infinite vertex cost along; omega0 = 1e308 gave
+    # a_1 = 1e307 on the second vertex and an overflow in the cost's a * a
+    config = optimize.OptimizeConfig(t_horizon=1.0, omega0=1e308)
+    _, simplex = _initial_simplex(config)
+    evals = []
+    with pytest.raises(ValueError, match="^the cost is not finite on the initial simplex"):
+        optimize._nelder_mead(lambda a: evals.append(1) or optimize.cost(a, config),
+                              simplex, config.tolerance, 1e-15, 100, 1000)
+    assert len(evals) == 5
+
+
 def test_config_from_dict_roundtrip():
     data = {"t_horizon": 2.0, "omega0": 1.5, "lambda_mono": 0.7,
             "initial_coefficients": [0.1, 0.0, 0.0, 0.0]}

@@ -58,9 +58,11 @@ def test_split_departure_then_arrival_boundary():
     boundary = grid.times[split.segments[1][0]]
     assert abs(boundary - np.pi / 3.0) <= grid.dt
     assert split.tod is not None and split.toa is not None
-    # weight identity: 1/n_a - 1/n_d telescopes to the net change
+    # weight identity: each normalization is the inverse of the probability
+    # its support transfers, and their difference telescopes to the net change
     net = series.values[-1] - series.values[0]
-    assert abs((1.0 / split.n_a - 1.0 / split.n_d) - net) <= 1e-9
+    transferred = 1.0 / split.toa.normalization - 1.0 / split.tod.normalization
+    assert abs(transferred - net) <= 1e-9
 
 
 def test_split_monotone_series_single_segment():
@@ -68,7 +70,6 @@ def test_split_monotone_series_single_segment():
     split = tf.split_toa_tod(series)
     assert [k for _, _, k in split.segments] == [tf.KIND_TOA]
     assert split.tod is None
-    assert np.isinf(split.n_d)
     assert abs(np.sum(split.toa.density) * split.toa.dt - 1.0) <= 1e-9
 
 
@@ -123,7 +124,7 @@ def test_moments_sine_distribution():
     grid = TimeGrid(0.0, np.pi, 4001)
     density = 0.5 * np.sin(grid.times)
     density /= np.sum(density) * grid.dt
-    dist = tf.TFDistribution(grid.times, density, grid.dt, 1.0, tf.KIND_TF)
+    dist = tf.TFDistribution(grid.times, density, grid.dt, 1.0)
     m = tf.moments(dist)
     assert abs(m.mean - np.pi / 2.0) <= 1e-6
     want_std = (np.pi / 2.0) * np.sqrt(1.0 - 8.0 / np.pi ** 2)
@@ -380,7 +381,7 @@ def test_split_support_at_the_flatness_rule_is_none():
     p[3:5] = p[2]
     p[4] += 5e-13
     split = tf.split_toa_tod(tf.PopulationSeries(grid, p))
-    assert split.toa is None and split.n_a == np.inf
+    assert split.toa is None
     assert split.tod is not None
 
 
