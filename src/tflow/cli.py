@@ -69,8 +69,6 @@ def _jsonable(obj):
     if isinstance(obj, (np.floating, float)):
         val = float(obj)
         return val if np.isfinite(val) else None
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
     return obj
 
 

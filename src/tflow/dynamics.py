@@ -26,9 +26,9 @@ inputs does not step again, and the entry holds one table and one state
 array.
 
 Current-like operators: for a projector M and generator L, the rate of
-population change is d/dt Tr(rho M) = Tr(rho L^dag(M)); the closed-system
-special case L^dag(M) = i[H, M] (hbar = 1) is exposed separately as
-``current_operator``.
+population change is d/dt Tr(rho M) = Tr(rho L^dag(M)), built by
+``lindblad_adjoint``. Its closed-system case L^dag(M) = i[H, M] (hbar = 1),
+``current_operator``, is ``lindblad_adjoint`` of the model with no channels.
 """
 
 from __future__ import annotations
@@ -423,16 +423,10 @@ def propagate_lindblad(model: LindbladModel, rho0: np.ndarray, grid: TimeGrid,
 
 
 def current_operator(h: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """i [H, M] for Hermitian H and measurement operator M (hbar = 1).
-
-    Its expectation equals d/dt Tr(rho M) under closed evolution, and it
-    is ``lindblad_adjoint`` at zero coupling.
-    """
-    h = np.asarray(h, dtype=complex)
-    m = np.asarray(m, dtype=complex)
-    operators.assert_hermitian(h, name="Hamiltonian")
-    operators.assert_hermitian(m, name="measurement operator")
-    return 1.0j * operators.commutator(h, m)
+    """i [H, M] for Hermitian H and measurement operator M (hbar = 1): the
+    ``lindblad_adjoint`` of the closed model of a constant H, whose
+    expectation equals d/dt Tr(rho M) under closed evolution."""
+    return lindblad_adjoint(LindbladModel(constant_hamiltonian(h)), m)
 
 
 def _adjoint_stack(model: LindbladModel, m: np.ndarray, times,

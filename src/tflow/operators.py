@@ -13,11 +13,7 @@ import cmath
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    OperatorConstraintError,
-    StateConstraintError,
-)
+from .errors import OperatorConstraintError, StateConstraintError
 
 HERMITIAN_TOL = 1e-12
 PROJECTOR_TOL = 1e-12
@@ -67,30 +63,6 @@ def projector_from_state(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """AB - BA."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"commutator shapes {a.shape} vs {b.shape}")
-    return a @ b - b @ a
-
-
-def expectation(state: np.ndarray, op: np.ndarray) -> complex:
-    """<psi|A|psi> for a vector, Tr(rho A) for a matrix."""
-    state = np.asarray(state, dtype=complex)
-    op = np.asarray(op, dtype=complex)
-    if state.ndim == 1:
-        if op.shape != (state.shape[0], state.shape[0]):
-            raise DimensionMismatchError(
-                f"state dim {state.shape[0]} vs operator {op.shape}"
-            )
-        return complex(np.vdot(state, op @ state))
-    if state.shape != op.shape:
-        raise DimensionMismatchError(f"state {state.shape} vs operator {op.shape}")
-    return complex(np.trace(state @ op))
-
-
 # ---------------------------------------------------------------------------
 # validators: each comparison is written so that a NaN fails it
 
@@ -103,13 +75,9 @@ def assert_finite(**values) -> None:
             raise ValueError(f"{name} must be finite, not {value}")
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
-    a = np.asarray(a)
-    return float(np.max(np.abs(a - a.conj().T)))
-
-
 def assert_hermitian(a: np.ndarray, name: str = "operator"):
-    defect = hermiticity_defect(a)
+    a = np.asarray(a)
+    defect = float(np.max(np.abs(a - a.conj().T)))
     if not defect <= HERMITIAN_TOL:
         raise OperatorConstraintError(f"{name} is not Hermitian (defect {defect:.3e})")
 

@@ -102,6 +102,20 @@ def _population(coefficients, config: OptimizeConfig, times: np.ndarray) -> np.n
     return models.two_level_population(waveform, models.TwoLevelInitial(), times)
 
 
+def _refuse_aliasing(config: OptimizeConfig) -> None:
+    """Refuse an initial drive whose angle W turns by pi or more between
+    neighbouring cost-grid points: p_1 = sin^2(W/2) has period 2 pi in W,
+    so such a grid aliases the population it scores."""
+    waveform = models.ControlWaveform.polynomial(config.omega0,
+                                                 config.initial_coefficients)
+    step = float(np.max(np.abs(np.diff(waveform.cumulative(_grid(config))))))
+    if not step < np.pi:
+        raise ValueError(
+            f"the initial drive turns by {step:.3g} rad between neighbouring points "
+            f"of the {config.grid_points}-point cost grid, which samples only turns "
+            "below pi; raise grid_points or lower omega0")
+
+
 def n_false(coefficients, config: OptimizeConfig,
             times: np.ndarray | None = None) -> int:
     """Grid intervals on which p_1 fails to increase (delta p <= 0)."""
@@ -127,7 +141,7 @@ class _EvaluationLimit(Exception):
 
 
 def _nelder_mead(func, simplex, xatol: float, fatol: float, maxiter: int,
-                 maxfev: int) -> tuple[np.ndarray, float, int, int, bool]:
+                 maxfev: int, start=None) -> tuple[np.ndarray, float, int, int, bool]:
     """Minimize ``func`` from an (n+1, n) simplex; (x, fun, nit, nfev, success).
 
     Reflection, expansion, outside and inside contraction and shrink use
@@ -135,7 +149,8 @@ def _nelder_mead(func, simplex, xatol: float, fatol: float, maxiter: int,
     uses, the vertices are re-sorted with ``np.argsort`` after each step,
     and an evaluation that would exceed ``maxfev`` ends the run before it
     is made, as in scipy. Unlike scipy, it refuses an initial vertex whose
-    cost is not finite, evaluated without numpy's floating-point warnings.
+    cost is not finite, evaluated without numpy's floating-point warnings,
+    and then calls ``start()``, if given, before the first step.
     """
     sim = np.array(simplex, dtype=float)
     n = sim.shape[1]
@@ -158,6 +173,8 @@ def _nelder_mead(func, simplex, xatol: float, fatol: float, maxiter: int,
     if not np.all(np.isfinite(fsim[:nfev])):
         raise ValueError("the cost is not finite on the initial simplex of "
                          "initial_coefficients, simplex_scale, omega0 and t_horizon")
+    if start is not None:
+        start()
     order = np.argsort(fsim)
     sim, fsim = sim[order], fsim[order]
     nit = 1
@@ -235,6 +252,7 @@ def optimize_polynomial(config: OptimizeConfig) -> OptimizationResult:
         fatol=1e-15,
         maxiter=config.max_iterations,
         maxfev=max(4 * config.max_iterations, 1000),
+        start=lambda: _refuse_aliasing(config),
     )
 
     grid = TimeGrid(0.0, config.t_horizon, config.grid_points)

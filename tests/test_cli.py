@@ -880,8 +880,18 @@ SIMPLEX_SCALES = "simplex_scale * omega0 / t_horizon^p must be finite and nonzer
      "max_iterations must be >= 1"),
     ('"t_horizon": 1.0, "omega0": 2.5, "max_iterations": -1',
      "max_iterations must be >= 1"),
+    # the drive turns by 5e17 and 5e147 rad per grid step: each search
+    # exited 0 with n_false above 80 and no convergence
+    ('"t_horizon": 1.0, "omega0": 1e20',
+     "the initial drive turns by 5.03e+17 rad between neighbouring points of the "
+     "200-point cost grid, which samples only turns below pi; raise grid_points "
+     "or lower omega0"),
+    ('"t_horizon": 1.0, "omega0": 1e150',
+     "the initial drive turns by 5.03e+147 rad between neighbouring points of the "
+     "200-point cost grid, which samples only turns below pi; raise grid_points "
+     "or lower omega0"),
 ], ids=["tiny-horizon", "huge-horizon", "zero-omega0", "huge-omega0", "zero-scale",
-        "no-iterations", "negative-iterations"])
+        "no-iterations", "negative-iterations", "aliased-drive", "aliased-huge-drive"])
 def test_optimize_ill_posed_simplex_exits_2_and_writes_nothing(tmp_path, capsys,
                                                                entry, message):
     # the horizons ended in a ZeroDivisionError or OverflowError traceback
@@ -925,3 +935,24 @@ def test_optimize_non_finite_config_exits_2_and_writes_nothing(tmp_path, capsys,
     assert main(["optimize", "--config", str(config), "--outdir", str(outdir)]) == 2
     assert "must be finite" in capsys.readouterr().err
     assert list(outdir.iterdir()) == []
+
+
+# each refusal of the command line that no other test reaches, and two that
+# reach a library refusal from it
+@pytest.mark.parametrize("argv, message", [
+    (["two-level", "--waveform", "polynomial", "--points", "50"],
+     "--t-end is required for this waveform"),
+    (["two-level", "--waveform", "gaussian", "--t0", "0.5", "--t-end", "1",
+      "--points", "50"],
+     "the gaussian waveform needs --t0 and --sigma"),
+    (["two-level", "--t-start", "-1", "--t-end", "1", "--points", "50"],
+     "transfer windows start at t >= 0"),
+    (["lambda", "--omega1", "1", "--omega2", "1", "--delta-i", "-5", "--delta-f", "5",
+      "--t-final", "2", "--points", "50", "--substeps", "0"],
+     "substeps must be >= 1"),
+], ids=["polynomial-without-t-end", "gaussian-without-sigma", "negative-t-start",
+        "zero-substeps"])
+def test_refusal_exits_2_with_its_message(tmp_path, capsys, argv, message):
+    assert main(argv + ["--outdir", str(tmp_path / "out")]) == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not any(path.is_file() for path in tmp_path.rglob("*"))

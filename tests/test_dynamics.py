@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -203,6 +204,30 @@ def test_current_operator_identity_is_zero():
     assert np.max(np.abs(got)) == 0
 
 
+def test_current_operator_is_the_commutator_bit_for_bit():
+    # i[H, M] has one builder, lindblad_adjoint of the closed model
+    rng = np.random.default_rng(28)
+    for dim in (2, 3, 4):
+        for _ in range(100):
+            raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            h = raw + raw.conj().T
+            psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            m = operators.projector_from_state(psi / np.linalg.norm(psi))
+            got = dynamics.current_operator(h, m)
+            assert np.array_equal(got, 1j * (h @ m - m @ h))
+            operators.assert_hermitian(got)
+
+
+def test_current_operator_of_hermitians_is_hermitian():
+    rng = np.random.default_rng(3)
+    for dim in (2, 3):
+        for _ in range(50):
+            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            b = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            c = dynamics.current_operator(a + a.conj().T, b + b.conj().T)
+            assert np.max(np.abs(c - c.conj().T)) <= 1e-12
+
+
 def test_current_operator_lambda_model():
     # the detuning term commutes with |2><2|, so the ramp drops out
     config = models.LambdaConfig(1.3, 0.7, -5.0, 5.0, 2.0)
@@ -232,8 +257,7 @@ def test_lindblad_adjoint_closed_limit_is_current_operator():
     model = LindbladModel(constant_hamiltonian(h))
     m = operators.projector(2, 0)
     adj = dynamics.lindblad_adjoint(model, m)
-    want = dynamics.current_operator(h, m)
-    assert np.max(np.abs(adj - want)) <= 1e-12
+    assert np.max(np.abs(adj - 1j * (h @ m - m @ h))) <= 1e-12
 
 
 def test_lindblad_adjoint_requires_time_for_schedules():
@@ -891,3 +915,37 @@ def test_nan_initial_state_is_refused_before_stepping(monkeypatch):
         dynamics.propagate_schrodinger(constant_hamiltonian(operators.SIGMA_X),
                                        np.array([np.nan, 0.0]), TimeGrid(0.0, 1.0, 11))
     assert calls == []
+
+
+# each refusal that no other test reaches: its exception type and message
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: LindbladModel(constant_hamiltonian(operators.SIGMA_Z),
+                                       ((np.eye(3), 1.0),)),
+                 DimensionMismatchError, "channel dimension mismatch", id="channel-dim"),
+    pytest.param(lambda: dynamics.Trajectory(TimeGrid(0.0, 1.0, 3), np.zeros((2, 2))),
+                 DimensionMismatchError, "one state per grid point required",
+                 id="trajectory-length"),
+    pytest.param(lambda: dynamics.propagate_schrodinger(
+                     constant_hamiltonian(1.5e308 * operators.SIGMA_X),
+                     operators.basis_state(2, 0), TimeGrid(0.0, 1.0, 11)),
+                 IntegrationError,
+                 "generator scale inf is too large for dt = 1.000e-01; refine the grid",
+                 id="finite-entries-overflowing-norm"),
+    pytest.param(lambda: dynamics.propagate_schrodinger(
+                     constant_hamiltonian(operators.SIGMA_X),
+                     operators.basis_state(2, 0), TimeGrid(0.0, 1.0, 11), substeps=0),
+                 ValueError, "substeps must be >= 1", id="zero-substeps"),
+    pytest.param(lambda: dynamics.propagate_schrodinger(
+                     constant_hamiltonian(operators.SIGMA_X),
+                     operators.basis_state(3, 0), TimeGrid(0.0, 1.0, 11)),
+                 DimensionMismatchError, "state shape (3,) vs schedule dim 2",
+                 id="psi0-dim"),
+    pytest.param(lambda: dynamics.propagate_lindblad(
+                     LindbladModel(constant_hamiltonian(operators.SIGMA_X)),
+                     np.eye(3, dtype=complex) / 3, TimeGrid(0.0, 1.0, 11)),
+                 DimensionMismatchError, "state shape (3, 3) vs model dim 2",
+                 id="rho0-dim"),
+])
+def test_refusal_type_and_message(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

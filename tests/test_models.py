@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -817,3 +818,26 @@ def test_sta_tf_closed_refuses_a_single_interval():
     config = models.STAConfig(alpha=1.0, t_final=1.0, omega0=1.0)
     with pytest.raises(ValueError, match="at least 3 samples"):
         models.sta_tf_closed(config, TimeGrid(0.0, 1.0, 2))
+
+
+# each refusal that no other test reaches: its exception type and message
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: models.ControlWaveform.polynomial(1.0, (1.0, 2.0, 3.0)),
+                 "expected exactly 4 polynomial coefficients", id="three-coefficients"),
+    pytest.param(lambda: models.ControlWaveform.gaussian_pulse(0.5, -0.1),
+                 "sigma must be positive", id="negative-sigma"),
+    pytest.param(lambda: models.two_level_moments_closed(
+                     models.ControlWaveform.constant(1.0), models.TwoLevelInitial(),
+                     -1.0, 1.0),
+                 "transfer windows start at t >= 0", id="negative-window-start"),
+    pytest.param(lambda: models.sta_tf_closed(models.STAConfig(1.0, 1.0, 10.0),
+                                              TimeGrid(0.0, 2.0, 50)),
+                 "grid must lie within [0, t_final]", id="sta-grid-past-t-final"),
+    pytest.param(lambda: models.LambdaConfig(1.0, 1.0, -5.0, 5.0, 0.0),
+                 "t_final must be positive", id="lambda-zero-t-final"),
+    pytest.param(lambda: models.dephasing_analytics(0.0, TimeGrid(0.0, 1.0, 11)),
+                 "gamma must be positive", id="dephasing-zero-gamma"),
+])
+def test_refusal_type_and_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
 
-from tflow import operators
-from tflow.errors import (
-    DimensionMismatchError,
-    OperatorConstraintError,
-    StateConstraintError,
-)
+from tflow import dynamics, operators
+from tflow.errors import OperatorConstraintError, StateConstraintError
 
 
 PAULI = (operators.SIGMA_X, operators.SIGMA_Y, operators.SIGMA_Z)
@@ -23,6 +19,9 @@ def test_pauli_algebra():
         assert abs(np.trace(s)) == 0
         assert np.allclose(s @ s, np.eye(2))
         operators.assert_hermitian(s)
+    # the cycle [sigma_x, sigma_y] = 2i sigma_z and its shifts
+    for a, b, c in (PAULI, PAULI[1:] + PAULI[:1], PAULI[2:] + PAULI[:2]):
+        assert np.array_equal(a @ b - b @ a, 2j * c)
 
 
 def test_projector_basis():
@@ -53,57 +52,31 @@ def test_projector_from_random_states_idempotent():
         assert abs(np.trace(p) - 1.0) <= 1e-12
 
 
-def test_commutator_sigma_x_projector():
-    # [sigma_x, |1><1|] = i sigma_y
-    c = operators.commutator(operators.SIGMA_X, operators.projector(2, 1))
-    assert np.max(np.abs(c - 1j * operators.SIGMA_Y)) <= 1e-15
-
-
-def test_commutator_self_and_pauli_cycle():
-    a = operators.SIGMA_Y
-    assert np.max(np.abs(operators.commutator(a, a))) == 0
-    c = operators.commutator(operators.SIGMA_Y, operators.SIGMA_Z)
-    assert np.max(np.abs(c - 2j * operators.SIGMA_X)) <= 1e-15
-
-
-def test_commutator_dim_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        operators.commutator(np.eye(2), np.eye(3))
-
-
-def test_commutator_of_hermitians_is_antihermitian():
-    rng = np.random.default_rng(3)
-    for dim in (2, 3):
-        for _ in range(50):
-            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            b = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            a = a + a.conj().T
-            b = b + b.conj().T
-            c = operators.commutator(a, b)
-            assert np.max(np.abs(c + c.conj().T)) <= 1e-12
-
-
 def test_expectation_pure_and_mixed():
-    assert operators.expectation(operators.basis_state(2, 0), operators.SIGMA_Z) == 1.0
-    assert abs(operators.expectation(operators.plus_state(), operators.SIGMA_X) - 1.0) <= 1e-15
+    # expectations are read through dynamics.expectation_series
+    def value(state, op):
+        grid = dynamics.TimeGrid(0.0, 1.0, 2)
+        return dynamics.expectation_series(
+            dynamics.Trajectory(grid, np.array([state, state])), op)[0]
+
+    assert value(operators.basis_state(2, 0), operators.SIGMA_Z) == 1.0
+    assert abs(value(operators.plus_state(), operators.SIGMA_X) - 1.0) <= 1e-15
     mixed = 0.5 * np.eye(2, dtype=complex)
     for s in PAULI:
-        assert abs(operators.expectation(mixed, s)) <= 1e-15
+        assert abs(value(mixed, s)) <= 1e-15
 
 
 def test_expectation_hermitian_has_real_value():
+    # the real part that expectation_series keeps is the whole <psi|A|psi>
     rng = np.random.default_rng(9)
-    for _ in range(20):
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        a = a + a.conj().T
-        raw = rng.normal(size=2) + 1j * rng.normal(size=2)
-        psi = raw / np.linalg.norm(raw)
-        assert abs(operators.expectation(psi, a).imag) <= 1e-12
-
-
-def test_expectation_dim_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        operators.expectation(operators.basis_state(3, 0), operators.SIGMA_X)
+    grid = dynamics.TimeGrid(0.0, 1.0, 20)
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    a = a + a.conj().T
+    raw = rng.normal(size=(20, 2)) + 1j * rng.normal(size=(20, 2))
+    psis = raw / np.linalg.norm(raw, axis=1)[:, None]
+    got = dynamics.expectation_series(dynamics.Trajectory(grid, psis), a)
+    want = np.einsum("ti,ij,tj->t", psis.conj(), a, psis)
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_density_matrix_validation():

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -247,3 +248,16 @@ def test_snr_diagnostic_flags_flat_regions():
     snr = dist.density / report.noise_density
     assert snr[0] > 5.0
     assert snr[-1] < 1.0
+
+
+# each refusal that no other test reaches: its exception type and message
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: protocol.simulate_protocol(
+                     operators.SIGMA_X, operators.basis_state(2, 0),
+                     protocol.ProtocolConfig(100, TimeGrid(0.0, 1.0, 11), 0, M1)),
+                 TypeError, "model must be a HamiltonianSchedule or LindbladModel",
+                 id="matrix-as-model"),
+])
+def test_refusal_type_and_message(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

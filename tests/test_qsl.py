@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import re
 
 from tflow import cli, dynamics, models, operators, qsl, tf
 from tflow.dynamics import TimeGrid
@@ -446,3 +447,17 @@ def test_bounds_report_refuses_a_trace_term_that_is_not_a_bound(trace_term, mt_b
         qsl.build_bounds_report(
             delta_theta=0.5, trace_term=trace_term, pi_max=2.0, mt_bound=mt_bound,
             measured=tf.Moments(mean=0.3, std=0.2))
+
+
+# each refusal that no other test reaches: its exception type and message
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: qsl.tf_qsl_closed(operators.SIGMA_X, 0, 0.0),
+                 "delta_theta must lie in (0, 1]", id="zero-delta-theta"),
+    pytest.param(lambda: qsl.spread_bound_from_qsl(0.0),
+                 "tau_tf must be positive", id="zero-tau-tf"),
+    pytest.param(lambda: qsl.uncertainty_check(-1.0, operators.SIGMA_X, 0, 1.0),
+                 "delta_t must be a finite non-negative time", id="negative-delta-t"),
+])
+def test_refusal_type_and_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

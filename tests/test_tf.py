@@ -1,11 +1,12 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from tflow import dynamics, models, operators, tf
 from tflow.dynamics import TimeGrid, constant_hamiltonian
-from tflow.errors import DegenerateDistributionError
+from tflow.errors import DegenerateDistributionError, DimensionMismatchError
 
 
 def _series(t_start, t_end, n, func):
@@ -402,3 +403,26 @@ def test_distribution_refuses_nan():
         tf.TFDistribution(grid.times, density, grid.dt, 1.0)
     with pytest.raises(DegenerateDistributionError):
         tf.tf_from_rate(grid, np.full(11, np.nan))
+
+
+# each refusal that no other test reaches: its exception type and message
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: tf.PopulationSeries(TimeGrid(0.0, 1.0, 3), np.zeros(2)),
+                 DimensionMismatchError,
+                 "one probability per grid point required", id="series-length"),
+    pytest.param(lambda: tf.TFDistribution(np.zeros(3), np.zeros(2), 0.5, 1.0),
+                 DimensionMismatchError, "times/density length mismatch",
+                 id="density-length"),
+    pytest.param(lambda: tf.tf_from_rate(TimeGrid(0.0, 1.0, 3), np.ones(3), align="edges"),
+                 ValueError, "align must be 'grid' or 'midpoints'", id="unknown-align"),
+    pytest.param(lambda: tf.split_toa_tod(
+                     tf.PopulationSeries(TimeGrid(0.0, 1.0, 2), np.array([0.0, 1.0]))),
+                 ValueError, "need at least 3 samples to segment a flow",
+                 id="two-sample-split"),
+    pytest.param(lambda: tf.step_model_statistics([(0.0, 0.0)]),
+                 DegenerateDistributionError, "the steps carry no flow mass",
+                 id="weightless-step"),
+])
+def test_refusal_type_and_message(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
