@@ -19,9 +19,16 @@ def test_pauli_algebra():
         assert abs(np.trace(s)) == 0
         assert np.allclose(s @ s, np.eye(2))
         operators.assert_hermitian(s)
-    # the cycle [sigma_x, sigma_y] = 2i sigma_z and its shifts
+
+
+def test_commutator_self_and_pauli_cycle():
+    # [s, s] = 0, and the cycle [sigma_x, sigma_y] = 2i sigma_z and its
+    # shifts, also through current_operator, which is i[H, M]
+    for s in PAULI:
+        assert np.max(np.abs(dynamics.current_operator(s, s))) == 0
     for a, b, c in (PAULI, PAULI[1:] + PAULI[:1], PAULI[2:] + PAULI[:2]):
         assert np.array_equal(a @ b - b @ a, 2j * c)
+        assert np.array_equal(dynamics.current_operator(a, b), -2 * c)
 
 
 def test_projector_basis():
