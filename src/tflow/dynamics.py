@@ -99,16 +99,15 @@ class HamiltonianSchedule:
     """Hermitian generator H(t) of a fixed dimension.
 
     ``batch(ts)`` returns the (n, d, d) stack of H at n times, and
-    ``sample`` refuses any other shape. ``constant=True`` declares H
-    time-independent; the propagators then build the map of one grid
-    interval and reuse it.
+    ``sample`` refuses any other shape. ``constant`` is True only on a
+    schedule made by ``constant_hamiltonian``, whose H is one matrix; the
+    propagators then build the map of one grid interval and reuse it.
     """
 
-    def __init__(self, dim: int, *, batch: Callable[[np.ndarray], np.ndarray],
-                 constant: bool = False):
+    def __init__(self, dim: int, *, batch: Callable[[np.ndarray], np.ndarray]):
         self.dim = dim
         self._batch = batch
-        self.constant = constant
+        self.constant = False
 
     def __call__(self, t: float) -> np.ndarray:
         return self.sample([t])[0]
@@ -125,9 +124,10 @@ class HamiltonianSchedule:
 def constant_hamiltonian(h: np.ndarray) -> HamiltonianSchedule:
     h = np.asarray(h, dtype=complex)
     operators.assert_hermitian(h, name="Hamiltonian")
-    return HamiltonianSchedule(
-        h.shape[0], batch=lambda ts: np.broadcast_to(h, (len(ts),) + h.shape),
-        constant=True)
+    schedule = HamiltonianSchedule(
+        h.shape[0], batch=lambda ts: np.broadcast_to(h, (len(ts),) + h.shape))
+    schedule.constant = True
+    return schedule
 
 
 @dataclass(frozen=True)

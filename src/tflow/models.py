@@ -66,34 +66,45 @@ _TAYLOR = np.array([(-1.0) ** (n // 2) / math.factorial(n) for n in range(50)])
 
 
 class ControlWaveform:
-    """Drive frequency w(t) together with its accumulated angle W(t).
+    """Drive frequency w(t) and angle W(t) = int_0^t w, in closed form from
+    ``kind`` and ``params`` alone (the gaussian's W through ``_ndtr``). The
+    classmethods validate and build the constant, polynomial and gaussian."""
 
-    W is in closed form for the constant, polynomial and gaussian kinds
-    (the gaussian through ``_ndtr``).
-    """
-
-    def __init__(self, kind: str, omega: Callable, cumulative: Callable,
-                 params: dict):
+    def __init__(self, kind: str, params: dict):
         self.kind = kind
-        self._omega = omega
-        self._cumulative = cumulative
         self.params = dict(params)
 
     def omega(self, t):
-        return self._omega(np.asarray(t, dtype=float))
+        t, p = np.asarray(t, dtype=float), self.params
+        if self.kind == "constant":
+            return np.full_like(t, p["omega0"], dtype=float)
+        if self.kind == "polynomial":
+            a = p["coefficients"]
+            return p["omega0"] + sum(a[k] * t ** (k + 1) for k in range(4))
+        t0, sigma = self._gaussian()
+        return (p["area"] / math.sqrt(2.0 * math.pi * sigma * sigma)
+                * np.exp(-((t - t0) ** 2) / (2.0 * sigma * sigma)))
 
     def cumulative(self, t):
-        return self._cumulative(np.asarray(t, dtype=float))
+        t, p = np.asarray(t, dtype=float), self.params
+        if self.kind == "constant":
+            return p["omega0"] * t
+        if self.kind == "polynomial":
+            a = p["coefficients"]
+            return p["omega0"] * t + sum(a[k] * t ** (k + 2) / (k + 2) for k in range(4))
+        t0, sigma = self._gaussian()
+        clipped = 0.5 * math.erfc(t0 / sigma * _SQRT_HALF)  # _ndtr(-t0 / sigma), to the bit
+        return p["area"] * (_ndtr((t - t0) / sigma) - clipped)
+
+    def _gaussian(self) -> tuple[float, float]:
+        if self.kind != "gaussian":
+            raise ValueError(f"no closed form for a {self.kind!r} drive")
+        return self.params["t0"], self.params["sigma"]
 
     @classmethod
     def constant(cls, omega0: float) -> "ControlWaveform":
         operators.assert_finite(omega0=omega0)
-        return cls(
-            "constant",
-            lambda t: np.full_like(t, omega0, dtype=float),
-            lambda t: omega0 * t,
-            {"omega0": omega0},
-        )
+        return cls("constant", {"omega0": omega0})
 
     @classmethod
     def polynomial(cls, omega0: float, coefficients) -> "ControlWaveform":
@@ -102,15 +113,7 @@ class ControlWaveform:
         if a.shape != (4,):
             raise ValueError("expected exactly 4 polynomial coefficients")
         operators.assert_finite(omega0=omega0, coefficients=a)
-
-        def omega(t):
-            return omega0 + sum(a[p] * t ** (p + 1) for p in range(4))
-
-        def cumulative(t):
-            return omega0 * t + sum(a[p] * t ** (p + 2) / (p + 2) for p in range(4))
-
-        return cls("polynomial", omega, cumulative,
-                   {"omega0": omega0, "coefficients": tuple(a)})
+        return cls("polynomial", {"omega0": omega0, "coefficients": tuple(a)})
 
     @classmethod
     def gaussian_pulse(cls, t0: float, sigma: float,
@@ -121,17 +124,7 @@ class ControlWaveform:
             raise ValueError("sigma must be positive")
         if sigma * sigma < np.finfo(float).tiny:  # the norm would divide by 0
             raise ValueError(f"sigma {sigma:g} is too small: its square underflows")
-        norm = area / np.sqrt(2.0 * np.pi * sigma * sigma)
-        clipped = float(_ndtr(-t0 / sigma))
-
-        def omega(t):
-            return norm * np.exp(-((t - t0) ** 2) / (2.0 * sigma * sigma))
-
-        def cumulative(t):
-            return area * (_ndtr((t - t0) / sigma) - clipped)
-
-        return cls("gaussian", omega, cumulative,
-                   {"t0": t0, "sigma": sigma, "area": area})
+        return cls("gaussian", {"t0": t0, "sigma": sigma, "area": area})
 
 
 def _ndtr(x):

@@ -347,6 +347,17 @@ def test_schedule_is_one_batch_evaluator():
     assert table.shape == (4, 2, 2) and table.strides[0] == 0
 
 
+def test_only_constant_hamiltonian_makes_a_constant_schedule():
+    def batch(ts):
+        return (1.0 + ts)[:, None, None] * operators.SIGMA_X
+
+    # a declared flag could propagate H(0) on every interval of this drive
+    with pytest.raises(TypeError):
+        dynamics.HamiltonianSchedule(2, batch=batch, constant=True)
+    assert dynamics.HamiltonianSchedule(2, batch=batch).constant is False
+    assert constant_hamiltonian(operators.SIGMA_X).constant is True
+
+
 @pytest.mark.parametrize("func", [
     lambda t: np.cos(t) * operators.SIGMA_X,  # a scalar function, (2, 2) for 2 times
     lambda t: np.zeros((len(t), 3, 3)),

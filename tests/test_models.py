@@ -1,5 +1,7 @@
 import dataclasses
+import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -40,6 +42,74 @@ def test_gaussian_cumulative_matches_quadrature():
     from scipy.special import ndtr
     want_total = np.pi * (1.0 - ndtr(-1.0 / 0.2))
     assert float(wf.cumulative(10.0)) == pytest.approx(want_total, abs=1e-12)
+
+
+def _closure_ndtr(x):
+    return 0.5 * np.asarray(np.frompyfunc(math.erfc, 1, 1)(
+        np.asarray(x, dtype=float) * -math.sqrt(0.5)), dtype=float)
+
+
+@pytest.mark.parametrize("kind, args", [
+    ("constant", (2.5,)),
+    ("polynomial", (1.1, (0.4, -0.2, 0.05, 0.01))),
+    ("polynomial", (-3.0, (2.0, 0.7, -0.3, 1.5e-2))),
+    ("gaussian", (0.5, 0.05)),
+    ("gaussian", (1.0, 0.2, 2.0)),
+    ("gaussian", (0.505, 0.001)),
+    ("gaussian", (3.0, 0.1)),
+    ("gaussian", (-0.2, 0.1, -1.5)),
+])
+def test_waveform_evaluates_the_bits_of_its_closed_form(kind, args):
+    # the reference expressions below, each in its own operation order:
+    # evaluating a drive from its params must give their bits, which the
+    # CLI's CSVs and the benchmark's results pin
+    if kind == "constant":
+        (omega0,) = args
+        wf = models.ControlWaveform.constant(omega0)
+
+        def omega(t):
+            return np.full_like(t, omega0, dtype=float)
+
+        def cumulative(t):
+            return omega0 * t
+        ts = np.random.default_rng(3).uniform(-1.0, 20.0, 500)
+    elif kind == "polynomial":
+        omega0, coefficients = args
+        wf = models.ControlWaveform.polynomial(omega0, coefficients)
+        a = np.asarray(coefficients, dtype=float)
+
+        def omega(t):
+            return omega0 + sum(a[p] * t ** (p + 1) for p in range(4))
+
+        def cumulative(t):
+            return omega0 * t + sum(a[p] * t ** (p + 2) / (p + 2) for p in range(4))
+        ts = np.random.default_rng(4).uniform(-1.0, 20.0, 500)
+    else:
+        t0, sigma, area = (*args, np.pi)[:3]
+        wf = models.ControlWaveform.gaussian_pulse(t0, sigma, area)
+        norm = area / np.sqrt(2.0 * np.pi * sigma * sigma)
+        clipped = float(_closure_ndtr(-t0 / sigma))
+
+        def omega(t):
+            return norm * np.exp(-((t - t0) ** 2) / (2.0 * sigma * sigma))
+
+        def cumulative(t):
+            return area * (_closure_ndtr((t - t0) / sigma) - clipped)
+        # out to 45 sigma on both sides: w underflows, W reaches both tails
+        ts = t0 + sigma * np.random.default_rng(5).uniform(-45.0, 45.0, 2000)
+        ts = np.concatenate([ts, t0 + sigma * np.arange(-45.0, 46.0), [0.0]])
+    for t in (ts, ts[:1].reshape(()), 0.0):
+        t = np.asarray(t, dtype=float)
+        assert np.array_equal(wf.omega(t), omega(t))
+        assert np.array_equal(wf.cumulative(t), cumulative(t))
+
+
+def test_waveform_of_an_unknown_kind_has_no_closed_form():
+    wf = models.ControlWaveform("foo", {})
+    with pytest.raises(ValueError, match="^no closed form for a 'foo' drive$"):
+        wf.omega(0.5)
+    with pytest.raises(ValueError, match="^no closed form for a 'foo' drive$"):
+        wf.cumulative(0.5)
 
 
 def test_two_level_initial_validation():
@@ -223,7 +293,7 @@ def test_two_level_moments_closed_zero_drive_degenerate():
 
 def test_two_level_moments_closed_refuses_an_unknown_kind():
     # it fell into the gaussian branch of _drive_cuts: KeyError: 't0'
-    wf = models.ControlWaveform("foo", np.cos, np.sin, {})
+    wf = models.ControlWaveform("foo", {})
     with pytest.raises(ValueError, match="^no closed-form moments for a 'foo' drive$"):
         models.two_level_moments_closed(wf, models.TwoLevelInitial(), 0.0, 1.0)
 
@@ -414,9 +484,9 @@ def test_gaussian_outputs_move_by_rounding_only(t0, sigma, t_end, points, theta,
     from scipy.special import ndtr
 
     wf = models.ControlWaveform.gaussian_pulse(t0, sigma)
-    ref = models.ControlWaveform(
-        "scipy-ndtr", wf.omega,
-        lambda t: np.pi * (ndtr((t - t0) / sigma) - ndtr(-t0 / sigma)), {})
+    ref = types.SimpleNamespace(
+        omega=wf.omega,
+        cumulative=lambda t: np.pi * (ndtr((t - t0) / sigma) - ndtr(-t0 / sigma)))
     init = models.TwoLevelInitial(theta, phi)
     grid = TimeGrid(0.0, t_end, points)
     p_ref = models.two_level_population(ref, init, grid.times)
