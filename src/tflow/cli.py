@@ -1,8 +1,21 @@
 """Command-line front end.
 
-Every subcommand runs one bundled scenario and returns a ``Run``: its
-inputs, its tables, results, bounds and diagnostics. ``_emit`` then
-writes each table ``<name>`` of command ``<command>`` as
+Each subcommand but ``optimize`` describes its transfer as one
+``Scenario`` and passes it to ``_evaluate``, which runs every route whose
+input the scenario holds: the FD TF and moments of each target; the
+deviation from a reference population; one table of H on the grid,
+sampled and checked once, for the resolution rule of
+``models.grid_phase`` (``diagnostics.resolved``), L^dag(M) and the bounds
+of ``qsl.build_bounds_report`` (the model's closed forms where given,
+else the largest |Tr(L^dag(M)^2)| on the grid and the FD TF's moments,
+peak and transfer); the current TF from a rate, or from <L^dag(M)> along
+a trajectory, with ``current_vs_fd_sup``; and the protocol when asked. A
+route that cannot be formed on a well-posed input writes null and its
+reason under ``diagnostics.skipped``; it never changes the exit code. The
+subcommand lays out its own tables, result keys and model-specific
+diagnostics.
+
+``_emit`` writes each table ``<name>`` of command ``<command>`` as
 ``<command>_<name>.csv`` (dashes become underscores), in the order the
 run lists them, and last the JSON report ``<command>_report.json``. A CSV
 is comma-separated UTF-8: a single ``# manifest: <command>_report.json``
@@ -40,7 +53,7 @@ import numpy as np
 
 from . import __version__, dynamics, models, operators, protocol, qsl, tf
 from .dynamics import TimeGrid
-from .errors import DegenerateDistributionError, IntegrationError
+from .errors import DegenerateDistributionError, IntegrationError, OperatorConstraintError
 
 TWO_PI = 2.0 * np.pi
 
@@ -58,18 +71,14 @@ def _write_csv(path: Path, manifest_name: str, header: list[str],
 
 
 def _jsonable(obj):
+    """A JSON-ready copy: numpy scalars as Python ones, non-finite floats as None."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        val = float(obj)
-        return val if np.isfinite(val) else None
-    return obj
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 @dataclass
@@ -77,16 +86,26 @@ class Run:
     """Everything one subcommand computed, before any of it is written.
 
     ``tables`` maps a table name to ``(header, columns)`` in write order;
-    ``parameters`` holds manifest parameters that replace or extend the
-    parsed arguments.
+    ``parameters`` replace or extend the parsed arguments in the manifest.
+    ``fd``, ``moments`` (by target) and ``current`` are not written.
     """
 
-    inputs: dict
-    tables: dict[str, tuple[list[str], list]]
-    results: dict
-    bounds: dict = field(default_factory=dict)
+    inputs: dict = field(default_factory=dict)
+    tables: dict[str, tuple[list[str], list]] = field(default_factory=dict)
+    results: dict = field(default_factory=dict)
+    bounds: dict | None = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
     parameters: dict = field(default_factory=dict)
+    fd: dict[str, tf.TFDistribution] = field(default_factory=dict)
+    moments: dict[str, tf.Moments] = field(default_factory=dict)
+    current: tf.TFDistribution | None = None
+
+    def lay_out(self, inputs: dict, tables: dict, results: dict, **diagnostics) -> Run:
+        """Add a subcommand's own parts; its tables and diagnostics come first."""
+        self.inputs, self.results = inputs, results
+        self.tables = {**tables, **self.tables}
+        self.diagnostics = {**diagnostics, **self.diagnostics}
+        return self
 
 
 def _emit(args, run: Run) -> None:
@@ -98,29 +117,107 @@ def _emit(args, run: Run) -> None:
     for name, (header, columns) in run.tables.items():
         series_files.append(f"{stem}_{name}.csv")
         _write_csv(out / series_files[-1], report_name, header, columns)
-    parameters = {k: v for k, v in vars(args).items() if k != "func"}
-    parameters.update(run.parameters)
-    payload = {
-        "manifest": {
-            "command": args.command,
-            "parameters": _jsonable(parameters),
-            **({"seed": args.seed} if "seed" in parameters else {}),
-            "version": __version__,
-            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        },
-        "inputs": _jsonable(run.inputs),
-        "series_files": series_files,
-        "results": _jsonable(run.results),
-        "bounds": _jsonable(run.bounds),
-        "diagnostics": _jsonable(run.diagnostics),
-    }
-    (out / report_name).write_text(json.dumps(payload, indent=2) + "\n",
+    parameters = {**vars(args), **run.parameters}
+    manifest = {"command": args.command, "parameters": parameters,
+                **({"seed": args.seed} if "seed" in parameters else {}),
+                "version": __version__,
+                "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()}
+    payload = {"manifest": manifest, "inputs": run.inputs, "series_files": series_files,
+               "results": run.results, "bounds": run.bounds, "diagnostics": run.diagnostics}
+    (out / report_name).write_text(json.dumps(_jsonable(payload), indent=2) + "\n",
                                    encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each computes one Run from the parsed arguments with their
-# frequencies in angular units
+# the scenario pipeline
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One transfer (see the module docstring). The first of ``targets``
+    is the transfer's, into the state ``target`` under ``model``;
+    ``closed`` holds the ``qsl.build_bounds_report`` keywords the model
+    gives in closed form, ``drive`` a ControlWaveform whose angle step is
+    the phase per grid step, ``reference`` a report key and the population
+    to compare with, and ``protocol`` (trials, seed)."""
+
+    grid: TimeGrid
+    targets: dict[str, np.ndarray]
+    model: dynamics.LindbladModel
+    target: np.ndarray
+    rate: np.ndarray | None = None
+    trajectory: dynamics.Trajectory | None = None
+    closed: dict = field(default_factory=dict)
+    drive: models.ControlWaveform | None = None
+    reference: tuple[str, np.ndarray] | None = None
+    protocol: tuple[int, int] | None = None
+
+
+def _evaluate(s: Scenario) -> Run:
+    """Run every route whose input the scenario holds (module docstring)."""
+    grid = s.grid
+    # first, so that a grid too short for a density is refused as such
+    fd = {name: tf.tf_from_population(tf.PopulationSeries(grid, p))
+          for name, p in s.targets.items()}
+    run = Run(bounds=None, fd=fd, moments={name: tf.moments(d) for name, d in fd.items()})
+    diag = run.diagnostics
+    name, p = next(iter(s.targets.items()))
+    if s.reference is not None:
+        diag[s.reference[0]] = float(np.max(np.abs(p - s.reference[1])))
+    m, rate = operators.projector_from_state(s.target), s.rate
+    # one checked table of H serves the resolution rule, L^dag(M) and the
+    # bounds; a constant H needs one time. An H too large for the
+    # arithmetic ends in inf or NaN, and so in a flag or a reason
+    constant = s.model.hamiltonian.constant
+    with np.errstate(over="ignore", invalid="ignore"):
+        ts = grid.times[:1] if constant else grid.times
+        table = s.model.hamiltonian.sample(ts)
+        try:
+            dynamics.check_table(table, ts)
+        except OperatorConstraintError as exc:
+            diag["phase_per_step"] = diag["resolved"] = None
+            diag["skipped"] = {"bounds": str(exc)}
+        else:
+            diag["phase_per_step"], diag["resolved"] = models.grid_phase(
+                grid.times, table if s.drive is None else s.drive)
+            adj = dynamics.adjoint_on_table(s.model, m, table)
+            if rate is None and s.trajectory is not None:
+                rate = dynamics.expectation_series(s.trajectory, adj[0] if constant else adj)
+            given = {"delta_theta": abs(float(p[-1] - p[0])),
+                     "trace_term": qsl.largest_trace_term(adj),
+                     "measured": run.moments[name], "pi_max": fd[name].peak,
+                     "hamiltonian": table[0] if constant else None, "target": s.target,
+                     **s.closed}
+            if math.isfinite(given["trace_term"]):
+                run.bounds = qsl.build_bounds_report(**given)
+            else:
+                diag["skipped"] = {"bounds": f"the trace term {given['trace_term']:g} "
+                                             "is not finite"}
+    if rate is not None:
+        run.current = tf.tf_from_rate(grid, rate)
+        mid = tf.tf_from_rate(grid, rate, align="midpoints").density
+        diag["current_vs_fd_sup"] = float(np.max(np.abs(mid - fd[name].density)))
+    if s.protocol is not None:
+        n_trials, seed = s.protocol
+        empirical = protocol.empirical_from_populations(p, protocol.ProtocolConfig(
+            n_trials=n_trials, grid=grid, seed=seed, target=m))
+        report = protocol.convergence_report(empirical, fd[name], p_exact=p)
+        run.tables["protocol"] = (
+            ["time", "pi_hat", "pi_exact", "noise_density"],
+            [grid.midpoints, empirical.density, fd[name].density, report.noise_density])
+        run.tables["frequencies"] = (["time", "f_empirical", "p_exact"],
+                                    [grid.times, empirical.frequencies, p])
+        diag["protocol"] = {
+            "n_trials": n_trials, "sup_distance": report.sup_distance,
+            "l1_distance": report.l1_distance, "mean_abs_distance": report.mean_abs_distance,
+            "freq_sup_error": report.freq_sup_error,
+            "within_binomial_envelope": report.binomial_flag}
+    return run
+
+
+# ---------------------------------------------------------------------------
+# subcommands: each describes its scenario from the parsed arguments, with
+# their frequencies in angular units, and lays out what _evaluate made of it
 
 
 def _run_two_level(args) -> Run:
@@ -131,173 +228,105 @@ def _run_two_level(args) -> Run:
         waveform = models.ControlWaveform.polynomial(args.omega0, coeffs)
     else:
         waveform = models.ControlWaveform.gaussian_pulse(args.t0, args.sigma)
-
     init = models.TwoLevelInitial(theta=args.theta, phi=args.phi)
-    t_end = args.t_end
-    if t_end is None:
-        if args.waveform == "constant" and args.omega0 > 0:
-            t_end = np.pi / args.omega0
-        else:
-            raise ValueError("--t-end is required for this waveform")
+    if args.t_end is None and not (args.waveform == "constant" and args.omega0 > 0):
+        raise ValueError("--t-end is required for this waveform")
+    t_end = np.pi / args.omega0 if args.t_end is None else args.t_end
     grid = TimeGrid(args.t_start, t_end, args.points)
-
-    p = models.two_level_population(waveform, init, grid.times)
-    series = tf.PopulationSeries(grid, np.clip(p, 0.0, 1.0))
-    # first, so that a grid too short for a density is refused as such
-    fd = tf.tf_from_population(series)
-    rate = models.two_level_rate(waveform, init, grid.times)
-    dist = tf.tf_from_rate(grid, rate)
-    grid_moments = tf.moments(fd)
-    closed_moments = models.two_level_moments_closed(
-        waveform, init, grid.t_start, grid.t_end
-    )
-    split = tf.split_toa_tod(series)
     times = grid.times
-    segments = [
-        {"t_start": float(times[i0]), "t_end": float(times[i1]), "kind": kind}
-        for i0, i1, kind in split.segments
-    ]
-    boundaries = [float(times[i0]) for i0, _, _ in split.segments[1:]]
 
-    run = Run(
-        inputs={"theta": args.theta, "phi": args.phi, "waveform": args.waveform,
-                "omega0": args.omega0, "t_start": grid.t_start, "t_end": grid.t_end,
-                "points": args.points},
-        tables={
-            "series": (
-                ["time", "p_1", "pi_tf", "segment"],
-                [times, p, dist.density, tf.point_kinds(rate, tf.DEAD_BAND / grid.dt)],
-            ),
-        },
-        results={
-            "closed_form_mean": closed_moments.mean,
-            "closed_form_std": closed_moments.std,
-            "grid_mean": grid_moments.mean,
-            "grid_std": grid_moments.std,
-            "segments": segments,
-            "boundaries": boundaries,
-        },
-    )
-
-    if args.protocol is not None:
-        config = protocol.ProtocolConfig(
-            n_trials=args.protocol, grid=grid, seed=args.seed,
-            target=operators.projector(2, 1),
-        )
-        empirical = protocol.empirical_from_populations(p, config)
-        report = protocol.convergence_report(empirical, fd, p_exact=p)
-        run.tables["protocol"] = (
-            ["time", "pi_hat", "pi_exact", "noise_density"],
-            [grid.midpoints, empirical.density, fd.density,
-             report.noise_density],
-        )
-        run.tables["frequencies"] = (
-            ["time", "f_empirical", "p_exact"],
-            [times, empirical.frequencies, p],
-        )
-        run.diagnostics["protocol"] = {
-            "n_trials": args.protocol,
-            "sup_distance": report.sup_distance,
-            "l1_distance": report.l1_distance,
-            "mean_abs_distance": report.mean_abs_distance,
-            "freq_sup_error": report.freq_sup_error,
-            "within_binomial_envelope": report.binomial_flag,
-        }
-    return run
+    p = models.two_level_population(waveform, init, times)
+    rate = models.two_level_rate(waveform, init, times)
+    closed = models.two_level_moments_closed(waveform, init, grid.t_start, grid.t_end)
+    series = tf.PopulationSeries(grid, np.clip(p, 0.0, 1.0))
+    run = _evaluate(Scenario(
+        grid, {"p_1": series.values},
+        dynamics.LindbladModel(models.two_level_hamiltonian(waveform)),
+        operators.basis_state(2, 1), rate=rate, closed={"measured": closed}, drive=waveform,
+        protocol=None if args.protocol is None else (args.protocol, args.seed)))
+    segments = tf.split_toa_tod(series).segments
+    return run.lay_out(
+        {"theta": args.theta, "phi": args.phi, "waveform": args.waveform,
+         "omega0": args.omega0, "t_start": grid.t_start, "t_end": grid.t_end,
+         "points": args.points},
+        {"series": (["time", "p_1", "pi_tf", "segment"],
+                    [times, p, run.current.density,
+                     tf.point_kinds(rate, tf.DEAD_BAND / grid.dt)])},
+        {"closed_form_mean": closed.mean, "closed_form_std": closed.std,
+         "grid_mean": run.moments["p_1"].mean, "grid_std": run.moments["p_1"].std,
+         "segments": [{"t_start": float(times[i0]), "t_end": float(times[i1]),
+                       "kind": kind} for i0, i1, kind in segments],
+         "boundaries": [float(times[i0]) for i0, _, _ in segments[1:]]})
 
 
 def _run_sta(args) -> Run:
-    config = models.STAConfig(alpha=args.alpha, t_final=args.t_final,
-                              omega0=args.omega0)
+    config = models.STAConfig(alpha=args.alpha, t_final=args.t_final, omega0=args.omega0)
     grid = TimeGrid(0.0, args.t_final, args.points)
-    dist, closed_moments = models.sta_tf_closed(config, grid)
-    p_closed = models.sta_population_closed(config, grid.times)
-
-    run = Run(
-        inputs={"alpha": args.alpha, "t_final": args.t_final, "omega0": args.omega0,
-                "points": args.points},
-        tables={
-            "series": (["time", "p_plus"], [grid.times, p_closed]),
-            "tf": (["time", "pi_toa"], [dist.times, dist.density]),
-        },
-        results={"mean": closed_moments.mean, "std": closed_moments.std,
-                 "mean_over_t_final": closed_moments.mean / args.t_final,
-                 "std_over_t_final": closed_moments.std / args.t_final},
-    )
-
-    if args.numeric:
-        traj = models.sta_propagate(config, grid)
-        p_num = dynamics.population_series(
-            traj, operators.projector_from_state(operators.plus_state())
-        )
-        ref = models.sta_population_closed(config, traj.grid.times)
-        run.tables["numeric"] = (
-            ["time", "p_plus_numeric", "p_plus_closed", "deviation"],
-            [traj.grid.times, p_num, ref, np.abs(p_num - ref)],
-        )
-        run.diagnostics["max_deviation"] = float(np.max(np.abs(p_num - ref)))
-    return run
+    dist, closed = models.sta_tf_closed(config, grid)
+    # the scenario lives where H is finite, on the grid the sweep propagates on
+    run_grid = models.sta_grid(config, grid)
+    p_closed = models.sta_population_closed(config, run_grid.times)
+    plus = operators.plus_state()
+    traj = models.sta_propagate(config, grid) if args.numeric else None
+    p = p_closed if traj is None else dynamics.population_series(
+        traj, operators.projector_from_state(plus))
+    run = _evaluate(Scenario(
+        run_grid, {"p_plus": p}, dynamics.LindbladModel(models.sta_hamiltonian(config)),
+        plus, trajectory=traj, closed={"measured": closed},
+        reference=None if traj is None else ("max_deviation", p_closed)))
+    tables = {"series": (["time", "p_plus"],
+                         [grid.times, models.sta_population_closed(config, grid.times)]),
+              "tf": (["time", "pi_toa"], [dist.times, dist.density])}
+    if traj is not None:
+        tables["numeric"] = (["time", "p_plus_numeric", "p_plus_closed", "deviation"],
+                             [run_grid.times, p, p_closed, np.abs(p - p_closed)])
+    return run.lay_out(
+        {"alpha": args.alpha, "t_final": args.t_final, "omega0": args.omega0,
+         "points": args.points},
+        tables,
+        {"mean": closed.mean, "std": closed.std,
+         "mean_over_t_final": closed.mean / args.t_final,
+         "std_over_t_final": closed.std / args.t_final})
 
 
 def _run_lambda(args) -> Run:
-    config = models.LambdaConfig(
-        omega1=args.omega1, omega2=args.omega2, delta_initial=args.delta_i,
-        delta_final=args.delta_f, t_final=args.t_final,
-    )
+    config = models.LambdaConfig(omega1=args.omega1, omega2=args.omega2,
+                                 delta_initial=args.delta_i, delta_final=args.delta_f,
+                                 t_final=args.t_final)
     grid = TimeGrid(0.0, args.t_final, args.points)
     schedule = models.lambda_hamiltonian(config)
-    traj = dynamics.propagate_schrodinger(
-        schedule, operators.basis_state(3, 0), grid, args.substeps
-    )
-    pops = [dynamics.population_series(traj, operators.projector(3, k))
-            for k in range(3)]
+    traj = dynamics.propagate_schrodinger(schedule, operators.basis_state(3, 0), grid,
+                                          args.substeps)
+    pops = [dynamics.population_series(traj, operators.projector(3, k)) for k in range(3)]
     gamma_series = dynamics.expectation_series(traj, models.lambda_gamma(config))
-    current = tf.tf_from_rate(grid, gamma_series).density
-    current_mid = tf.tf_from_rate(grid, gamma_series, align="midpoints").density
-
-    fd_dists, stats = [], []
-    for k in range(3):
-        d = tf.tf_from_population(tf.PopulationSeries(grid, pops[k]))
-        m = tf.moments(d)
-        fd_dists.append(d)
-        stats.append({"state": k + 1, "mean": m.mean, "std": m.std})
+    # the transfer is the flow of |2>, whose current operator lambda_gamma is
+    run = _evaluate(Scenario(
+        grid, {"p_2": pops[1], "p_1": pops[0], "p_3": pops[2]},
+        dynamics.LindbladModel(schedule), operators.basis_state(3, 1),
+        rate=gamma_series))
+    dists = [run.fd[f"p_{k + 1}"] for k in range(3)]
 
     # <2|H(t)|dark> at 100 times; each (1, 3) @ (3,) product is one dot
     rows = schedule.sample(np.linspace(0.0, args.t_final, 100))[:, 1:2]
     dark_defect = np.max(np.abs(rows @ models.lambda_dark_state(config)))
-    dens = fd_dists[1].density
+    dens = dists[1].density
     interior = (dens[1:-1] > dens[:-2]) & (dens[1:-1] > dens[2:])
-    peak_count = int(np.sum(interior & (dens[1:-1] > 0.05 * dens.max())))
-
-    return Run(
-        inputs={"omega1": config.omega1, "omega2": config.omega2,
-                "delta_initial": config.delta_initial,
-                "delta_final": config.delta_final, "t_final": args.t_final,
-                "points": args.points, "units": args.units},
-        tables={
-            "series": (
-                ["time", "p_1", "p_2", "p_3", "gamma_expectation", "pi_2_current"],
-                [grid.times, pops[0], pops[1], pops[2], gamma_series, current],
-            ),
-            "tf": (
-                ["time", "pi_1", "pi_2", "pi_3"],
-                [grid.midpoints, fd_dists[0].density, fd_dists[1].density,
-                 fd_dists[2].density],
-            ),
-        },
-        results={
-            "tf_statistics": stats,
-            "landau_zener_probability": models.landau_zener_probability(config),
-            "omega_eff": config.omega_eff,
-        },
-        diagnostics={
-            "population_sum_error": float(np.max(np.abs(sum(pops) - 1.0))),
-            "dark_state_coupling": float(dark_defect),
-            "dark_state_decoupled": bool(dark_defect <= 1e-12),
-            "pi_2_peak_count": peak_count,
-            "current_vs_fd_sup": float(np.max(np.abs(current_mid - dens))),
-        },
-    )
+    return run.lay_out(
+        {"omega1": config.omega1, "omega2": config.omega2,
+         "delta_initial": config.delta_initial, "delta_final": config.delta_final,
+         "t_final": args.t_final, "points": args.points, "units": args.units},
+        {"series": (["time", "p_1", "p_2", "p_3", "gamma_expectation", "pi_2_current"],
+                    [grid.times, *pops, gamma_series, run.current.density]),
+         "tf": (["time", "pi_1", "pi_2", "pi_3"],
+                [grid.midpoints, *(d.density for d in dists)])},
+        {"tf_statistics": [{"state": k + 1, "mean": run.moments[f"p_{k + 1}"].mean,
+                            "std": run.moments[f"p_{k + 1}"].std} for k in range(3)],
+         "landau_zener_probability": models.landau_zener_probability(config),
+         "omega_eff": config.omega_eff},
+        population_sum_error=float(np.max(np.abs(sum(pops) - 1.0))),
+        dark_state_coupling=float(dark_defect),
+        dark_state_decoupled=bool(dark_defect <= 1e-12),
+        pi_2_peak_count=int(np.sum(interior & (dens[1:-1] > 0.05 * dens.max()))))
 
 
 def _run_dephasing(args) -> Run:
@@ -309,43 +338,22 @@ def _run_dephasing(args) -> Run:
 
     rho0 = operators.projector_from_state(operators.plus_state())
     traj = dynamics.propagate_lindblad(model, rho0, grid, args.substeps)
-    minus = operators.projector_from_state(operators.minus_state())
-    p_num = dynamics.population_series(traj, minus)
-    fd = tf.tf_from_population(tf.PopulationSeries(grid, p_num))
-    grid_moments = tf.moments(fd)
-
-    exact = tf.Moments(mean=analytics.exact_mean, std=analytics.exact_std)
-    bounds = qsl.build_bounds_report(
-        delta_theta=analytics.delta_theta,
-        trace_term=analytics.trace_term,
-        measured=exact,
-        pi_max=2.0 * gamma,
-        mt_bound=qsl.mt_dephasing_bound(gamma),
-    )
-
-    return Run(
-        inputs={"gamma": gamma, "t_end": t_end, "points": args.points},
-        tables={
-            "series": (
-                ["time", "p_minus", "p_minus_numeric", "pi_minus"],
-                [grid.times, analytics.population.values, p_num,
-                 analytics.distribution.density],
-            ),
-        },
-        results={
-            "exact_mean": analytics.exact_mean,
-            "exact_std": analytics.exact_std,
-            "grid_mean": grid_moments.mean,
-            "grid_std": grid_moments.std,
-            "truncation_mass": analytics.truncation_mass,
-        },
-        bounds=bounds,
-        diagnostics={
-            "numeric_vs_closed_sup": float(
-                np.max(np.abs(p_num - analytics.population.values))
-            ),
-        },
-    )
+    minus = operators.minus_state()
+    p_num = dynamics.population_series(traj, operators.projector_from_state(minus))
+    run = _evaluate(Scenario(
+        grid, {"p_minus": p_num}, model, minus, trajectory=traj,
+        closed={"delta_theta": analytics.delta_theta, "trace_term": analytics.trace_term,
+                "measured": tf.Moments(mean=analytics.exact_mean, std=analytics.exact_std),
+                "pi_max": 2.0 * gamma, "mt_bound": qsl.mt_dephasing_bound(gamma)},
+        reference=("numeric_vs_closed_sup", analytics.population.values)))
+    return run.lay_out(
+        {"gamma": gamma, "t_end": t_end, "points": args.points},
+        {"series": (["time", "p_minus", "p_minus_numeric", "pi_minus"],
+                    [grid.times, analytics.population.values, p_num,
+                     analytics.distribution.density])},
+        {"exact_mean": analytics.exact_mean, "exact_std": analytics.exact_std,
+         "grid_mean": run.moments["p_minus"].mean, "grid_std": run.moments["p_minus"].std,
+         "truncation_mass": analytics.truncation_mass})
 
 
 def _run_hadamard(args) -> Run:
@@ -356,39 +364,20 @@ def _run_hadamard(args) -> Run:
     rho0 = operators.projector(2, 0).astype(complex)
     traj = dynamics.propagate_lindblad(bundle.model, rho0, grid, args.substeps)
     p_plus = dynamics.population_series(traj, bundle.target)
-    fd = tf.tf_from_population(tf.PopulationSeries(grid, p_plus))
-    fd_moments = tf.moments(fd)
     gamma_series = dynamics.expectation_series(traj, bundle.current_op)
-    current = tf.tf_from_rate(grid, gamma_series).density
-    current_mid = tf.tf_from_rate(grid, gamma_series, align="midpoints").density
-
-    delta_theta = abs(float(p_plus[-1] - p_plus[0]))
-    bounds = qsl.build_bounds_report(
-        delta_theta=delta_theta,
-        trace_term=bundle.trace_term,
-        measured=fd_moments,
-        pi_max=fd.peak,
-        hamiltonian=bundle.model.hamiltonian(0.0),
-        target=operators.plus_state(),
-    )
-
-    return Run(
-        inputs={"omega0": args.omega0, "gamma": args.gamma, "t_end": t_end,
-                "points": args.points},
-        tables={
-            "series": (
-                ["time", "p_plus", "gamma_expectation", "pi_plus_current"],
-                [grid.times, p_plus, gamma_series, current],
-            ),
-            "tf": (["time", "pi_plus"], [grid.midpoints, fd.density]),
-        },
-        results={"mean": fd_moments.mean, "std": fd_moments.std,
-                 "delta_theta": delta_theta},
-        bounds=bounds,
-        diagnostics={
-            "current_vs_fd_sup": float(np.max(np.abs(current_mid - fd.density))),
-        },
-    )
+    run = _evaluate(Scenario(
+        grid, {"p_plus": p_plus}, bundle.model, operators.plus_state(),
+        rate=gamma_series, closed={"trace_term": bundle.trace_term}))
+    moments = run.moments["p_plus"]
+    return run.lay_out(
+        {"omega0": args.omega0, "gamma": args.gamma, "t_end": t_end,
+         "points": args.points},
+        {"series": (["time", "p_plus", "gamma_expectation", "pi_plus_current"],
+                    [grid.times, p_plus, gamma_series, run.current.density]),
+         "tf": (["time", "pi_plus"], [grid.midpoints, run.fd["p_plus"].density])},
+        # the closed-form trace term is finite, so the bounds are formed
+        {"mean": moments.mean, "std": moments.std,
+         "delta_theta": run.bounds["delta_theta"]})
 
 
 def _run_optimize(args) -> Run:
@@ -398,10 +387,8 @@ def _run_optimize(args) -> Run:
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"config {path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
-            f"{exc.msg}"
-        )
+        raise ValueError(f"config {path}: invalid JSON at line {exc.lineno}, "
+                         f"column {exc.colno}: {exc.msg}")
     try:
         config = opt.OptimizeConfig.from_dict(data)
     except KeyError as exc:
@@ -413,24 +400,20 @@ def _run_optimize(args) -> Run:
 
     return Run(
         inputs={k: v for k, v in vars(config).items() if k != "initial_coefficients"},
-        tables={
-            "series": (
-                ["time", "omega", "p_1", "pi_1"],
-                [grid.times, waveform.omega(grid.times), result.population.values,
-                 result.distribution.density],
-            ),
-        },
-        results={
-            "coefficients": list(result.coefficients),
-            "cost": result.cost,
-            "p1_final": result.p1_final,
-            "n_false": result.n_false,
-            "iterations": result.iterations,
-            "converged": result.converged,
-            "monotonicity_unconstrained": bool(config.lambda_mono == 0.0),
-        },
+        tables={"series": (["time", "omega", "p_1", "pi_1"],
+                           [grid.times, waveform.omega(grid.times),
+                            result.population.values, result.distribution.density])},
+        results={"coefficients": list(result.coefficients), "cost": result.cost,
+                 "p1_final": result.p1_final, "n_false": result.n_false,
+                 "iterations": result.iterations, "converged": result.converged,
+                 "monotonicity_unconstrained": bool(config.lambda_mono == 0.0)},
         parameters={"config_data": data},
     )
+
+
+_RUNNERS = {"two-level": _run_two_level, "sta": _run_sta, "lambda": _run_lambda,
+            "dephasing": _run_dephasing, "hadamard": _run_hadamard,
+            "optimize": _run_optimize}
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, units=True, substeps=False):
         p.add_argument("--outdir", default=".", help="output directory")
         if units:
-            p.add_argument("--units", choices=["angular", "mhz-cyclic"],
-                           default="angular",
+            p.add_argument("--units", choices=["angular", "mhz-cyclic"], default="angular",
                            help="interpret frequency inputs as angular rad/time "
                                 "(default) or cyclic MHz (multiplied by 2 pi)")
         if substeps:
@@ -538,7 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--seed", type=int, default=None,
                    help="protocol sampling seed (default: TFLOW_SEED or 0)")
-    p.set_defaults(func=_run_two_level)
 
     p = sub.add_parser("sta", help="counterdiabatic sweep arrival statistics")
     p.add_argument("--alpha", type=finite, required=True)
@@ -548,24 +529,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--numeric", action="store_true",
                    help="also propagate numerically and report the deviation")
     add_common(p, units=False)
-    p.set_defaults(func=_run_sta)
 
     p = sub.add_parser("lambda", help="three-level detuning sweep")
-    p.add_argument("--omega1", type=finite, required=True)
-    p.add_argument("--omega2", type=finite, required=True)
-    p.add_argument("--delta-i", type=finite, required=True)
-    p.add_argument("--delta-f", type=finite, required=True)
-    p.add_argument("--t-final", type=finite, required=True)
+    for name in ("--omega1", "--omega2", "--delta-i", "--delta-f", "--t-final"):
+        p.add_argument(name, type=finite, required=True)
     p.add_argument("--points", type=int, default=2000)
     add_common(p, substeps=True)
-    p.set_defaults(func=_run_lambda)
 
     p = sub.add_parser("dephasing", help="pure dephasing transition")
     p.add_argument("--gamma", type=finite, required=True)
     p.add_argument("--t-end", type=finite, default=None)
     p.add_argument("--points", type=int, default=2000)
     add_common(p, substeps=True)
-    p.set_defaults(func=_run_dephasing)
 
     p = sub.add_parser("hadamard", help="Hadamard rotation with dephasing")
     p.add_argument("--omega0", type=finite, required=True)
@@ -573,12 +548,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=finite, default=None)
     p.add_argument("--points", type=int, default=2000)
     add_common(p, substeps=True)
-    p.set_defaults(func=_run_hadamard)
 
     p = sub.add_parser("optimize", help="polynomial drive optimization")
     p.add_argument("--config", required=True, help="JSON configuration file")
     add_common(p, units=False)
-    p.set_defaults(func=_run_optimize)
 
     for p in (parser, *sub.choices.values()):
         p._negative_number_matcher = _NEGATIVE_NUMBER
@@ -597,7 +570,7 @@ def main(argv=None) -> int:
         angular = _angular(args)
         # the outdir is made next, so a bad path fails before any computing
         Path(args.outdir).mkdir(parents=True, exist_ok=True)
-        _emit(args, args.func(angular))
+        _emit(args, _RUNNERS[args.command](angular))
         return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -204,7 +204,7 @@ def _sample_table(schedule: HamiltonianSchedule, grid: TimeGrid,
     return ts, schedule.sample(ts)
 
 
-def _check_table(table: np.ndarray, ts: np.ndarray) -> None:
+def check_table(table: np.ndarray, ts: np.ndarray) -> None:
     """Refuse a table that is not Hermitian, naming a non-finite node's time."""
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, caught below
         defect = _hermitian_defect(table)
@@ -323,7 +323,7 @@ def _integrate(schedule: HamiltonianSchedule, grid: TimeGrid, substeps: int | No
                 and _same_bits(entry[2], key)):
             _log("reusing the last %s propagation at substeps=%d", propagator, r)
             return entry[3].copy()
-        _check_table(table, ts)
+        check_table(table, ts)
         # a failed attempt may overflow to inf or NaN; its checks reject it
         with np.errstate(all="ignore"):
             states, checks = attempt(table, r)
@@ -431,11 +431,10 @@ def current_operator(h: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 def _adjoint_stack(model: LindbladModel, m: np.ndarray, times,
                    what: str) -> np.ndarray:
-    """L^dag(M) = i[H(t), M] + D^dag(M) as an (n, d, d) stack over ``times``,
-    H sampled at all of them in one call; D^dag(M) = sum A^dag M A -
-    (B/2) M - M (B/2). No times means a constant H's one time, t = 0; a
-    time-dependent model is then refused, asking for the evaluation ``what``.
-    M and the sampled H are refused, as in the propagators, if not Hermitian.
+    """``adjoint_on_table`` over ``times``, H sampled at all of them in one
+    call. No times means a constant H's one time, t = 0; a time-dependent
+    model is then refused, asking for the evaluation ``what``. M and the
+    sampled H are refused, as in the propagators, if not Hermitian.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (model.dim, model.dim):
@@ -447,7 +446,14 @@ def _adjoint_stack(model: LindbladModel, m: np.ndarray, times,
         times = [0.0]
     times = np.asarray(times, dtype=float)
     hs = model.hamiltonian.sample(times)
-    _check_table(hs, times)
+    check_table(hs, times)
+    return adjoint_on_table(model, m, hs)
+
+
+def adjoint_on_table(model: LindbladModel, m: np.ndarray,
+                     hs: np.ndarray) -> np.ndarray:
+    """L^dag(M) = i[H, M] + D^dag(M) at each H of a table that ``check_table``
+    passed, D^dag(M) = sum A^dag M A - (B/2) M - M (B/2)."""
     jumps, half_b = model.scaled_jumps()
     dissipator = -(half_b @ m + m @ half_b)
     for a in jumps:

@@ -127,6 +127,19 @@ class ControlWaveform:
         return cls("gaussian", {"t0": t0, "sigma": sigma, "area": area})
 
 
+def grid_phase(times: np.ndarray, drive) -> tuple[float, bool]:
+    """The largest phase a drive turns by between neighbouring grid points,
+    and whether the grid resolves it: whether that phase is below pi. It is
+    W's step for a ``ControlWaveform``; for an (n, d, d) table of H (one
+    matrix if constant), the largest eigenvalue spread times the step."""
+    if isinstance(drive, ControlWaveform):
+        phase = float(np.max(np.abs(np.diff(drive.cumulative(times)))))
+    else:
+        levels = np.linalg.eigvalsh(drive)
+        phase = float(np.max(levels[:, -1] - levels[:, 0])) * float(times[1] - times[0])
+    return phase, phase < np.pi
+
+
 def _ndtr(x):
     """Standard normal CDF 0.5 erfc(-x/sqrt 2), element-wise through
     ``math.erfc``; the lower tail keeps its relative accuracy."""
@@ -516,18 +529,20 @@ def sta_moments_closed(config: STAConfig) -> Moments:
     return Moments.from_raw(big_t - i0, big_t * big_t - 2.0 * i1)
 
 
+def sta_grid(config: STAConfig, grid: TimeGrid) -> TimeGrid:
+    """The grid on which H is finite: for alpha < 1, where the counterdiabatic
+    term diverges at t = 0, a grid from there starts half a step in."""
+    if config.alpha < 1.0 and grid.t_start <= 0.0:
+        return TimeGrid(grid.t_start + 0.5 * grid.dt, grid.t_end, grid.n_points)
+    return grid
+
+
 def sta_propagate(config: STAConfig, grid: TimeGrid,
                   substeps: int | None = None) -> Trajectory:
-    """Numerically propagate the sweep, handling the alpha < 1 endpoint.
-
-    For alpha < 1 the counterdiabatic term diverges at t = 0, so a grid
-    starting there is shifted to begin at half a grid step, with the
-    instantaneous eigenstate at that time as the initial state (the exact
-    solution passes through it). The trajectory's grid records the times
-    actually used.
-    """
-    if config.alpha < 1.0 and grid.t_start <= 0.0:
-        grid = TimeGrid(grid.t_start + 0.5 * grid.dt, grid.t_end, grid.n_points)
+    """Numerically propagate the sweep on ``sta_grid``, from the
+    instantaneous eigenstate at its first time (the exact solution passes
+    through it). The trajectory's grid records the times actually used."""
+    grid = sta_grid(config, grid)
     psi0 = sta_instantaneous_state(config, grid.t_start)
     return propagate_schrodinger(sta_hamiltonian(config), psi0, grid, substeps)
 

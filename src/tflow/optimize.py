@@ -103,13 +103,13 @@ def _population(coefficients, config: OptimizeConfig, times: np.ndarray) -> np.n
 
 
 def _refuse_aliasing(config: OptimizeConfig) -> None:
-    """Refuse an initial drive whose angle W turns by pi or more between
-    neighbouring cost-grid points: p_1 = sin^2(W/2) has period 2 pi in W,
-    so such a grid aliases the population it scores."""
+    """Refuse an initial drive that the cost grid does not resolve
+    (``models.grid_phase``): p_1 = sin^2(W/2) has period 2 pi in W, so a
+    grid on which W turns by pi or more aliases the population it scores."""
     waveform = models.ControlWaveform.polynomial(config.omega0,
                                                  config.initial_coefficients)
-    step = float(np.max(np.abs(np.diff(waveform.cumulative(_grid(config))))))
-    if not step < np.pi:
+    step, resolved = models.grid_phase(_grid(config), waveform)
+    if not resolved:
         raise ValueError(
             f"the initial drive turns by {step:.3g} rad between neighbouring points "
             f"of the {config.grid_points}-point cost grid, which samples only turns "

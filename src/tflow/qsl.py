@@ -72,11 +72,15 @@ def tf_qsl_open(model: LindbladModel, m: np.ndarray, delta_theta: float,
     if not 0.0 < delta_theta <= 1.0:
         raise ValueError("delta_theta must lie in (0, 1]")
     operators.assert_projector(m, name="measurement operator")
-    adj = dynamics._adjoint_stack(model, m, times, "times")
-    term = float(np.max(np.abs(np.real(np.einsum("nij,nji->n", adj, adj)))))
+    term = largest_trace_term(dynamics._adjoint_stack(model, m, times, "times"))
     if term <= 0.0:
         return np.inf
     return delta_theta / np.sqrt(term)
+
+
+def largest_trace_term(adj: np.ndarray) -> float:
+    """The largest |Tr(L^dag(M)^2)| over an (n, d, d) stack of L^dag(M)."""
+    return float(np.max(np.abs(np.real(np.einsum("nij,nji->n", adj, adj)))))
 
 
 @dataclass(frozen=True)

@@ -956,3 +956,134 @@ def test_refusal_exits_2_with_its_message(tmp_path, capsys, argv, message):
     assert main(argv + ["--outdir", str(tmp_path / "out")]) == 2
     assert f"error: {message}\n" in capsys.readouterr().err
     assert not any(path.is_file() for path in tmp_path.rglob("*"))
+
+
+# ---------------------------------------------------------------------------
+# the scenario pipeline
+
+
+def _hard_inputs(rng):
+    """(argv, phase per grid step, trace term) of seeded hard inputs: constant
+    drives up to omega 2000 on [0, 10], alpha < 1 sweeps and Lambda ramps.
+    Both numbers are recomputed here from the drive. The phase is omega dt
+    for the constant drive, and the largest eigenvalue spread of H times dt
+    for the others. The trace term is the closed-system identity
+    |Tr((i[H, M])^2)| = 2 (Delta_M H)^2 at its largest on the grid."""
+    cases = [(["two-level", "--omega0", "2000", "--t-end", "10"], 2000.0 * 10.0 / 999,
+              2000.0 ** 2 / 2)]
+    for _ in range(8):
+        omega = float(np.exp(rng.uniform(0.0, np.log(2000.0))))
+        t_end, points = rng.uniform(1.0, 10.0), int(rng.integers(200, 2001))
+        cases.append((["two-level", "--omega0", repr(omega), "--t-end", repr(t_end),
+                       "--points", str(points)], omega * t_end / (points - 1), omega ** 2 / 2))
+    for k in range(6):
+        alpha, t_final, omega0 = rng.uniform(0.1, 1.0), rng.uniform(0.5, 2.0), rng.uniform(5, 40)
+        points = int(rng.integers(100, 1001))
+        # the grid starts half a step in, where |H| = sqrt(omega0^2 + theta'^2) / 2
+        # and 2 (Delta_+ H)^2 = (omega0^2 cos^2 theta + theta'^2) / 2 peak, and so
+        # has a shorter step
+        start = 0.5 * t_final / (points - 1)
+        theta = 0.5 * np.pi * (start / t_final) ** alpha
+        theta_dot = 0.5 * np.pi * alpha / t_final * (start / t_final) ** (alpha - 1.0)
+        cases.append((["sta", "--alpha", repr(alpha), "--t-final", repr(t_final),
+                       "--omega0", repr(omega0), "--points", str(points)]
+                      + ["--numeric"] * (k % 2),
+                      np.hypot(omega0, theta_dot) * (t_final - start) / (points - 1),
+                      ((omega0 * np.cos(theta)) ** 2 + theta_dot ** 2) / 2))
+    for _ in range(5):
+        omega1, omega2 = rng.uniform(0.5, 3.0, 2).tolist()
+        delta_i, delta_f = -rng.uniform(2.0, 20.0), rng.uniform(2.0, 20.0)
+        t_final, points = rng.uniform(1.0, 4.0), int(rng.integers(200, 801))
+        # the levels 0 and (delta -+ sqrt(delta^2 + omega_eff^2)) / 2 spread
+        # most at the larger end of the ramp; Delta_2 H = omega_eff / 2 throughout
+        spread = np.sqrt(max(delta_i ** 2, delta_f ** 2) + omega1 ** 2 + omega2 ** 2)
+        cases.append((["lambda", "--omega1", repr(omega1), "--omega2", repr(omega2),
+                       "--delta-i", repr(delta_i), "--delta-f", repr(delta_f),
+                       "--t-final", repr(t_final), "--points", str(points)],
+                      spread * t_final / (points - 1), (omega1 ** 2 + omega2 ** 2) / 2))
+    return cases
+
+
+def test_seeded_hard_input_sweep_through_the_cli(tmp_path):
+    # the CLI sibling of test_models.py::test_seeded_cross_route_sweep
+    cases = _hard_inputs(np.random.default_rng(20261020))
+    assert any(phase >= np.pi for _, phase, _ in cases)
+    for i, (argv, phase, trace_term) in enumerate(cases):
+        out = tmp_path / str(i)
+        assert main([*argv, "--outdir", str(out)]) == 0, argv
+        report = _read_report(out / f"{argv[0].replace('-', '_')}_report.json")
+        bounds = report["bounds"]
+        assert bounds["satisfied"] and all(bounds["satisfied"].values()), argv
+        assert bounds["trace_term"] == pytest.approx(trace_term, rel=1e-9), argv
+        diag = report["diagnostics"]
+        assert diag["phase_per_step"] == pytest.approx(phase, rel=1e-9), argv
+        assert diag["resolved"] is bool(phase < np.pi), argv
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["two-level", "--omega0", "1e200", "--t-end", "3e-200", "--points", "50"],
+     "the trace term inf is not finite"),
+    (["sta", "--alpha", "1e300", "--t-final", "1e-10", "--points", "50"],
+     "schedule is not finite at t = 0"),
+], ids=["trace-term-overflows", "h-not-finite"])
+def test_route_that_cannot_be_formed_writes_null_and_a_reason(tmp_path, argv, reason):
+    # both exited 0 before they had bounds; a route they cannot form must not
+    # change that, nor warn
+    assert main([*argv, "--outdir", str(tmp_path)]) == 0
+    report = _read_report(tmp_path / f"{argv[0].replace('-', '_')}_report.json")
+    assert report["bounds"] is None
+    assert report["diagnostics"]["skipped"] == {"bounds": reason}
+
+
+_OPTIONS = {
+    "two-level": ["--theta", "--phi", "--waveform", "--omega0", "--coefficients", "--t0",
+                  "--sigma", "--t-start", "--t-end", "--points", "--protocol", "--outdir",
+                  "--units", "--seed"],
+    "sta": ["--alpha", "--t-final", "--omega0", "--points", "--numeric", "--outdir"],
+    "lambda": ["--omega1", "--omega2", "--delta-i", "--delta-f", "--t-final", "--points",
+               "--outdir", "--units", "--substeps"],
+    "dephasing": ["--gamma", "--t-end", "--points", "--outdir", "--units", "--substeps"],
+    "hadamard": ["--omega0", "--gamma", "--t-end", "--points", "--outdir", "--units",
+                 "--substeps"],
+    "optimize": ["--config", "--outdir"],
+}
+
+
+def test_every_subcommand_keeps_its_options():
+    # a route reaches a subcommand through the scenario pipeline, not
+    # through a new knob
+    import argparse
+
+    from tflow.cli import build_parser
+
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert [s for a in parser._actions for s in a.option_strings] == [
+        "-h", "--help", "--version"]
+    assert {name: [s for a in p._actions for s in a.option_strings][2:]
+            for name, p in sub.choices.items()} == _OPTIONS
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["lambda", "--omega1", "1", "--omega2", "1", "--delta-i", "-5", "--delta-f", "5",
+      "--t-final", "1"], 1),
+    (["dephasing", "--gamma", "1"], 1),
+    (["hadamard", "--omega0", "5", "--gamma", "1"], 1),
+    (["sta", "--alpha", "0.5", "--numeric"], 1),
+    (["sta", "--alpha", "0.5"], 0),
+    (["two-level", "--protocol", "100"], 0),
+], ids=["lambda", "dephasing", "hadamard", "sta-numeric", "sta", "two-level"])
+def test_every_propagating_subcommand_propagates_once(tmp_path, monkeypatch, argv, calls):
+    from tflow import dynamics, models
+
+    made = []
+    originals = {name: getattr(dynamics, name)
+                 for name in ("propagate_schrodinger", "propagate_lindblad")}
+    for module, name in ((dynamics, "propagate_schrodinger"), (models, "propagate_schrodinger"),
+                         (dynamics, "propagate_lindblad")):
+        def counted(*args, _propagate=originals[name], **kwargs):
+            made.append(argv[0])
+            return _propagate(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    assert main([*argv, "--points", "200", "--outdir", str(tmp_path)]) == 0
+    assert len(made) == calls

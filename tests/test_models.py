@@ -523,6 +523,30 @@ def _population_by_phase(waveform, init, t):
     return w
 
 
+def test_grid_phase_is_one_rule_for_a_drive_and_a_table():
+    # a drive resolves when it turns by less than pi per grid step: W's step
+    # for a closed-form drive, the eigenvalue spread of H times dt for a table
+    times = np.linspace(0.0, 1.0, 11)
+    for omega, resolved in ((30.0, True), (32.0, False)):
+        drive = models.ControlWaveform.constant(omega)
+        phase, flag = models.grid_phase(times, drive)
+        assert phase == pytest.approx(0.1 * omega, rel=1e-12) and flag is resolved
+        table = models.two_level_hamiltonian(drive).sample(times)
+        assert models.grid_phase(times, table) == (pytest.approx(phase, rel=1e-12), resolved)
+        # a constant H is one matrix
+        assert models.grid_phase(times, table[:1])[1] is resolved
+
+
+def test_optimizer_refuses_what_the_rule_does_not_resolve(monkeypatch):
+    from tflow import optimize
+
+    config = optimize.OptimizeConfig(t_horizon=1.0, omega0=2.5)
+    optimize._refuse_aliasing(config)
+    monkeypatch.setattr(models, "grid_phase", lambda times, drive: (7.0, False))
+    with pytest.raises(ValueError, match="turns by 7 rad between neighbouring points"):
+        optimize._refuse_aliasing(config)
+
+
 def test_seeded_cross_route_sweep():
     """Random constant, polynomial and gaussian drives from random Bloch
     states: propagation against the closed-form population, and the
