@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Each subcommand but ``optimize`` describes its transfer as one
-``Scenario`` and passes it to ``_evaluate``, which runs every route whose
-input the scenario holds: the FD TF and moments of each target; the
+Each subcommand describes its transfer as one ``Scenario`` and passes
+it to ``_evaluate``, which runs every route whose input the scenario
+holds: the FD TF and moments of each target; the
 deviation from a reference population; one table of H on the grid,
 sampled and checked once, for the resolution rule of
 ``models.grid_phase`` (``diagnostics.resolved``), L^dag(M) and the bounds
@@ -13,7 +13,9 @@ a trajectory, with ``current_vs_fd_sup``; and the protocol when asked. A
 route that cannot be formed on a well-posed input writes null and its
 reason under ``diagnostics.skipped``; it never changes the exit code. The
 subcommand lays out its own tables, result keys and model-specific
-diagnostics.
+diagnostics. ``two-level`` and ``optimize`` share one two-level transfer
+(``_transfer``); the drive of ``optimize`` is the one its search ends on,
+on the cost grid.
 
 ``_emit`` writes each table ``<name>`` of command ``<command>`` as
 ``<command>_<name>.csv`` (dashes become underscores), in the order the
@@ -93,7 +95,7 @@ class Run:
     inputs: dict = field(default_factory=dict)
     tables: dict[str, tuple[list[str], list]] = field(default_factory=dict)
     results: dict = field(default_factory=dict)
-    bounds: dict | None = field(default_factory=dict)
+    bounds: dict | None = None
     diagnostics: dict = field(default_factory=dict)
     parameters: dict = field(default_factory=dict)
     fd: dict[str, tf.TFDistribution] = field(default_factory=dict)
@@ -159,7 +161,7 @@ def _evaluate(s: Scenario) -> Run:
     # first, so that a grid too short for a density is refused as such
     fd = {name: tf.tf_from_population(tf.PopulationSeries(grid, p))
           for name, p in s.targets.items()}
-    run = Run(bounds=None, fd=fd, moments={name: tf.moments(d) for name, d in fd.items()})
+    run = Run(fd=fd, moments={name: tf.moments(d) for name, d in fd.items()})
     diag = run.diagnostics
     name, p = next(iter(s.targets.items()))
     if s.reference is not None:
@@ -220,6 +222,19 @@ def _evaluate(s: Scenario) -> Run:
 # their frequencies in angular units, and lays out what _evaluate made of it
 
 
+def _transfer(waveform: models.ControlWaveform, init: models.TwoLevelInitial,
+              grid: TimeGrid, **extra) -> tuple[Scenario, np.ndarray]:
+    """The two-level transfer |0> -> |1> under ``waveform`` on ``grid``, with
+    the ``extra`` Scenario fields, and its closed-form p_1; the scenario's
+    population is p_1 clipped to [0, 1]."""
+    p = models.two_level_population(waveform, init, grid.times)
+    return Scenario(
+        grid, {"p_1": np.clip(p, 0.0, 1.0)},
+        dynamics.LindbladModel(models.two_level_hamiltonian(waveform)),
+        operators.basis_state(2, 1), rate=models.two_level_rate(waveform, init, grid.times),
+        drive=waveform, **extra), p
+
+
 def _run_two_level(args) -> Run:
     if args.waveform == "constant":
         waveform = models.ControlWaveform.constant(args.omega0)
@@ -235,23 +250,19 @@ def _run_two_level(args) -> Run:
     grid = TimeGrid(args.t_start, t_end, args.points)
     times = grid.times
 
-    p = models.two_level_population(waveform, init, times)
-    rate = models.two_level_rate(waveform, init, times)
     closed = models.two_level_moments_closed(waveform, init, grid.t_start, grid.t_end)
-    series = tf.PopulationSeries(grid, np.clip(p, 0.0, 1.0))
-    run = _evaluate(Scenario(
-        grid, {"p_1": series.values},
-        dynamics.LindbladModel(models.two_level_hamiltonian(waveform)),
-        operators.basis_state(2, 1), rate=rate, closed={"measured": closed}, drive=waveform,
-        protocol=None if args.protocol is None else (args.protocol, args.seed)))
-    segments = tf.split_toa_tod(series).segments
+    scenario, p = _transfer(
+        waveform, init, grid, closed={"measured": closed},
+        protocol=None if args.protocol is None else (args.protocol, args.seed))
+    run = _evaluate(scenario)
+    segments = tf.split_toa_tod(tf.PopulationSeries(grid, scenario.targets["p_1"])).segments
     return run.lay_out(
         {"theta": args.theta, "phi": args.phi, "waveform": args.waveform,
          "omega0": args.omega0, "t_start": grid.t_start, "t_end": grid.t_end,
          "points": args.points},
         {"series": (["time", "p_1", "pi_tf", "segment"],
                     [times, p, run.current.density,
-                     tf.point_kinds(rate, tf.DEAD_BAND / grid.dt)])},
+                     tf.point_kinds(scenario.rate, tf.DEAD_BAND / grid.dt)])},
         {"closed_form_mean": closed.mean, "closed_form_std": closed.std,
          "grid_mean": run.moments["p_1"].mean, "grid_std": run.moments["p_1"].std,
          "segments": [{"t_start": float(times[i0]), "t_end": float(times[i1]),
@@ -395,20 +406,21 @@ def _run_optimize(args) -> Run:
         raise ValueError(f"config {path}: missing required key {exc}")
 
     result = opt.optimize_polynomial(config)
+    # the optimized drive's transfer on the cost grid; no closed moments, so
+    # an unresolved final drive is flagged in the diagnostics, not refused
     waveform = models.ControlWaveform.polynomial(config.omega0, result.coefficients)
-    grid = result.population.grid
-
-    return Run(
-        inputs={k: v for k, v in vars(config).items() if k != "initial_coefficients"},
-        tables={"series": (["time", "omega", "p_1", "pi_1"],
-                           [grid.times, waveform.omega(grid.times),
-                            result.population.values, result.distribution.density])},
-        results={"coefficients": list(result.coefficients), "cost": result.cost,
-                 "p1_final": result.p1_final, "n_false": result.n_false,
-                 "iterations": result.iterations, "converged": result.converged,
-                 "monotonicity_unconstrained": bool(config.lambda_mono == 0.0)},
-        parameters={"config_data": data},
-    )
+    grid = TimeGrid(0.0, config.t_horizon, config.grid_points)
+    scenario, p = _transfer(waveform, models.TwoLevelInitial(), grid)
+    run = _evaluate(scenario)
+    run.parameters = {"config_data": data}
+    return run.lay_out(
+        {k: v for k, v in vars(config).items() if k != "initial_coefficients"},
+        {"series": (["time", "omega", "p_1", "pi_1"],
+                    [grid.times, waveform.omega(grid.times), p, run.current.density])},
+        {"coefficients": list(result.coefficients), "cost": result.cost,
+         "p1_final": result.p1_final, "n_false": result.n_false,
+         "iterations": result.iterations, "converged": result.converged,
+         "monotonicity_unconstrained": bool(config.lambda_mono == 0.0)})
 
 
 _RUNNERS = {"two-level": _run_two_level, "sta": _run_sta, "lambda": _run_lambda,

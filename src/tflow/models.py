@@ -206,13 +206,6 @@ def two_level_rate(waveform: ControlWaveform, init: TwoLevelInitial, t):
     )
 
 
-def two_level_tf_closed(waveform: ControlWaveform, init: TwoLevelInitial,
-                        grid: TimeGrid) -> TFDistribution:
-    """Closed-form flow density |dp_1/dt| sampled at the grid points and
-    renormalized over the window."""
-    return tf.tf_from_rate(grid, two_level_rate(waveform, init, grid.times))
-
-
 def two_level_moments_closed(waveform: ControlWaveform, init: TwoLevelInitial,
                              t_start: float, t_end: float) -> Moments:
     """Mean and spread of the closed-form flow density |dp_1/dt| on a window.

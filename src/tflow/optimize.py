@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models, operators
-from .dynamics import TimeGrid
-from .tf import Moments, PopulationSeries, TFDistribution
+from .tf import Moments
 
 
 @dataclass(frozen=True)
@@ -223,8 +222,6 @@ class OptimizationResult:
     n_false: int
     iterations: int
     converged: bool
-    population: PopulationSeries
-    distribution: TFDistribution
 
 
 def optimize_polynomial(config: OptimizeConfig) -> OptimizationResult:
@@ -255,11 +252,7 @@ def optimize_polynomial(config: OptimizeConfig) -> OptimizationResult:
         start=lambda: _refuse_aliasing(config),
     )
 
-    grid = TimeGrid(0.0, config.t_horizon, config.grid_points)
-    ts = grid.times
-    p1 = _population(a, config, ts)
-    waveform = models.ControlWaveform.polynomial(config.omega0, a)
-    dist = models.two_level_tf_closed(waveform, models.TwoLevelInitial(), grid)
+    p1 = _population(a, config, _grid(config))
     return OptimizationResult(
         coefficients=a,
         cost=fun,
@@ -267,8 +260,6 @@ def optimize_polynomial(config: OptimizeConfig) -> OptimizationResult:
         n_false=int(np.sum(np.diff(p1) <= 0.0)),
         iterations=nit,
         converged=success,
-        population=PopulationSeries(grid, p1),
-        distribution=dist,
     )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -453,6 +454,34 @@ def test_optimize_run(tmp_path):
     assert report["results"]["monotonicity_unconstrained"] is False
     lines = _csv_lines(tmp_path / "optimize_series.csv")
     assert lines[1] == "time,omega,p_1,pi_1"
+    # the benchmark's config: the series keeps the bytes it had when the
+    # optimizer formed its own pi_1, and every bound holds
+    digest = hashlib.sha256((tmp_path / "optimize_series.csv").read_bytes()).hexdigest()
+    assert digest == "eea946690e2cd5d128ee29596a865d414d5f9cba2273c23807bd8a2dc9771207"
+    assert report["bounds"]["satisfied"] and all(report["bounds"]["satisfied"].values())
+    assert report["diagnostics"]["resolved"] is True
+
+
+@pytest.mark.parametrize("config, phase", [
+    ({"t_horizon": 1.0, "omega0": 2.5, "lambda_mono": 1.0, "max_iterations": 200}, None),
+    # the initial drive is resolved, the final one turns by 7.34 rad per step
+    ({"t_horizon": 1.0, "omega0": 10.0, "simplex_scale": 10.0, "grid_points": 10}, 7.3417),
+], ids=["ci", "aliased-final-drive"])
+def test_optimize_reports_bounds_and_flags_the_final_drive(tmp_path, config, phase):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["optimize", "--config", str(path), "--outdir", str(tmp_path)]) == 0
+    report = _read_report(tmp_path / "optimize_report.json")
+    assert report["results"]["converged"] is True
+    assert set(report["bounds"]) >= {"trace_term", "tau_tf", "measured", "satisfied"}
+    diagnostics = report["diagnostics"]
+    assert set(diagnostics) == {"phase_per_step", "resolved", "current_vs_fd_sup"}
+    if phase is None:
+        assert diagnostics["resolved"] is True
+        assert all(report["bounds"]["satisfied"].values())
+    else:
+        assert diagnostics["resolved"] is False
+        assert diagnostics["phase_per_step"] == pytest.approx(phase, abs=1e-4)
 
 
 def test_optimize_lambda_mono_zero_flagged(tmp_path):

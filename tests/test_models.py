@@ -166,7 +166,7 @@ def test_two_level_tf_closed_sine():
     wf = models.ControlWaveform.constant(1.0)
     init = models.TwoLevelInitial()
     grid = TimeGrid(0.0, np.pi, 2001)
-    dist = models.two_level_tf_closed(wf, init, grid)
+    dist = tf.tf_from_rate(grid, models.two_level_rate(wf, init, grid.times))
     assert np.max(np.abs(dist.density - 0.5 * np.sin(grid.times))) <= 1e-3
     assert abs(np.sum(dist.density) * dist.dt - 1.0) <= 1e-9
 
@@ -177,7 +177,7 @@ def test_two_level_tf_closed_phase_quarter():
     wf = models.ControlWaveform.constant(1.0)
     init = models.TwoLevelInitial(theta=theta, phi=np.pi / 2)
     grid = TimeGrid(0.0, np.pi, 501)
-    dist = models.two_level_tf_closed(wf, init, grid)
+    dist = tf.tf_from_rate(grid, models.two_level_rate(wf, init, grid.times))
     ref = np.abs(np.sin(grid.times - theta))
     ref /= np.sum(ref) * grid.dt
     assert np.max(np.abs(dist.density - ref)) <= 1e-9
@@ -188,7 +188,8 @@ def test_two_level_tf_closed_degenerate():
     wf = models.ControlWaveform.constant(1.0)
     init = models.TwoLevelInitial(theta=np.pi / 2, phi=0.0)
     with pytest.raises(DegenerateDistributionError):
-        models.two_level_tf_closed(wf, init, TimeGrid(0.0, np.pi, 101))
+        grid = TimeGrid(0.0, np.pi, 101)
+        tf.tf_from_rate(grid, models.two_level_rate(wf, init, grid.times))
 
 
 def test_two_level_moments_closed_constant_drive():
@@ -491,8 +492,8 @@ def test_gaussian_outputs_move_by_rounding_only(t0, sigma, t_end, points, theta,
     grid = TimeGrid(0.0, t_end, points)
     p_ref = models.two_level_population(ref, init, grid.times)
     assert np.max(np.abs(models.two_level_population(wf, init, grid.times) - p_ref)) <= 1e-15
-    pi_ref = models.two_level_tf_closed(ref, init, grid).density
-    pi = models.two_level_tf_closed(wf, init, grid).density
+    pi_ref = tf.tf_from_rate(grid, models.two_level_rate(ref, init, grid.times)).density
+    pi = tf.tf_from_rate(grid, models.two_level_rate(wf, init, grid.times)).density
     assert np.max(np.abs(pi - pi_ref)) <= 1e-14 * np.max(pi_ref)
 
 

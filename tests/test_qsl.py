@@ -278,7 +278,7 @@ def _two_level_case():
     waveform = models.ControlWaveform.constant(omega0)
     init = models.TwoLevelInitial()
     grid = TimeGrid(0.0, np.pi / omega0, 2001)
-    dist = models.two_level_tf_closed(waveform, init, grid)
+    dist = tf.tf_from_rate(grid, models.two_level_rate(waveform, init, grid.times))
     m = tf.moments(dist)
     p = models.two_level_population(waveform, init, grid.times)
     h = 0.5 * omega0 * operators.SIGMA_X

@@ -321,21 +321,6 @@ def test_tf_from_current_is_tf_from_rate_of_the_expectations(align):
     assert _same_bits(got.density, raw / float(np.sum(raw) * grid.dt))
 
 
-@pytest.mark.parametrize("waveform", [
-    models.ControlWaveform.constant(1.3),
-    models.ControlWaveform.polynomial(0.5, [0.1, -0.2, 0.05, 0.01]),
-    models.ControlWaveform.gaussian_pulse(0.5, 0.05),
-], ids=["constant", "polynomial", "gaussian"])
-def test_two_level_tf_closed_is_tf_from_rate(waveform):
-    grid = TimeGrid(0.0, 2.0, 801)
-    init = models.TwoLevelInitial(theta=1.0, phi=0.4)
-    rate = models.two_level_rate(waveform, init, grid.times)
-    got = models.two_level_tf_closed(waveform, init, grid)
-    assert _same_distribution(got, tf.tf_from_rate(grid, rate))
-    raw = np.abs(rate)
-    assert _same_bits(got.density, raw / float(np.sum(raw) * grid.dt))
-
-
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
 @pytest.mark.parametrize("window", [(0.0, 1.3), (0.2, 1.1)], ids=["full", "part"])
 def test_sta_tf_closed_is_tf_from_population_of_the_flow_cdf(alpha, window):
