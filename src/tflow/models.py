@@ -214,7 +214,7 @@ def two_level_moments_closed(waveform: ControlWaveform, init: TwoLevelInitial,
     R sin(delta) = sin(theta) sin(phi), so it changes sign where W crosses
     delta + k pi and where w does. For a constant drive those roots are
     t = (delta + k pi)/w and the integrals of t^p |rate| (p = 0, 1, 2) are
-    exact sums (``_constant_drive_integrals``), whatever the number of sign
+    exact sums (``_constant_drive_moments``), whatever the number of sign
     changes. For polynomial and gaussian drives ``_drive_cuts`` finds every
     sign change: the real roots of w, and the solutions of
     W = delta + k pi on each piece where W is monotone. Between the cuts
@@ -230,28 +230,28 @@ def two_level_moments_closed(waveform: ControlWaveform, init: TwoLevelInitial,
     if not t_end > t_start:
         raise ValueError("t_end must exceed t_start")
     if waveform.kind == "constant":
-        integrals = _constant_drive_integrals(waveform.params["omega0"], init,
-                                              t_start, t_end)
-        return Moments.from_raw(*integrals[1:] / tf._flow_mass(integrals[0]))
+        return _constant_drive_moments(waveform.params["omega0"], init, t_start, t_end)
     delta = np.arctan2(np.sin(init.theta) * np.sin(init.phi), np.cos(init.theta))
     cuts = _drive_cuts(waveform, delta, t_start, t_end)
     mean, var = _piece_moments(waveform, init, cuts)
-    # a central variance: mu2 - mu1^2 would cancel the spread of a pulse
-    # far from t = 0
     return Moments(mean=mean, std=float(np.sqrt(max(var, 0.0))))
 
 
-def _constant_drive_integrals(omega: float, init: TwoLevelInitial, t0: float,
-                              t1: float) -> np.ndarray:
-    """Integrals of t^p |rate| over [t0, t1], p = 0, 1, 2, for a constant drive.
+def _constant_drive_moments(omega: float, init: TwoLevelInitial, t0: float,
+                            t1: float) -> Moments:
+    """Mean and spread of |rate| on [t0, t1] for a constant drive.
 
-    The rate is (omega/2) R sin(omega t - delta). Its roots
-    t = (delta + k pi)/omega cut the window into pieces on which the sine
-    keeps its sign. The interior pieces are full half periods whose centres
-    form an arithmetic progression, so their sums are closed forms in the
-    number of pieces; the two end pieces go through
-    ``_sine_piece_integrals``. Time and memory do not grow with the number
-    of sign changes.
+    In s = (t - t0)/L on [0, 1], with L = t1 - t0, the rate is
+    (omega/2) R sin(u0 + W s) up to its sign, where W = |omega| L and u0 is
+    the phase at t0 reduced through its sine and cosine, so a window far
+    from t = 0 keeps the digits of its phase. The roots s = (k pi - u0)/W
+    cut [0, 1] into pieces on which the sine keeps its sign. The interior
+    pieces are full half periods whose centres form an arithmetic
+    progression, so their sums are closed forms in the number of pieces;
+    the two end pieces go through ``_sine_piece_integrals``. The pieces are
+    summed about the mean (``_about_mean``) in units of L, so the spread
+    neither cancels nor overflows, and time and memory do not grow with
+    the number of sign changes.
     """
     if omega == 0.0:
         raise DegenerateDistributionError("a zero drive never moves the population")
@@ -259,40 +259,63 @@ def _constant_drive_integrals(omega: float, init: TwoLevelInitial, t0: float,
     delta = np.arctan2(np.sin(init.theta) * np.sin(init.phi), np.cos(init.theta))
     w = abs(omega)
     d = delta if omega > 0 else -delta  # sin(omega t - delta) = -sin(w t + delta)
-    k_lo = np.ceil((w * t0 - d) / np.pi)
-    k_hi = np.floor((w * t1 - d) / np.pi)
-    if k_hi < k_lo:
-        sums = _sine_piece_integrals(np.array([t0]), np.array([t1]), w, d)
+    span = t1 - t0
+    big_w = w * span
+    u0 = _reduced_phase(w, t0, d)
+    k_lo = np.ceil(u0 / np.pi)
+    k_hi = np.floor((u0 + big_w) / np.pi)
+    if k_hi < k_lo or big_w == 0.0:
+        centre, j0, j1, j2 = _sine_piece_integrals(np.array([0.0]), np.array([1.0]),
+                                                   big_w, -u0)
     else:
-        r_lo, r_hi = np.clip((d + np.pi * np.array([k_lo, k_hi])) / w, t0, t1)
-        ends = _sine_piece_integrals(np.array([t0, r_hi]), np.array([r_lo, t1]), w, d)
-        # interior: m pieces of half-width pi/(2w), centred where |sin| = 1
+        r_lo, r_hi = np.clip((np.pi * np.array([k_lo, k_hi]) - u0) / big_w, 0.0, 1.0)
+        centre, j0, j1, j2 = _sine_piece_integrals(np.array([0.0, r_hi]),
+                                                   np.array([r_lo, 1.0]), big_w, -u0)
         m = k_hi - k_lo
-        a0, _, a2 = _even_part_integrals(np.array([0.5 * np.pi / w]), w)[:, 0]
-        centre = 0.5 * (r_lo + r_hi)
-        sum_c2 = m * centre * centre + (np.pi / w) ** 2 * (m ** 3 - m) / 12.0
-        sums = ends + np.array([m * a0, m * centre * a0, sum_c2 * a0 + m * a2])
-    return 0.5 * w * amplitude * sums
+        if m > 0:
+            # m pieces of half-width pi/(2W), centred where |sin| = 1; their
+            # centres lie pi/W apart, and m pi/W <= 1
+            a0, _, a2 = _even_part_integrals(np.array([0.5 * np.pi / big_w]), big_w)[:, 0]
+            centre = np.append(centre, 0.5 * (r_lo + r_hi))
+            j0, j1 = np.append(j0, m * a0), np.append(j1, 0.0)
+            j2 = np.append(j2, m * a2 + (np.pi / big_w * m) ** 2 * (m - 1.0 / m) / 12.0 * a0)
+    tf._flow_mass(0.5 * big_w * amplitude * np.sum(j0))
+    _, mean, spread = _about_mean(centre, j0, j1, j2)
+    return Moments(mean=float(t0 + span * mean),
+                   std=float(span * np.sqrt(max(spread / np.sum(j0), 0.0))))
+
+
+def _reduced_phase(w: float, t0: float, d: float) -> float:
+    """w t0 - d reduced through its sine and cosine, plus the rounding error
+    of w t0 (Dekker's exact product, which needs no fused multiply-add) and
+    of the difference: a window far from t = 0 keeps the digits of its
+    phase that the rounding of w t0 would lose. A product too large to
+    split keeps its rounding."""
+
+    def halves(x: float) -> tuple[float, float]:
+        c = 134217729.0 * x  # 2^27 + 1: a 26-bit high half
+        return c - (c - x), x - (c - (c - x))
+
+    p, v = w * t0, w * t0 - d
+    (wh, wl), (th, tl) = halves(w), halves(t0)
+    error = ((wh * th - p) + wh * tl + wl * th) + wl * tl + ((p - v) - d)
+    return float(np.arctan2(np.sin(v), np.cos(v))) + (error if math.isfinite(error) else 0.0)
 
 
 def _sine_piece_integrals(lo: np.ndarray, hi: np.ndarray, w: float,
-                          d: float) -> np.ndarray:
-    """Sums over pieces [lo, hi], on which sin(w t - d) keeps its sign, of
-    the integrals of t^p |sin(w t - d)|, p = 0, 1, 2.
+                          d: float) -> tuple[np.ndarray, ...]:
+    """Centres c of the pieces [lo, hi], on which sin(w t - d) keeps its
+    sign, and on each the integrals of (t - c)^p |sin(w t - d)|, p = 0, 1, 2.
 
-    With centre c, half-width h and t = c + x, sin(w t - d) is
+    With half-width h and t = c + x, sin(w t - d) is
     sin(u) cos(w x) + cos(u) sin(w x) with u = w c - d, and only the even
     parts of x^j cos(w x), x sin(w x), x^2 cos(w x) survive on [-h, h].
     """
     c, h = 0.5 * (hi + lo), 0.5 * (hi - lo)
     sin_u, cos_u = np.sin(w * c - d), np.cos(w * c - d)
-    s, k = np.abs(sin_u), np.sign(sin_u) * cos_u
+    s = np.abs(sin_u)
     a0, a1, a2 = _even_part_integrals(h, w)
-    return np.array([
-        np.sum(s * a0),
-        np.sum(c * s * a0 + k * a1),
-        np.sum(c * c * s * a0 + 2.0 * c * k * a1 + s * a2),
-    ])
+    return c, s * a0, np.sign(sin_u) * cos_u * a1, s * a2
 
 
 def _even_part_integrals(h: np.ndarray, w: float) -> np.ndarray:
@@ -408,17 +431,23 @@ def _piece_moments(waveform: ControlWaveform, init: TwoLevelInitial,
         rate = two_level_rate(waveform, init, centre[:, None] + x)
         f = np.abs(rate) * (h * weights)
         j0, j1, j2 = np.sum(f, axis=1), np.sum(x * f, axis=1), np.sum(x * x * f, axis=1)
-        mass = np.sum(j0)
-        if mass == 0.0:
-            continue
-        mean = (np.sum(centre * j0) + np.sum(j1)) / mass
-        d = centre - mean
-        chunks.append((mass, mean, np.sum(j2 + d * (2.0 * j1 + d * j0))))
+        if np.sum(j0) > 0.0:
+            chunks.append(_about_mean(centre, j0, j1, j2))
     mass, mean, spread = np.array(chunks).reshape(-1, 3).T
     total = tf._flow_mass(np.sum(mass))
-    overall = np.sum(mass * mean) / total
-    d = mean - overall
-    return float(overall), float(np.sum(spread + mass * d * d) / total)
+    _, overall, spread = _about_mean(mean, mass, np.zeros_like(mass), spread)
+    return float(overall), float(spread / total)
+
+
+def _about_mean(centre: np.ndarray, j0: np.ndarray, j1: np.ndarray,
+                j2: np.ndarray) -> tuple[float, float, float]:
+    """Mass, mean and summed squared deviation about the mean of pieces
+    with centres ``centre`` and integrals j_p of (t - centre)^p f, by
+    parallel axes; the mass must be positive."""
+    mass = np.sum(j0)
+    mean = (np.sum(centre * j0) + np.sum(j1)) / mass
+    d = centre - mean
+    return mass, mean, np.sum(j2 + d * (2.0 * j1 + d * j0))
 
 
 # ---------------------------------------------------------------------------
@@ -504,22 +533,38 @@ def sta_tf_closed(config: STAConfig, grid: TimeGrid) -> tuple[TFDistribution, Mo
 def sta_moments_closed(config: STAConfig) -> Moments:
     """Mean and spread of the arrival distribution, as exact series.
 
-    Integration by parts against the accumulated flow avoids the
-    integrable density singularity at t = 0 for alpha < 1:
-    mu1 = T - int F, mu2 = T^2 - 2 int t F. In u = (t/T)^alpha the Taylor
-    series of F = sin(pi u/2) integrates term by term:
+    In s = t/T the arrival is s = u^(1/alpha), where u has the density
+    (pi/2) cos(pi u/2) on [0, 1], and the spread is formed about the end
+    of [0, 1] the mass sits next to, so that it never cancels:
 
-        int_0^T t^q F dt = T^(q+1) sum_k (-1)^k (pi/2)^(2k+1)
-                           / ((2k+1)! (alpha (2k+1) + q + 1)),
+    * alpha < 1, mass near s = 0: in u = 1 - v the Beta integrals give
 
-    25 terms reach rounding error, and alpha = 0 gives the frozen limit.
+          E[s^p] = sum_k (-1)^k prod_{j=1}^{2k+2} (pi/2) alpha / (p + j alpha),
+
+      and var = E[s^2] - E[s]^2, where E[s]^2 is the smaller term;
+    * alpha >= 1, mass near s = 1: y = 1 - s has E[y] = int_0^1 F ds and
+      E[y^2] = 2 int_0^1 (1 - s) F ds, where the Taylor series of
+      F = sin(pi u/2) integrates term by term. In units of 1/alpha,
+      alpha E[y] = sum_n c_n / (n + 1/alpha) and
+      alpha^2 E[y^2] / 2 = sum_n c_n / ((n + 1/alpha)(n + 2/alpha)), with
+      c_n = (-1)^k (pi/2)^n / n! over odd n = 2k + 1.
+
+    25 terms reach rounding error either way, alpha = 0 gives the frozen
+    limit, and no term overflows for any finite alpha.
     """
-    big_t = config.t_final
+    alpha, big_t = config.alpha, config.t_final
+    if alpha < 1.0:
+        j = np.arange(1.0, _TAYLOR.size + 1.0)
+        signs = (-1.0) ** np.arange(_TAYLOR.size // 2)
+        e1, e2 = (float(np.cumprod(0.5 * np.pi * alpha / (p + j * alpha))[1::2] @ signs)
+                  for p in (1.0, 2.0))
+        return Moments(mean=big_t * e1, std=big_t * float(np.sqrt(max(e2 - e1 * e1, 0.0))))
     n = np.arange(1, _TAYLOR.size, 2)
-    terms = _TAYLOR[n] * (0.5 * np.pi) ** n
-    i0 = big_t * float(np.sum(terms / (config.alpha * n + 1.0)))
-    i1 = big_t * big_t * float(np.sum(terms / (config.alpha * n + 2.0)))
-    return Moments.from_raw(big_t - i0, big_t * big_t - 2.0 * i1)
+    c = _TAYLOR[n] * (0.5 * np.pi) ** n
+    a0 = float(np.sum(c / (n + 1.0 / alpha)))
+    a2 = float(np.sum(c / ((n + 1.0 / alpha) * (n + 2.0 / alpha))))
+    return Moments(mean=big_t * (1.0 - a0 / alpha),
+                   std=big_t / alpha * float(np.sqrt(max(2.0 * a2 - a0 * a0, 0.0))))
 
 
 def sta_grid(config: STAConfig, grid: TimeGrid) -> TimeGrid:

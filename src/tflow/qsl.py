@@ -47,13 +47,14 @@ def _target_vector(dim: int, target) -> np.ndarray:
 
 
 def hamiltonian_std(h: np.ndarray, target) -> float:
-    """Delta_k H = sqrt(<k|H^2|k> - <k|H|k>^2) for a basis index or a
-    normalized state vector."""
+    """Delta_k H = |(H - <k|H|k>)|k>|, which is sqrt(<k|H^2|k> - <k|H|k>^2)
+    without its cancellation, for a basis index or a normalized state
+    vector."""
     h = np.asarray(h, dtype=complex)
     operators.assert_hermitian(h, name="Hamiltonian")
     vec = _target_vector(h.shape[0], target)
     hv = h @ vec
-    return Moments.from_raw(np.real(np.vdot(vec, hv)), np.real(np.vdot(hv, hv))).std
+    return float(np.linalg.norm(hv - np.real(np.vdot(vec, hv)) * vec))
 
 
 def tf_qsl_open(model: LindbladModel, m: np.ndarray, delta_theta: float,

@@ -17,8 +17,10 @@ time-of-departure (decreasing) parts, each normalized by the inverse of
 the probability it transfers; an interval whose population changes by at
 most ``DEAD_BAND`` is neutral, which excludes flat plateaus from both.
 
-``Moments`` holds a mean and spread. ``Moments.from_raw`` forms them from
-the raw moments mu^(1), mu^(2); it holds the one clamp of mu2 - mu1^2.
+``Moments`` holds a mean and spread. ``moments`` and the stepwise-flow
+statistics form both through ``_weighted_moments``: in units of the span
+of the times from the first, and the spread about the mean, so that a
+window far from t = 0 keeps the digits of its spread.
 """
 
 from __future__ import annotations
@@ -93,12 +95,18 @@ class Moments:
     mean: float
     std: float
 
-    @classmethod
-    def from_raw(cls, mu1: float, mu2: float) -> Moments:
-        """From the raw moments mu^(1) and mu^(2): the spread is
-        sqrt(mu2 - mu1^2), where rounding below 0 reads as 0."""
-        mean = float(mu1)
-        return cls(mean=mean, std=float(np.sqrt(max(float(mu2) - mean * mean, 0.0))))
+
+def _weighted_moments(t: np.ndarray, w: np.ndarray) -> Moments:
+    """Mean and spread of the weights ``w`` (summing to 1) at the sorted
+    times ``t``. Both are formed in x = (t - t[0]) / span, the spread about
+    the mean: sqrt(mu2 - mu1^2) about t = 0 would cancel the spread of a
+    window far from t = 0, and t^2 overflow for a huge one."""
+    start = float(t[0])
+    span = float(t[-1] - start) or 1.0
+    x = (t - start) / span
+    m = float(np.sum(w * x))
+    return Moments(mean=start + span * m,
+                   std=span * float(np.sqrt(np.sum(w * (x - m) ** 2))))
 
 
 def _flow_mass(mass: float) -> float:
@@ -213,9 +221,8 @@ def split_toa_tod(series: PopulationSeries) -> SplitResult:
 
 
 def moments(dist: TFDistribution) -> Moments:
-    """Mean and spread from the raw moments mu^(p) = sum t^p density dt."""
-    return Moments.from_raw(*(float(np.sum(dist.times ** p * dist.density) * dist.dt)
-                              for p in (1, 2)))
+    """Mean and spread of the density (``_weighted_moments``)."""
+    return _weighted_moments(dist.times, dist.density * dist.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +261,7 @@ def step_model_statistics(steps: list[tuple[float, float]]) -> StepModelStats:
         total = float(np.sum(w))
         if not total > _FLAT_TOL:
             return None
-        t = ts[mask]
-        return Moments.from_raw(np.sum(w * t) / total, np.sum(w * t * t) / total)
+        return _weighted_moments(ts[mask], w / total)
 
     toa = _stats(ws > 0)
     tod = _stats(ws < 0)

@@ -61,7 +61,7 @@ def test_two_level_t_start_moves_the_window(tmp_path):
     assert results["segments"] == [{"t_start": 0.5, "t_end": 3.0, "kind": "TOA"}]
     # closed-form moments on [0.5, 3], recorded when this test was written
     closed = (results["closed_form_mean"], results["closed_form_std"])
-    assert closed == (1.6440909436236633, 0.6180346389271356)
+    assert closed == (1.644090943623663, 0.618034638927136)
     assert abs(results["grid_mean"] - closed[0]) <= 1e-7
     assert abs(results["grid_std"] - closed[1]) <= 1e-7
 
@@ -112,6 +112,41 @@ def test_flat_dynamics_exits_3(tmp_path, capsys):
                "--outdir", str(tmp_path)])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_moment_arithmetic_never_exits_1(tmp_path, capsys):
+    # each exited 1: (pi / w)^2 raised OverflowError, and alpha * n overflowed
+    def run(*argv):
+        out = tmp_path / str(len(list(tmp_path.iterdir())))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return main([*argv, "--points", "50", "--outdir", str(out)]), out
+
+    rc, out = run("two-level", "--omega0", "1e-160", "--t-end", "1")
+    assert rc == 3
+    assert "flow is flat" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+    # the --omega0 1 run in time rescaled by 1e155
+    rc, out = run("two-level", "--omega0", "1e-155")
+    assert rc == 0
+    results = _read_report(out / "two_level_report.json")["results"]
+    assert results["closed_form_mean"] == pytest.approx(1e155 * np.pi / 2, rel=1e-12)
+    assert results["closed_form_std"] == pytest.approx(1e155 * 0.683667390089903, rel=1e-12)
+    rc, out = run("sta", "--alpha", "1.7e308")
+    assert rc == 0
+    assert _read_report(out / "sta_report.json")["results"]["mean"] == 1.0
+
+
+def test_closed_form_spreads_far_from_t_0(tmp_path):
+    # both wrote std 0: the raw forms mu2 - mu1^2 cancelled every digit
+    assert main(["two-level", "--omega0", "1", "--t-start", "1e8", "--t-end",
+                 "100000003.14159265", "--points", "1000", "--outdir", str(tmp_path)]) == 0
+    results = _read_report(tmp_path / "two_level_report.json")["results"]
+    assert results["closed_form_std"] == pytest.approx(1.0127071564, rel=1e-10)
+    assert results["grid_std"] == pytest.approx(1.0127071564, rel=1e-6)  # O(dt^2)
+    assert main(["sta", "--alpha", "1e8", "--points", "50", "--outdir", str(tmp_path)]) == 0
+    std = _read_report(tmp_path / "sta_report.json")["results"]["std"]
+    assert std == pytest.approx(1.0607753409e-8, rel=1e-10)  # mpmath at 40 digits
 
 
 def test_failed_run_writes_nothing(tmp_path, capsys):

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import types
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -208,7 +209,7 @@ def test_two_level_moments_closed_bits():
     # sums and the polynomial drive's enumeration
     m = models.two_level_moments_closed(
         models.ControlWaveform.constant(2000.0), models.TwoLevelInitial(), 0.0, 10.0)
-    assert (m.mean, m.std) == (4.999918066439879, 2.886704028452463)
+    assert (m.mean, m.std) == (4.999918066439878, 2.8867040284524634)
     m = models.two_level_moments_closed(
         models.ControlWaveform.polynomial(1.0, [0.5, -1.0, 0.3, 0.1]),
         models.TwoLevelInitial(1.0, 1.5), 0.0, 3.0)
@@ -641,7 +642,111 @@ def test_sta_moments_linear_schedule():
 def test_sta_moments_bits():
     # bit for bit, as the reports print them
     m = models.sta_moments_closed(models.STAConfig(0.5, 1.02, 20.0))
-    assert (m.mean, m.std) == (0.1932191414785237, 0.21110906498756385)
+    assert (m.mean, m.std) == (0.19321914147852373, 0.21110906498756377)
+
+
+def _sta_reference(alpha: float) -> tuple[float, float]:
+    """Mean and spread of s = u^(1/alpha), u ~ (pi/2) cos(pi u/2) on [0, 1],
+    by quadrature in y = -ln u, whose density is
+    g(y) = (pi/2) sin(-(pi/2) expm1(-y)) e^-y. For alpha < 1 the mass sits
+    near s = 0: E[s^p] = alpha int e^(-p x) g(alpha x) dx. For alpha >= 1 it
+    sits near s = 1, and z = 1 - s = -expm1(-y/alpha) keeps its digits."""
+    opts = dict(epsabs=0.0, epsrel=1e-13, limit=400)
+
+    def g(y):
+        return 0.5 * np.pi * np.sin(-0.5 * np.pi * np.expm1(-y)) * np.exp(-y)
+
+    if alpha < 1.0:
+        e1, e2 = (alpha * quad(lambda x: np.exp(-p * x) * g(alpha * x), 0.0, np.inf,
+                               **opts)[0] for p in (1, 2))
+        return e1, math.sqrt(e2 - e1 * e1)
+    z1, z2 = (quad(lambda y: (-np.expm1(-y / alpha)) ** p * g(y), 0.0, np.inf,
+                   **opts)[0] for p in (1, 2))
+    return 1.0 - z1, math.sqrt(z2 - z1 * z1)
+
+
+def test_sta_moments_match_a_reference_from_alpha_1e_minus_8_to_1e8():
+    # the raw form mu2 - mu1^2 about t = 0 read std 0 at alpha 1e8 and was
+    # 0.3% off at 1e7; the form about T cancels as alpha -> 0 instead
+    rng = np.random.default_rng(20)
+    for alpha in [1e-8, 1e8, *10.0 ** rng.uniform(-8.0, 8.0, 24)]:
+        big_t = 10.0 ** rng.uniform(-3.0, 3.0)
+        m = models.sta_moments_closed(models.STAConfig(alpha, big_t, 1.0))
+        mean, std = _sta_reference(alpha)
+        assert m.mean == pytest.approx(big_t * mean, rel=1e-9, abs=0.0)
+        assert m.std == pytest.approx(big_t * std, rel=1e-9, abs=0.0)
+    # the limit std(-ln u) / alpha, from mpmath at 40 digits
+    assert models.sta_moments_closed(models.STAConfig(1e8, 1.0, 1.0)).std == pytest.approx(
+        1.0607753409e-8, rel=1e-10)
+
+
+# 50 digits of pi, for reducing omega t0 exactly in decimal
+_PI = Decimal("3.1415926535897932384626433832795028841971693993751")
+
+
+def _constant_drive_reference(omega, theta, phi, t0, t1) -> tuple[float, float]:
+    """Mean and spread of |rate| on [t0, t1] by quadrature in tau = t - t0,
+    split at the sign changes; the phase omega t0 is reduced in 60-digit
+    decimal arithmetic, so a window far from t = 0 keeps its digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a = float((Decimal(omega) * Decimal(t0)) % (2 * _PI))
+    delta = math.atan2(math.sin(theta) * math.sin(phi), math.cos(theta))
+
+    def rate(tau):
+        w = a + omega * tau
+        return abs(math.cos(theta) * math.sin(w) - math.sin(theta) * math.sin(phi) * math.cos(w))
+
+    span = t1 - t0
+    k = np.arange(math.ceil((a - delta) / np.pi), math.floor((a + omega * span - delta) / np.pi) + 1)
+    cuts = [0.0, *((delta + k * np.pi - a) / omega), span]
+    i0, i1, i2 = (sum(quad(lambda tau: tau ** p * rate(tau), lo, hi, epsabs=0.0,
+                           epsrel=1e-13)[0] for lo, hi in zip(cuts, cuts[1:]))
+                  for p in range(3))
+    return t0 + i1 / i0, math.sqrt(i2 / i0 - (i1 / i0) ** 2)
+
+
+def test_constant_drive_moments_far_from_t_0_match_a_reference():
+    # the raw form mu2 - mu1^2 about t = 0 read std 0 on [1e8, 1e8 + pi] and
+    # 0.71046516 for 0.71048891 on [1e6, 1e6 + pi]
+    m = models.two_level_moments_closed(models.ControlWaveform.constant(1.0),
+                                        models.TwoLevelInitial(), 1e8, 100000003.14159265)
+    assert m.std == pytest.approx(1.0127071564, rel=1e-10)  # mpmath at 40 digits
+    rng = np.random.default_rng(21)
+    for t0 in [0.0, 1e6, 1e8, *10.0 ** rng.uniform(0.0, 8.0, 16)]:
+        omega = 10.0 ** rng.uniform(-0.5, 1.0)
+        theta, phi = rng.uniform(0.0, np.pi), rng.uniform(0.0, 2.0 * np.pi)
+        t1 = t0 + 10.0 ** rng.uniform(-1.0, 1.0)
+        m = models.two_level_moments_closed(models.ControlWaveform.constant(omega),
+                                            models.TwoLevelInitial(theta, phi), t0, t1)
+        mean, std = _constant_drive_reference(omega, theta, phi, t0, t1)
+        assert m.mean == pytest.approx(mean, rel=1e-9, abs=0.0)
+        assert m.std == pytest.approx(std, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("moments, raw_form", [
+    (lambda: models.two_level_moments_closed(
+        models.ControlWaveform.constant(2000.0), models.TwoLevelInitial(), 0.0, 10.0),
+     (4.999918066439879, 2.886704028452463)),
+    (lambda: models.two_level_moments_closed(
+        models.ControlWaveform.constant(1.0), models.TwoLevelInitial(1.0471975512, 1.5707963268),
+        0.0, 3.1415926536), (1.8325957145986054, 0.9624530142886232)),
+    (lambda: models.two_level_moments_closed(
+        models.ControlWaveform.constant(1.03), models.TwoLevelInitial(), 0.0, np.pi / 1.03),
+     (1.5250449774707733, 0.6637547476600997)),
+    (lambda: models.sta_moments_closed(models.STAConfig(0.5, 0.97, 20.0)),
+     (0.18374761493545888, 0.20076058140974187)),
+    (lambda: models.sta_moments_closed(models.STAConfig(0.75, 0.97, 20.0)),
+     (0.27655830071317267, 0.2250598327603387)),
+    (lambda: models.sta_moments_closed(models.STAConfig(1.0, 0.97, 20.0)),
+     (0.35247882080344606, 0.23236580508415447)),
+], ids=["high-oscillation", "readme", "constant", "sta-0.5", "sta-0.75", "sta-1"])
+def test_spreads_about_the_mean_move_benchmark_moments_by_rounding_only(moments, raw_form):
+    # the benchmark's closed forms as the raw forms mu2 - mu1^2 gave them;
+    # forming each spread about its mean moves them by 1e-12 relative at most
+    m = moments()
+    assert m.mean == pytest.approx(raw_form[0], rel=1e-12, abs=0.0)
+    assert m.std == pytest.approx(raw_form[1], rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.75, 1.0, 2.0, 7.0])

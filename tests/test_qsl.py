@@ -119,6 +119,9 @@ def test_hamiltonian_std_direct_evaluation():
     # basis index form
     h2 = 0.5 * 3.0 * operators.SIGMA_X
     assert qsl.hamiltonian_std(h2, 1) == pytest.approx(1.5, rel=1e-12)
+    # an energy offset moves no deviation; <H^2> - <H>^2 read 0 at 1e8
+    for offset in (1e3, 1e8, 1e15):
+        assert qsl.hamiltonian_std(0.5 * operators.SIGMA_X + offset * np.eye(2), 0) == 0.5
 
 
 def test_tf_qsl_closed_variants():

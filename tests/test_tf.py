@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -155,19 +156,44 @@ def test_moments_bits():
     grid = TimeGrid(0.0, 3.0, 2001)
     series = tf.PopulationSeries(grid, np.sin(grid.times) ** 2 / np.sin(3.0) ** 2)
     m = tf.moments(tf.tf_from_population(series))
-    assert (m.mean, m.std) == (1.5559460089480837, 0.8478923047750369)
+    assert (m.mean, m.std) == (1.5559460089480832, 0.8478923047750374)
+
+
+def test_grid_moments_far_from_t_0_match_shifted_time():
+    # the raw form mu2 - mu1^2 about t = 0 read grid_std 0 for a pi window at
+    # t = 1e8. The FD moments differ from the exact ones by O(dt^2), so the
+    # reference is the same density's moments in shifted time
+    rng = np.random.default_rng(22)
+    for t0 in [0.0, 1e8, *10.0 ** rng.uniform(0.0, 8.0, 14)]:
+        grid = TimeGrid(t0, t0 + 10.0 ** rng.uniform(-1.0, 1.0), int(rng.integers(50, 2000)))
+        init = models.TwoLevelInitial(rng.uniform(0.0, np.pi), rng.uniform(0.0, 2.0 * np.pi))
+        waveform = models.ControlWaveform.constant(10.0 ** rng.uniform(-0.5, 1.0))
+        p = models.two_level_population(waveform, init, grid.times)
+        dist = tf.tf_from_population(tf.PopulationSeries(grid, p))
+        tau, w = dist.times - t0, dist.density * dist.dt
+        mean = float(np.sum(w * tau))
+        std = math.sqrt(float(np.sum(w * tau * tau)) - mean * mean)
+        m = tf.moments(dist)
+        assert m.mean == pytest.approx(t0 + mean, rel=1e-9, abs=0.0)
+        assert m.std == pytest.approx(std, rel=1e-9, abs=0.0)
+        if t0 == 0.0:
+            # where the raw form keeps its digits, the two agree to rounding
+            assert m.mean == pytest.approx(mean, rel=1e-12, abs=0.0)
+            assert m.std == pytest.approx(std, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e8, 1e15])
+def test_step_statistics_keep_their_spread_far_from_t_0(offset):
+    stats = tf.step_model_statistics([(offset + 1.0, 0.5), (offset + 2.0, 0.5)])
+    assert (stats.tf.mean, stats.tf.std) == (offset + 1.5, 0.5)
+    mixed = tf.step_model_statistics([(offset + 2.0, 0.5), (offset + 4.0, -0.25),
+                                      (offset + 6.0, 0.75)])
+    assert mixed.toa.std == pytest.approx(math.sqrt(0.4 * 0.6 * 16.0), rel=1e-12)
+    assert mixed.tf.std == pytest.approx(math.sqrt(29.0) / 3.0, rel=1e-12)
 
 
 def test_moments_hold_mean_and_std_only():
     assert [f.name for f in dataclasses.fields(tf.Moments)] == ["mean", "std"]
-
-
-def test_moments_from_raw():
-    m = tf.Moments.from_raw(np.float64(1.0), 2.0)
-    assert (m.mean, m.std) == (1.0, 1.0)
-    assert type(m.mean) is float
-    # rounding can leave mu2 below mu1^2; that spread is 0, not NaN
-    assert tf.Moments.from_raw(2.0, 3.0).std == 0.0
 
 
 def test_tf_from_current_matches_finite_differences():
@@ -227,9 +253,9 @@ def test_step_statistics_mixed_flow():
 def test_step_statistics_bits():
     # bit for bit, as the reports print them
     stats = tf.step_model_statistics([(2.0, 0.5), (4.0, -0.25), (6.0, 0.75)])
-    assert (stats.toa.mean, stats.toa.std) == (4.4, 1.9595917942265415)
+    assert (stats.toa.mean, stats.toa.std) == (4.4, 1.9595917942265424)
     assert (stats.tod.mean, stats.tod.std) == (4.0, 0.0)
-    assert (stats.tf.mean, stats.tf.std) == (4.333333333333333, 1.7950549357115022)
+    assert (stats.tf.mean, stats.tf.std) == (4.333333333333334, 1.7950549357115013)
     assert all(type(m) is tf.Moments for m in (stats.toa, stats.tod, stats.tf))
 
 
