@@ -406,8 +406,9 @@ def _run_optimize(args) -> Run:
         raise ValueError(f"config {path}: missing required key {exc}")
 
     result = opt.optimize_polynomial(config)
-    # the optimized drive's transfer on the cost grid; no closed moments, so
-    # an unresolved final drive is flagged in the diagnostics, not refused
+    # the transfer under the drive the search ended on, on its cost grid. No
+    # closed-form moments: their enumeration can refuse a drive the search
+    # accepted, which would change the exit code
     waveform = models.ControlWaveform.polynomial(config.omega0, result.coefficients)
     grid = TimeGrid(0.0, config.t_horizon, config.grid_points)
     scenario, p = _transfer(waveform, models.TwoLevelInitial(), grid)

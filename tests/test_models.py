@@ -188,8 +188,8 @@ def test_two_level_tf_closed_degenerate():
     # theta = pi/2, phi = 0 freezes the |1> population entirely
     wf = models.ControlWaveform.constant(1.0)
     init = models.TwoLevelInitial(theta=np.pi / 2, phi=0.0)
+    grid = TimeGrid(0.0, np.pi, 101)
     with pytest.raises(DegenerateDistributionError):
-        grid = TimeGrid(0.0, np.pi, 101)
         tf.tf_from_rate(grid, models.two_level_rate(wf, init, grid.times))
 
 
