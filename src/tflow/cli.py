@@ -5,13 +5,15 @@ it to ``_evaluate``, which runs every route whose input the scenario
 holds: the FD TF and moments of each target; the
 deviation from a reference population; one table of H on the grid,
 sampled and checked once, for the resolution rule of
-``models.grid_phase`` (``diagnostics.resolved``), L^dag(M) and the bounds
-of ``qsl.build_bounds_report`` (the model's closed forms where given,
-else the largest |Tr(L^dag(M)^2)| on the grid and the FD TF's moments,
-peak and transfer); the current TF from a rate, or from <L^dag(M)> along
-a trajectory, with ``current_vs_fd_sup``; and the protocol when asked. A
-route that cannot be formed on a well-posed input writes null and its
-reason under ``diagnostics.skipped``; it never changes the exit code. The
+``models.grid_phase`` (``diagnostics.resolved``) and the one L^dag(M) of
+the run; the bounds of ``qsl.build_bounds_report``, whose trace term is
+always the largest |Tr(L^dag(M)^2)| on the grid, used when it is 0 or a
+normal float (the other keywords are the model's closed forms where
+given, else the FD TF's moments, peak and transfer); the current TF from
+a closed-form rate, or from <L^dag(M)> along a trajectory, with
+``current_vs_fd_sup``; and the protocol when asked. A route that cannot
+be formed on a well-posed input writes null and its reason under
+``diagnostics.skipped``; it never changes the exit code. The
 subcommand lays out its own tables, result keys and model-specific
 diagnostics. ``two-level`` and ``optimize`` share one two-level transfer
 (``_transfer``); the drive of ``optimize`` is the one its search ends on,
@@ -89,7 +91,8 @@ class Run:
 
     ``tables`` maps a table name to ``(header, columns)`` in write order;
     ``parameters`` replace or extend the parsed arguments in the manifest.
-    ``fd``, ``moments`` (by target) and ``current`` are not written.
+    ``fd``, ``moments`` (by target), the signed ``rate`` of the transfer
+    and its ``current`` TF are not written.
     """
 
     inputs: dict = field(default_factory=dict)
@@ -100,6 +103,7 @@ class Run:
     parameters: dict = field(default_factory=dict)
     fd: dict[str, tf.TFDistribution] = field(default_factory=dict)
     moments: dict[str, tf.Moments] = field(default_factory=dict)
+    rate: np.ndarray | None = None
     current: tf.TFDistribution | None = None
 
     def lay_out(self, inputs: dict, tables: dict, results: dict, **diagnostics) -> Run:
@@ -138,8 +142,10 @@ def _emit(args, run: Run) -> None:
 class Scenario:
     """One transfer (see the module docstring). The first of ``targets``
     is the transfer's, into the state ``target`` under ``model``;
-    ``closed`` holds the ``qsl.build_bounds_report`` keywords the model
-    gives in closed form, ``drive`` a ControlWaveform whose angle step is
+    ``rate`` is its closed-form signed rate, else a ``trajectory`` gives
+    <L^dag(M)>; ``closed`` holds the ``qsl.build_bounds_report`` keywords
+    the model gives in closed form (never the trace term, which is the
+    grid's), ``drive`` a ControlWaveform whose angle step is
     the phase per grid step, ``reference`` a report key and the population
     to compare with, and ``protocol`` (trials, seed)."""
 
@@ -166,7 +172,7 @@ def _evaluate(s: Scenario) -> Run:
     name, p = next(iter(s.targets.items()))
     if s.reference is not None:
         diag[s.reference[0]] = float(np.max(np.abs(p - s.reference[1])))
-    m, rate = operators.projector_from_state(s.target), s.rate
+    m, run.rate = operators.projector_from_state(s.target), s.rate
     # one checked table of H serves the resolution rule, L^dag(M) and the
     # bounds; a constant H needs one time. An H too large for the
     # arithmetic ends in inf or NaN, and so in a flag or a reason
@@ -183,21 +189,25 @@ def _evaluate(s: Scenario) -> Run:
             diag["phase_per_step"], diag["resolved"] = models.grid_phase(
                 grid.times, table if s.drive is None else s.drive)
             adj = dynamics.adjoint_on_table(s.model, m, table)
-            if rate is None and s.trajectory is not None:
-                rate = dynamics.expectation_series(s.trajectory, adj[0] if constant else adj)
+            if run.rate is None and s.trajectory is not None:
+                run.rate = dynamics.expectation_series(s.trajectory,
+                                                       adj[0] if constant else adj)
             given = {"delta_theta": abs(float(p[-1] - p[0])),
                      "trace_term": qsl.largest_trace_term(adj),
                      "measured": run.moments[name], "pi_max": fd[name].peak,
                      "hamiltonian": table[0] if constant else None, "target": s.target,
                      **s.closed}
-            if math.isfinite(given["trace_term"]):
+            # 0 (a frozen target) or a normal float; a subnormal one has
+            # lost digits, and an infinite one makes tau_tf zero
+            term = given["trace_term"]
+            if term == 0.0 or np.finfo(float).tiny <= term < math.inf:
                 run.bounds = qsl.build_bounds_report(**given)
             else:
-                diag["skipped"] = {"bounds": f"the trace term {given['trace_term']:g} "
-                                             "is not finite"}
-    if rate is not None:
-        run.current = tf.tf_from_rate(grid, rate)
-        mid = tf.tf_from_rate(grid, rate, align="midpoints").density
+                diag["skipped"] = {"bounds": f"the trace term {term:g} "
+                                             "is not a normal float"}
+    if run.rate is not None:
+        run.current = tf.tf_from_rate(grid, run.rate)
+        mid = tf.tf_from_rate(grid, run.rate, align="midpoints").density
         diag["current_vs_fd_sup"] = float(np.max(np.abs(mid - fd[name].density)))
     if s.protocol is not None:
         n_trials, seed = s.protocol
@@ -309,12 +319,10 @@ def _run_lambda(args) -> Run:
     traj = dynamics.propagate_schrodinger(schedule, operators.basis_state(3, 0), grid,
                                           args.substeps)
     pops = [dynamics.population_series(traj, operators.projector(3, k)) for k in range(3)]
-    gamma_series = dynamics.expectation_series(traj, models.lambda_gamma(config))
-    # the transfer is the flow of |2>, whose current operator lambda_gamma is
+    # the transfer is the flow of |2>
     run = _evaluate(Scenario(
         grid, {"p_2": pops[1], "p_1": pops[0], "p_3": pops[2]},
-        dynamics.LindbladModel(schedule), operators.basis_state(3, 1),
-        rate=gamma_series))
+        dynamics.LindbladModel(schedule), operators.basis_state(3, 1), trajectory=traj))
     dists = [run.fd[f"p_{k + 1}"] for k in range(3)]
 
     # <2|H(t)|dark> at 100 times; each (1, 3) @ (3,) product is one dot
@@ -327,7 +335,7 @@ def _run_lambda(args) -> Run:
          "delta_initial": config.delta_initial, "delta_final": config.delta_final,
          "t_final": args.t_final, "points": args.points, "units": args.units},
         {"series": (["time", "p_1", "p_2", "p_3", "gamma_expectation", "pi_2_current"],
-                    [grid.times, *pops, gamma_series, run.current.density]),
+                    [grid.times, *pops, run.rate, run.current.density]),
          "tf": (["time", "pi_1", "pi_2", "pi_3"],
                 [grid.midpoints, *(d.density for d in dists)])},
         {"tf_statistics": [{"state": k + 1, "mean": run.moments[f"p_{k + 1}"].mean,
@@ -353,7 +361,7 @@ def _run_dephasing(args) -> Run:
     p_num = dynamics.population_series(traj, operators.projector_from_state(minus))
     run = _evaluate(Scenario(
         grid, {"p_minus": p_num}, model, minus, trajectory=traj,
-        closed={"delta_theta": analytics.delta_theta, "trace_term": analytics.trace_term,
+        closed={"delta_theta": analytics.delta_theta,
                 "measured": tf.Moments(mean=analytics.exact_mean, std=analytics.exact_std),
                 "pi_max": 2.0 * gamma, "mt_bound": qsl.mt_dephasing_bound(gamma)},
         reference=("numeric_vs_closed_sup", analytics.population.values)))
@@ -375,20 +383,17 @@ def _run_hadamard(args) -> Run:
     rho0 = operators.projector(2, 0).astype(complex)
     traj = dynamics.propagate_lindblad(bundle.model, rho0, grid, args.substeps)
     p_plus = dynamics.population_series(traj, bundle.target)
-    gamma_series = dynamics.expectation_series(traj, bundle.current_op)
-    run = _evaluate(Scenario(
-        grid, {"p_plus": p_plus}, bundle.model, operators.plus_state(),
-        rate=gamma_series, closed={"trace_term": bundle.trace_term}))
+    run = _evaluate(Scenario(grid, {"p_plus": p_plus}, bundle.model,
+                             operators.plus_state(), trajectory=traj))
     moments = run.moments["p_plus"]
     return run.lay_out(
         {"omega0": args.omega0, "gamma": args.gamma, "t_end": t_end,
          "points": args.points},
         {"series": (["time", "p_plus", "gamma_expectation", "pi_plus_current"],
-                    [grid.times, p_plus, gamma_series, run.current.density]),
+                    [grid.times, p_plus, run.rate, run.current.density]),
          "tf": (["time", "pi_plus"], [grid.midpoints, run.fd["p_plus"].density])},
-        # the closed-form trace term is finite, so the bounds are formed
         {"mean": moments.mean, "std": moments.std,
-         "delta_theta": run.bounds["delta_theta"]})
+         "delta_theta": abs(float(p_plus[-1] - p_plus[0]))})
 
 
 def _run_optimize(args) -> Run:

@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -220,8 +219,9 @@ def two_level_moments_closed(waveform: ControlWaveform, init: TwoLevelInitial,
     W = delta + k pi on each piece where W is monotone. Between the cuts
     ``_piece_moments`` applies one Gauss-Legendre rule, and no scipy is
     involved. ``IntegrationError`` is raised when W spans more than 2^17 pi
-    on the window (more than 2^20 pieces of pi/8). Any other waveform kind
-    is refused with ``ValueError``.
+    on the window (more than 2^20 pieces of pi/8). A constant drive whose
+    angle omega0 t is not finite on the window, and any other waveform
+    kind, are refused with ``ValueError``.
     """
     if waveform.kind not in ("constant", "polynomial", "gaussian"):
         raise ValueError(f"no closed-form moments for a {waveform.kind!r} drive")
@@ -230,7 +230,12 @@ def two_level_moments_closed(waveform: ControlWaveform, init: TwoLevelInitial,
     if not t_end > t_start:
         raise ValueError("t_end must exceed t_start")
     if waveform.kind == "constant":
-        return _constant_drive_moments(waveform.params["omega0"], init, t_start, t_end)
+        omega = waveform.params["omega0"]
+        # the largest angle on the window, as Python floats: inf, not a warning
+        if not math.isfinite(abs(float(omega)) * float(t_end)):
+            raise ValueError(f"the drive angle omega0 t_end = {omega:g} * {t_end:g} "
+                             "is not finite")
+        return _constant_drive_moments(omega, init, t_start, t_end)
     delta = np.arctan2(np.sin(init.theta) * np.sin(init.phi), np.cos(init.theta))
     cuts = _drive_cuts(waveform, delta, t_start, t_end)
     mean, var = _piece_moments(waveform, init, cuts)
@@ -674,19 +679,6 @@ def landau_zener_probability(config: LambdaConfig) -> float:
 # open-system examples
 
 
-def _trace_term(formula: Callable[[], float], **rates) -> float:
-    """Tr[(L^dag M)^2] = formula(), refused unless it is a normal float: a
-    subnormal one has lost digits, and an infinite one makes tau_tf zero."""
-    try:
-        value = formula()
-    except OverflowError:  # a float power
-        value = math.inf
-    if not np.finfo(float).tiny <= value < math.inf:
-        given = ", ".join(f"{name} {rate:g}" for name, rate in rates.items())
-        raise ValueError(f"{given}: the trace term {value:g} is not a normal float")
-    return value
-
-
 def dephasing_model(gamma: float) -> LindbladModel:
     """Pure sigma_z dephasing, a sigma_z channel at rate gamma:
     d rho/dt = gamma (sigma_z rho sigma_z - rho)
@@ -707,8 +699,10 @@ class DephasingAnalytics:
     The population is p_-(t) = (1 - exp(-2 gamma t))/2 and the flow
     density 2 gamma exp(-2 gamma t); mean and spread both equal
     1/(2 gamma). The grid distribution is renormalized over the window
-    and ``truncation_mass`` records the flow mass beyond it. The rate
-    gamma is the argument of ``dephasing_analytics`` and is not stored.
+    and ``truncation_mass`` records the flow mass beyond it. The trace
+    term Tr[(L^dag M_-)^2] = 2 gamma^2 is not stored: the CLI forms it from
+    L^dag(M) (``dynamics.adjoint_on_table``). The rate gamma is the
+    argument of ``dephasing_analytics`` and is not stored either.
     """
 
     population: PopulationSeries
@@ -716,7 +710,6 @@ class DephasingAnalytics:
     exact_mean: float
     exact_std: float
     delta_theta: float
-    trace_term: float
     truncation_mass: float
 
 
@@ -728,7 +721,6 @@ def dephasing_analytics(gamma: float, grid: TimeGrid) -> DephasingAnalytics:
     operators.assert_finite(gamma=gamma)
     if not gamma > 0:
         raise ValueError("gamma must be positive")
-    trace_term = _trace_term(lambda: 2.0 * gamma * gamma, gamma=gamma)
     times = grid.times
     pop = PopulationSeries(grid, dephasing_population(gamma, times))
     dist = tf.tf_from_rate(grid, 2.0 * gamma * np.exp(-2.0 * gamma * times))
@@ -741,7 +733,6 @@ def dephasing_analytics(gamma: float, grid: TimeGrid) -> DephasingAnalytics:
         exact_mean=0.5 / gamma,
         exact_std=0.5 / gamma,
         delta_theta=0.5,
-        trace_term=trace_term,
         truncation_mass=outside,
     )
 
@@ -753,14 +744,15 @@ class HadamardModel:
     H = (omega0/2)(sigma_x + sigma_z)/sqrt(2) plus a sigma_z channel at
     rate gamma/2, (gamma/2)(sigma_z rho sigma_z - rho). The current-like
     operator of the |+> population is
-    -(omega0/(2 sqrt 2)) sigma_y - (gamma/2) sigma_x and
-    Tr[(L^dag M_+)^2] = omega0^2/4 + gamma^2/2. omega0 and gamma are the
-    arguments of ``hadamard_model`` and are not stored.
+    -(omega0/(2 sqrt 2)) sigma_y - (gamma/2) sigma_x, a closed-form
+    reference for L^dag(M_+), and Tr[(L^dag M_+)^2] = omega0^2/4 +
+    gamma^2/2. The CLI forms both from L^dag(M) itself
+    (``dynamics.adjoint_on_table``). omega0 and gamma are the arguments
+    of ``hadamard_model`` and are not stored.
     """
 
     model: LindbladModel
     current_op: np.ndarray
-    trace_term: float
     target: np.ndarray
 
 
@@ -771,8 +763,6 @@ def hadamard_model(omega0: float, gamma: float = 0.0) -> HadamardModel:
         raise ValueError("omega0 must be positive")
     if not gamma >= 0:
         raise ValueError("gamma must be >= 0")
-    trace_term = _trace_term(lambda: omega0 ** 2 / 4.0 + gamma ** 2 / 2.0,
-                             omega0=omega0, gamma=gamma)
     h = 0.5 * omega0 * operators.hadamard()
     channels = ((SIGMA_Z, 0.5 * gamma),) if gamma > 0 else ()
     model = LindbladModel(hamiltonian=constant_hamiltonian(h), channels=channels)
@@ -780,6 +770,5 @@ def hadamard_model(omega0: float, gamma: float = 0.0) -> HadamardModel:
     return HadamardModel(
         model=model,
         current_op=current,
-        trace_term=trace_term,
         target=operators.projector_from_state(operators.plus_state()),
     )

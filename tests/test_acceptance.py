@@ -138,7 +138,7 @@ def test_criterion_04_hadamard_trace_and_spread_sweep():
         p = dynamics.population_series(traj, bundle.target)
         measured = tf.moments(tf.tf_from_population(tf.PopulationSeries(grid, p)))
         delta_theta = abs(float(p[-1] - p[0]))
-        bound = SPREAD_FACTOR * delta_theta / np.sqrt(bundle.trace_term)
+        bound = SPREAD_FACTOR * delta_theta / np.sqrt(omega0 ** 2 / 4.0 + gamma ** 2 / 2.0)
         assert measured.std >= bound
         margins.append(measured.std / bound)
     _pass(4, f"trace identity exact; spread bound margins {min(margins):.1f}x+")

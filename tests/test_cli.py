@@ -10,9 +10,12 @@ import numpy as np
 import pytest
 
 import tflow
+from tflow import dynamics, models, operators, tf
 from tflow.cli import main
+from tflow.dynamics import TimeGrid
 
 THREE_ROOT_SIX = 3.0 * np.sqrt(6.0)
+THREE_ROOT_THREE = 3.0 * np.sqrt(3.0)
 
 
 def _read_report(path):
@@ -838,17 +841,14 @@ def test_non_finite_scenario_number_exits_2_and_writes_nothing(tmp_path, capsys,
     (["two-level", "--waveform", "gaussian", "--t0", "0.5", "--sigma", "1e-200",
       "--t-end", "1", "--points", "50"],
      "sigma 1e-200 is too small: its square underflows"),
-    # a trace term that is not a normal float: the overflows and the
-    # dephasing run exited 1 with an OverflowError from a float power, the
-    # subnormal hadamard run exited 0 with std null and a tau_tf 1e-5 off
-    (["hadamard", "--omega0", "1e155", "--points", "50"],
-     "omega0 1e+155, gamma 0: the trace term inf is not a normal float"),
-    (["hadamard", "--omega0", "1", "--gamma", "1e155", "--points", "50"],
-     "omega0 1, gamma 1e+155: the trace term inf is not a normal float"),
-    (["hadamard", "--omega0", "1e-160", "--points", "50"],
-     "omega0 1e-160, gamma 0: the trace term 2.49997e-321 is not a normal float"),
-    (["dephasing", "--gamma", "1e-160", "--points", "50"],
-     "gamma 1e-160: the trace term 1.99998e-320 is not a normal float"),
+    # a constant drive whose angle omega0 t overflows on the window: the
+    # runs raised RuntimeWarnings (overflow, then sin(inf)), or exited 3
+    # with "flow is flat: its mass nan"
+    (["two-level", "--omega0", "1e300", "--t-end", "1e10", "--points", "50"],
+     "the drive angle omega0 t_end = 1e+300 * 1e+10 is not finite"),
+    (["two-level", "--omega0", "1e300", "--t-start", "1e10", "--t-end", "1.0000001e10",
+      "--points", "50"],
+     "the drive angle omega0 t_end = 1e+300 * 1e+10 is not finite"),
     # reached the generator check: "schedule is not finite at t = 0"
     (["lambda", "--omega1", "1", "--omega2", "1", "--delta-i", "-1e308", "--delta-f",
       "1e308", "--t-final", "4", "--points", "50"],
@@ -859,9 +859,8 @@ def test_non_finite_scenario_number_exits_2_and_writes_nothing(tmp_path, capsys,
         "lambda-omega1-nan", "lambda-omega1-cyclic-overflow",
         "lambda-omega1-cyclic-overflow-fixed-substeps", "lambda-delta-i-cyclic-overflow",
         "dephasing-gamma-cyclic-overflow", "two-level-omega0-cyclic-overflow",
-        "gaussian-sigma-underflow", "hadamard-omega0-trace-overflow",
-        "hadamard-gamma-trace-overflow", "hadamard-trace-subnormal",
-        "dephasing-trace-subnormal", "lambda-span-overflow"])
+        "gaussian-sigma-underflow", "constant-angle-overflow",
+        "constant-angle-overflow-far-window", "lambda-span-overflow"])
 def test_ill_posed_number_exits_2_before_any_arithmetic(tmp_path, capsys, argv,
                                                         message):
     # under error::RuntimeWarning the first rows exited 1 at a numpy warning,
@@ -1086,17 +1085,109 @@ def test_seeded_hard_input_sweep_through_the_cli(tmp_path):
 
 @pytest.mark.parametrize("argv, reason", [
     (["two-level", "--omega0", "1e200", "--t-end", "3e-200", "--points", "50"],
-     "the trace term inf is not finite"),
+     "the trace term inf is not a normal float"),
     (["sta", "--alpha", "1e300", "--t-final", "1e-10", "--points", "50"],
      "schedule is not finite at t = 0"),
-], ids=["trace-term-overflows", "h-not-finite"])
+    # one rule for every trace term, formed from L^dag(M) on the grid: the
+    # hadamard and dephasing runs exited 2 on a closed-form term, and the
+    # subnormal two-level term formed bounds (tau_tf off by 2.3e-14)
+    (["hadamard", "--omega0", "1e155", "--points", "50"],
+     "the trace term inf is not a normal float"),
+    (["hadamard", "--omega0", "1e-160", "--points", "50"],
+     "the trace term 2.49997e-321 is not a normal float"),
+    (["dephasing", "--gamma", "1e-160", "--points", "50"],
+     "the trace term 1.99998e-320 is not a normal float"),
+    (["dephasing", "--gamma", "1e155", "--points", "50"],
+     "the trace term inf is not a normal float"),
+    (["two-level", "--omega0", "1e-155", "--points", "50"],
+     "the trace term 5e-311 is not a normal float"),
+], ids=["trace-term-overflows", "h-not-finite", "hadamard-omega0-trace-overflow",
+        "hadamard-trace-subnormal", "dephasing-trace-subnormal",
+        "dephasing-trace-overflow", "two-level-trace-subnormal"])
 def test_route_that_cannot_be_formed_writes_null_and_a_reason(tmp_path, argv, reason):
-    # both exited 0 before they had bounds; a route they cannot form must not
-    # change that, nor warn
+    # a route a run cannot form must not change its exit code, nor warn
     assert main([*argv, "--outdir", str(tmp_path)]) == 0
     report = _read_report(tmp_path / f"{argv[0].replace('-', '_')}_report.json")
     assert report["bounds"] is None
     assert report["diagnostics"]["skipped"] == {"bounds": reason}
+
+
+def test_hadamard_dephasing_rate_too_large_for_the_grid_exits_3(tmp_path, capsys):
+    # exited 2 on its closed-form trace term before it propagated
+    assert main(["hadamard", "--omega0", "1", "--gamma", "1e155", "--points", "50",
+                 "--outdir", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: generator scale 2.000e+155 is too large for "
+        "dt = 6.411e-02; refine the grid\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+# the rate of lambda and hadamard is <L^dag(M)> on the pipeline's one table
+# of H, and every trace term its grid's largest |Tr(L^dag(M)^2)|; the
+# hand-derived forms are the references. Measured at most 1.1e-15 off
+_REL = 1e-13
+
+
+def _series(path):
+    lines = _csv_lines(path)
+    return dict(zip(lines[1].split(","),
+                    np.array([[float(x) for x in line.split(",")] for line in lines[2:]]).T))
+
+
+@pytest.mark.parametrize("argv", [
+    ["lambda", "--omega1", "1.3", "--omega2", "0.7", "--delta-i", "-10", "--delta-f", "8",
+     "--t-final", "4", "--points", "400"],
+    ["hadamard", "--omega0", "6.283185307179586", "--points", "400"],
+    ["hadamard", "--omega0", "62.83185307179586", "--gamma", "31.41592653589793",
+     "--points", "400"],
+], ids=["lambda", "hadamard", "hadamard-dephased"])
+def test_current_route_is_the_expectation_of_l_dag_m(tmp_path, argv):
+    assert main([*argv, "--outdir", str(tmp_path)]) == 0
+    value = {k[2:].replace("-", "_"): float(v) for k, v in zip(argv[1::2], argv[2::2])}
+    if argv[0] == "lambda":
+        config = models.LambdaConfig(value["omega1"], value["omega2"], value["delta_i"],
+                                     value["delta_f"], value["t_final"])
+        grid = TimeGrid(0.0, config.t_final, 400)
+        traj = dynamics.propagate_schrodinger(models.lambda_hamiltonian(config),
+                                              operators.basis_state(3, 0), grid)
+        op, m, pi = models.lambda_gamma(config), operators.projector(3, 1), "pi_2_current"
+    else:
+        omega0, gamma = value["omega0"], value.get("gamma", 0.0)
+        bundle = models.hadamard_model(omega0, gamma)
+        grid = TimeGrid(0.0, np.pi / omega0, 400)
+        traj = dynamics.propagate_lindblad(bundle.model,
+                                           operators.projector(2, 0).astype(complex), grid)
+        op, m, pi = bundle.current_op, bundle.target, "pi_plus_current"
+    rate = dynamics.expectation_series(traj, op)
+    series = _series(tmp_path / f"{argv[0]}_series.csv")
+    assert np.max(np.abs(series["gamma_expectation"] - rate)) <= _REL * np.max(np.abs(rate))
+    want = tf.tf_from_rate(grid, rate).density
+    assert np.max(np.abs(series[pi] - want)) <= _REL * np.max(want)
+    fd = tf.tf_from_population(tf.PopulationSeries(grid, dynamics.population_series(traj, m)))
+    mid = tf.tf_from_rate(grid, rate, align="midpoints").density
+    report = _read_report(tmp_path / f"{argv[0]}_report.json")
+    assert report["diagnostics"]["current_vs_fd_sup"] == pytest.approx(
+        np.max(np.abs(mid - fd.density)), abs=_REL * np.max(fd.density))
+    if argv[0] == "hadamard":
+        _assert_bounds_of(report["bounds"], omega0 ** 2 / 4.0 + gamma ** 2 / 2.0,
+                          report["results"]["delta_theta"])
+
+
+def _assert_bounds_of(bounds, trace_term, delta_theta):
+    assert bounds["trace_term"] == pytest.approx(trace_term, rel=_REL)
+    tau = delta_theta / np.sqrt(trace_term)
+    assert bounds["tau_tf"] == pytest.approx(tau, rel=_REL)
+    assert bounds["spread_bound_qsl"] == pytest.approx(tau / THREE_ROOT_THREE, rel=_REL)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.37, 25.0])
+def test_dephasing_trace_term_is_the_grid_trace_term(tmp_path, gamma):
+    assert main(["dephasing", "--gamma", repr(gamma), "--points", "400",
+                 "--outdir", str(tmp_path)]) == 0
+    bounds = _read_report(tmp_path / "dephasing_report.json")["bounds"]
+    _assert_bounds_of(bounds, 2.0 * gamma ** 2, 0.5)
+    assert bounds["std_over_qsl_spread_bound"] == pytest.approx(
+        (0.5 / gamma) / (0.5 / np.sqrt(2.0 * gamma ** 2) / THREE_ROOT_THREE), rel=_REL)
 
 
 _OPTIONS = {

@@ -232,7 +232,7 @@ def test_build_bounds_report_dephasing():
     measured = tf.Moments(mean=0.5, std=0.5)
     report = qsl.build_bounds_report(
         delta_theta=analytics.delta_theta,
-        trace_term=analytics.trace_term,
+        trace_term=2.0 * gamma ** 2,
         measured=measured,
         pi_max=2.0 * gamma,
         mt_bound=qsl.mt_dephasing_bound(gamma),
@@ -307,7 +307,7 @@ def _dephasing_case():
     analytics = models.dephasing_analytics(gamma, TimeGrid(0.0, 12.0, 4001))
     m = tf.Moments(mean=analytics.exact_mean, std=analytics.exact_std)
     return ("dephasing", m, 2.0 * gamma, analytics.delta_theta,
-            analytics.trace_term, None)
+            2.0 * gamma ** 2, None)
 
 
 def _hadamard_cases():
@@ -324,7 +324,7 @@ def _hadamard_cases():
         m = tf.moments(dist)
         dev = qsl.hamiltonian_std(bundle.model.hamiltonian(0.0), operators.plus_state())
         yield (f"hadamard gamma/2pi={gamma_mhz}", m, dist.peak,
-               abs(float(p[-1] - p[0])), bundle.trace_term, dev)
+               abs(float(p[-1] - p[0])), omega0 ** 2 / 4.0 + gamma ** 2 / 2.0, dev)
 
 
 def bundled_model_cases():
