@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from tflow import dynamics, models, operators, qsl, tf
+from tflow import cli, dynamics, models, operators, qsl, tf
 from tflow.dynamics import TimeGrid
 from tflow.errors import DegenerateDistributionError, IntegrationError
 
@@ -980,6 +980,31 @@ def test_gaussian_refuses_a_sigma_whose_square_underflows(sigma):
     # (exit 3) after RuntimeWarnings
     with pytest.raises(ValueError, match="its square underflows"):
         models.ControlWaveform.gaussian_pulse(0.5, sigma)
+
+
+@pytest.mark.parametrize("model, target, grid, value", [
+    (lambda: models.hadamard_model(1e155).model, operators.plus_state(),
+     TimeGrid(0.0, 1.0, 11), "inf"),
+    (lambda: models.hadamard_model(1.0, 1e155).model, operators.plus_state(),
+     TimeGrid(0.0, 1.0, 11), "inf"),
+    (lambda: models.hadamard_model(1e-160).model, operators.plus_state(),
+     TimeGrid(0.0, 1.0, 11), "2.49997e-321"),
+    (lambda: models.dephasing_model(1e-160), operators.minus_state(),
+     TimeGrid(0.0, 1.0, 11), "1.99998e-320"),
+    (lambda: models.dephasing_model(1e200), operators.minus_state(),
+     TimeGrid(0.0, 1e-199, 11), "inf"),
+], ids=["hadamard-omega0-overflow", "hadamard-gamma-overflow", "hadamard-subnormal",
+        "dephasing-subnormal", "dephasing-overflow"])
+def test_trace_term_that_is_not_a_normal_float_is_refused(model, target, grid, value):
+    # the trace term of each model is its L^dag(M) on the grid, and the one
+    # rule of the scenario pipeline refuses to form bounds from it; the
+    # overflows once raised OverflowError from a float power or gave tau_tf
+    # 0, and the subnormal hadamard term gave a tau_tf 1e-5 off
+    ramp = np.linspace(0.0, 1.0, grid.n_points)
+    run = cli._evaluate(cli.Scenario(grid, {"p": ramp}, model(), target))
+    assert run.bounds is None
+    assert run.diagnostics["skipped"] == {
+        "bounds": f"the trace term {value} is not a normal float"}
 
 
 def test_trace_term_keeps_a_rate_whose_square_alone_underflows():
