@@ -2,18 +2,18 @@
 
 Each subcommand describes its transfer as one ``Scenario`` and passes
 it to ``_evaluate``, which runs every route whose input the scenario
-holds: the FD TF and moments of each target; the
-deviation from a reference population; one table of H on the grid,
-sampled and checked once, for the resolution rule of
-``models.grid_phase`` (``diagnostics.resolved``) and the one L^dag(M) of
-the run; the bounds of ``qsl.build_bounds_report``, whose trace term is
-always the largest |Tr(L^dag(M)^2)| on the grid, used when it is 0 or a
-normal float (the other keywords are the model's closed forms where
-given, else the FD TF's moments, peak and transfer); the current TF from
-a closed-form rate, or from <L^dag(M)> along a trajectory, with
-``current_vs_fd_sup``; and the protocol when asked. A route that cannot
-be formed on a well-posed input writes null and its reason under
-``diagnostics.skipped``; it never changes the exit code. The
+holds: the FD TF and moments of each target; the deviation from a
+reference population; one checked table of H on the grid and its
+L^dag(M), from ``dynamics._adjoint_stack`` as in ``qsl.tf_qsl_open``, for
+the resolution rule of ``models.grid_phase`` (``diagnostics.resolved``);
+the bounds of ``qsl.build_bounds_report``, whose trace term is always the
+grid's largest |Tr(L^dag(M)^2)| (the other keywords are the model's
+closed forms where given, else the FD TF's moments, peak and transfer);
+the current TF from a closed-form rate, or from <L^dag(M)> along a
+trajectory, with ``current_vs_fd_sup``; and the protocol when asked. A
+route that cannot be formed on a well-posed input (H not finite, or a
+trace term that is not 0 or a normal float) writes null and its reason
+under ``diagnostics.skipped``; it never changes the exit code. The
 subcommand lays out its own tables, result keys and model-specific
 diagnostics. ``two-level`` and ``optimize`` share one two-level transfer
 (``_transfer``); the drive of ``optimize`` is the one its search ends on,
@@ -173,38 +173,28 @@ def _evaluate(s: Scenario) -> Run:
     if s.reference is not None:
         diag[s.reference[0]] = float(np.max(np.abs(p - s.reference[1])))
     m, run.rate = operators.projector_from_state(s.target), s.rate
-    # one checked table of H serves the resolution rule, L^dag(M) and the
-    # bounds; a constant H needs one time. An H too large for the
-    # arithmetic ends in inf or NaN, and so in a flag or a reason
+    # one checked table of H and its L^dag(M) serve the resolution rule, the
+    # rate and the bounds; a constant H needs one time. An H or a trace term
+    # too large for the arithmetic ends in inf or NaN, and so in a reason
     constant = s.model.hamiltonian.constant
+    diag["phase_per_step"] = diag["resolved"] = None
     with np.errstate(over="ignore", invalid="ignore"):
-        ts = grid.times[:1] if constant else grid.times
-        table = s.model.hamiltonian.sample(ts)
         try:
-            dynamics.check_table(table, ts)
-        except OperatorConstraintError as exc:
-            diag["phase_per_step"] = diag["resolved"] = None
-            diag["skipped"] = {"bounds": str(exc)}
-        else:
+            table, adj = dynamics._adjoint_stack(
+                s.model, m, grid.times[:1] if constant else grid.times, "times")
             diag["phase_per_step"], diag["resolved"] = models.grid_phase(
                 grid.times, table if s.drive is None else s.drive)
-            adj = dynamics.adjoint_on_table(s.model, m, table)
             if run.rate is None and s.trajectory is not None:
                 run.rate = dynamics.expectation_series(s.trajectory,
                                                        adj[0] if constant else adj)
-            given = {"delta_theta": abs(float(p[-1] - p[0])),
-                     "trace_term": qsl.largest_trace_term(adj),
-                     "measured": run.moments[name], "pi_max": fd[name].peak,
-                     "hamiltonian": table[0] if constant else None, "target": s.target,
-                     **s.closed}
-            # 0 (a frozen target) or a normal float; a subnormal one has
-            # lost digits, and an infinite one makes tau_tf zero
-            term = given["trace_term"]
-            if term == 0.0 or np.finfo(float).tiny <= term < math.inf:
-                run.bounds = qsl.build_bounds_report(**given)
-            else:
-                diag["skipped"] = {"bounds": f"the trace term {term:g} "
-                                             "is not a normal float"}
+            run.bounds = qsl.build_bounds_report(**{
+                "delta_theta": abs(float(p[-1] - p[0])),
+                "trace_term": qsl.largest_trace_term(adj),
+                "measured": run.moments[name], "pi_max": fd[name].peak,
+                "hamiltonian": table[0] if constant else None, "target": s.target,
+                **s.closed})
+        except OperatorConstraintError as exc:
+            diag["skipped"] = {"bounds": str(exc)}
     if run.rate is not None:
         run.current = tf.tf_from_rate(grid, run.rate)
         mid = tf.tf_from_rate(grid, run.rate, align="midpoints").density

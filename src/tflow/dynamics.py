@@ -248,7 +248,7 @@ def _auto_substeps(schedule: HamiltonianSchedule, grid: TimeGrid,
     norm is formed as m sqrt(sum |H/m|^2), m the largest entry modulus, so
     it overflows only where the norm itself exceeds the largest float. The
     per-step truncation of RK4 is ~(w h)^5 / 120; summed over all steps and
-    solved for the refinement. A w too large for dt raises IntegrationError.
+    solved for the refinement. A w too large to step raises IntegrationError.
     """
     ts = grid.times
     with np.errstate(over="ignore", invalid="ignore"):
@@ -272,11 +272,9 @@ def _auto_substeps(schedule: HamiltonianSchedule, grid: TimeGrid,
     except OverflowError:
         budget = math.inf
     if budget == math.inf:
-        # r would exceed 1e77, far past _MAX_SUBSTEPS: no attempt can pass
-        raise IntegrationError(
-            f"generator scale {scale:.3e} is too large for dt = {grid.dt:.3e}; "
-            "refine the grid"
-        )
+        # r would exceed 1e77: no attempt can pass, nor any feasible grid
+        raise IntegrationError(f"generator scale {scale:.3e} is too large to step across "
+                               f"the window [{grid.t_start:.6g}, {grid.t_end:.6g}]")
     r = int(np.ceil(max(budget, 1.0) ** 0.25))
     return min(max(r, 1), _MAX_SUBSTEPS)
 
@@ -430,11 +428,12 @@ def current_operator(h: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def _adjoint_stack(model: LindbladModel, m: np.ndarray, times,
-                   what: str) -> np.ndarray:
-    """``adjoint_on_table`` over ``times``, H sampled at all of them in one
-    call. No times means a constant H's one time, t = 0; a time-dependent
-    model is then refused, asking for the evaluation ``what``. M and the
-    sampled H are refused, as in the propagators, if not Hermitian.
+                   what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The table of H at ``times``, sampled in one call and passed by
+    ``check_table``, and ``adjoint_on_table`` on it. No times means a
+    constant H's one time, t = 0; a time-dependent model is then refused,
+    asking for the evaluation ``what``, and so is an empty ``what``. M is
+    refused, as the sampled H is, if not Hermitian.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (model.dim, model.dim):
@@ -445,9 +444,11 @@ def _adjoint_stack(model: LindbladModel, m: np.ndarray, times,
             raise ValueError(f"time-dependent model: supply the evaluation {what}")
         times = [0.0]
     times = np.asarray(times, dtype=float)
+    if times.size == 0:
+        raise ValueError(f"no evaluation {what} given")
     hs = model.hamiltonian.sample(times)
     check_table(hs, times)
-    return adjoint_on_table(model, m, hs)
+    return hs, adjoint_on_table(model, m, hs)
 
 
 def adjoint_on_table(model: LindbladModel, m: np.ndarray,
@@ -468,7 +469,7 @@ def lindblad_adjoint(model: LindbladModel, m: np.ndarray,
     A time must be supplied when the Hamiltonian schedule is not
     constant.
     """
-    return _adjoint_stack(model, m, None if t is None else [t], "time t")[0]
+    return _adjoint_stack(model, m, None if t is None else [t], "time t")[1][0]
 
 
 def population_series(traj: Trajectory, m: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import dynamics, operators
 from .dynamics import LindbladModel
+from .errors import OperatorConstraintError
 from .tf import Moments
 
 CHEBYSHEV_FACTOR = 1.0 / (3.0 * np.sqrt(3.0))
@@ -61,22 +62,27 @@ def tf_qsl_open(model: LindbladModel, m: np.ndarray, delta_theta: float,
                 times=None) -> float:
     """Transfer-time bound delta_theta / sqrt(|Tr(L^dag(M)^2)|).
 
-    For time-dependent Hamiltonians supply ``times``; the largest trace
-    term along them is used, which keeps the bound valid over the whole
-    window. A constant Hamiltonian needs none (its one time is t = 0).
-    L^dag(M) is formed at all of them at once by the builder behind
-    ``dynamics.lindblad_adjoint``, so the result is the bound of the
-    largest |Tr(lindblad_adjoint(t)^2)| over the times (up to rounding). A
-    vanishing trace term means M is frozen by the dynamics and the bound
-    is +inf.
+    For time-dependent Hamiltonians supply ``times`` (at least one); the
+    largest trace term along them keeps the bound valid over the window. A
+    constant Hamiltonian needs none (its one time is t = 0). H is sampled,
+    checked and turned into L^dag(M) on the CLI pipeline's route,
+    ``dynamics._adjoint_stack``, and the trace term obeys the rule of
+    ``build_bounds_report``: 0 (M frozen) gives +inf, and one that is not a
+    normal float is refused with OperatorConstraintError.
     """
     if not 0.0 < delta_theta <= 1.0:
         raise ValueError("delta_theta must lie in (0, 1]")
     operators.assert_projector(m, name="measurement operator")
-    term = largest_trace_term(dynamics._adjoint_stack(model, m, times, "times"))
-    if term <= 0.0:
-        return np.inf
-    return delta_theta / np.sqrt(term)
+    _, adj = dynamics._adjoint_stack(model, m, times, "times")
+    return _tau_tf(delta_theta, largest_trace_term(adj))
+
+
+def _tau_tf(delta_theta: float, term: float) -> float:
+    """delta_theta / sqrt(term), +inf for a term of 0. Any other term that is
+    not a normal float is refused: a subnormal one has lost digits."""
+    if not (term == 0.0 or np.finfo(float).tiny <= term < np.inf):
+        raise OperatorConstraintError(f"the trace term {term:g} is not a normal float")
+    return delta_theta / np.sqrt(term) if term > 0.0 else np.inf
 
 
 def largest_trace_term(adj: np.ndarray) -> float:
@@ -116,14 +122,14 @@ def _closed_bound(dev: float, delta_theta: float) -> ClosedQslBound:
 
 def chebyshev_spread_bound(pi_max: float) -> float:
     """Minimal spread 1/(3 sqrt(3) pi_max) enforced by the density peak."""
-    if pi_max <= 0.0:
+    if not pi_max > 0.0:  # NaN fails this too
         raise ValueError("pi_max must be positive")
     return CHEBYSHEV_FACTOR / pi_max
 
 
 def spread_bound_from_qsl(tau_tf: float) -> float:
     """Minimal spread tau_tf / (3 sqrt(3)) from the transfer-time bound."""
-    if tau_tf <= 0.0:
+    if not tau_tf > 0.0:
         raise ValueError("tau_tf must be positive")
     return CHEBYSHEV_FACTOR * tau_tf
 
@@ -140,6 +146,8 @@ def uncertainty_check(delta_t: float, h: np.ndarray, target,
     """Evaluate Delta T * Delta_k H >= eta = delta_theta/(6 sqrt 3), hbar=1."""
     if not np.isfinite(delta_t) or delta_t < 0:
         raise ValueError("delta_t must be a finite non-negative time")
+    if not abs(delta_theta) <= 1.0:
+        raise ValueError("delta_theta must lie in [-1, 1]")
     eta = abs(delta_theta) / _ETA_DIVISOR
     product = delta_t * hamiltonian_std(h, target)
     return UncertaintyResult(product=product, eta=eta, satisfied=_holds(product, eta))
@@ -148,7 +156,7 @@ def uncertainty_check(delta_t: float, h: np.ndarray, target,
 def mt_dephasing_bound(gamma: float) -> float:
     """Fidelity-based comparison value 1/(sqrt(2) gamma) for the pure
     dephasing transition; quoted, not re-derived."""
-    if gamma <= 0.0:
+    if not gamma > 0.0:
         raise ValueError("gamma must be positive")
     return 1.0 / (np.sqrt(2.0) * gamma)
 
@@ -167,12 +175,11 @@ def build_bounds_report(*, delta_theta: float, trace_term: float,
 
     Values are kept as computed, so a frozen target's tau_tf is +inf (a
     trace term of 0); a form that does not apply is None. The CLI's JSON
-    writer turns every non-finite value into null. A NaN, infinite or
-    negative ``trace_term`` is refused with ValueError.
+    writer turns every non-finite value into null. A ``trace_term`` that
+    is not 0 or a normal float (NaN, infinite, negative or subnormal) is
+    refused as ``tf_qsl_open`` refuses it, with the reason the CLI writes.
     """
-    if not 0.0 <= trace_term < np.inf:
-        raise ValueError(f"trace_term must be finite and non-negative, not {trace_term}")
-    tau = delta_theta / np.sqrt(trace_term) if trace_term > 0 else np.inf
+    tau = _tau_tf(delta_theta, trace_term)
     cheb = chebyshev_spread_bound(pi_max)
     qsl_spread = spread_bound_from_qsl(tau) if 0.0 < tau < np.inf else 0.0
     eta = abs(delta_theta) / _ETA_DIVISOR
@@ -208,8 +215,9 @@ def build_bounds_report(*, delta_theta: float, trace_term: float,
     if mt_bound is not None:
         satisfied["mt_comparison_ratio_half"] = bool(abs(tau / mt_bound - 0.5) < 1e-9)
         report["mt_bound"] = mt_bound
-        # rounded as std / (C dtheta / sqrt(trace)), not std / qsl_spread, so
-        # the ratio repeats bit for bit across report versions
-        report["std_over_qsl_spread_bound"] = measured.std / (
-            CHEBYSHEV_FACTOR * delta_theta / np.sqrt(trace_term))
+        # rounded as std / (C dtheta / sqrt(trace)), the tau_tf of a transfer
+        # C dtheta, not std / qsl_spread, so the ratio repeats bit for bit
+        # across report versions
+        report["std_over_qsl_spread_bound"] = measured.std / _tau_tf(
+            CHEBYSHEV_FACTOR * delta_theta, trace_term)
     return report

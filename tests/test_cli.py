@@ -191,8 +191,8 @@ def test_overflowing_generator_norm_exits_3(tmp_path, capsys, omega1, scale):
                "--outdir", str(tmp_path)])
     assert rc == 3
     assert capsys.readouterr().err == (
-        f"numerical failure: generator scale {scale} is too large for "
-        "dt = 8.163e-02; refine the grid\n")
+        f"numerical failure: generator scale {scale} is too large to step across "
+        "the window [0, 4]\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1113,12 +1113,13 @@ def test_route_that_cannot_be_formed_writes_null_and_a_reason(tmp_path, argv, re
 
 
 def test_hadamard_dephasing_rate_too_large_for_the_grid_exits_3(tmp_path, capsys):
-    # exited 2 on its closed-form trace term before it propagated
+    # exited 2 on its closed-form trace term before it propagated; then
+    # 3 with "refine the grid", though no feasible grid can step this rate
     assert main(["hadamard", "--omega0", "1", "--gamma", "1e155", "--points", "50",
                  "--outdir", str(tmp_path)]) == 3
     assert capsys.readouterr().err == (
-        "numerical failure: generator scale 2.000e+155 is too large for "
-        "dt = 6.411e-02; refine the grid\n")
+        "numerical failure: generator scale 2.000e+155 is too large to step across "
+        "the window [0, 3.14159]\n")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,10 +1,12 @@
+import json
+import re
+
 import numpy as np
 import pytest
-import re
 
 from tflow import cli, dynamics, models, operators, qsl, tf
 from tflow.dynamics import TimeGrid
-from tflow.errors import DimensionMismatchError
+from tflow.errors import DimensionMismatchError, OperatorConstraintError
 
 M_PLUS = operators.projector_from_state(operators.plus_state())
 M_MINUS = operators.projector_from_state(operators.minus_state())
@@ -441,12 +443,15 @@ def test_frozen_target_bound_is_written_as_null():
     assert cli._jsonable(report)["tau_tf"] is None
 
 
-@pytest.mark.parametrize("trace_term", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("trace_term", [np.nan, np.inf, -1.0, 5e-311])
 @pytest.mark.parametrize("mt_bound", [None, 0.25])
 def test_bounds_report_refuses_a_trace_term_that_is_not_a_bound(trace_term, mt_bound):
     # an infinite trace term gave tau_tf 0 and spread_bound_qsl 0, both flags
-    # satisfied, and divided by zero with mt_bound; NaN and -1 gave tau_tf inf
-    with pytest.raises(ValueError, match="trace_term"):
+    # satisfied, and divided by zero with mt_bound; NaN and -1 gave tau_tf inf;
+    # a subnormal one, whose digits are lost, formed a bound. The rule and its
+    # message are those of tf_qsl_open and the CLI
+    message = f"^the trace term {trace_term:g} is not a normal float$"
+    with pytest.raises(OperatorConstraintError, match=message):
         qsl.build_bounds_report(
             delta_theta=0.5, trace_term=trace_term, pi_max=2.0, mt_bound=mt_bound,
             measured=tf.Moments(mean=0.3, std=0.2))
@@ -460,7 +465,67 @@ def test_bounds_report_refuses_a_trace_term_that_is_not_a_bound(trace_term, mt_b
                  "tau_tf must be positive", id="zero-tau-tf"),
     pytest.param(lambda: qsl.uncertainty_check(-1.0, operators.SIGMA_X, 0, 1.0),
                  "delta_t must be a finite non-negative time", id="negative-delta-t"),
+    # each NaN below passed its refusal and came back as a NaN bound or eta
+    pytest.param(lambda: qsl.chebyshev_spread_bound(np.nan),
+                 "pi_max must be positive", id="nan-pi-max"),
+    pytest.param(lambda: qsl.spread_bound_from_qsl(np.nan),
+                 "tau_tf must be positive", id="nan-tau-tf"),
+    pytest.param(lambda: qsl.mt_dephasing_bound(np.nan),
+                 "gamma must be positive", id="nan-gamma"),
+    pytest.param(lambda: qsl.uncertainty_check(1.0, operators.SIGMA_X, 0, np.nan),
+                 "delta_theta must lie in [-1, 1]", id="nan-delta-theta"),
+    # raised numpy's "zero-size array to reduction operation maximum"
+    pytest.param(lambda: qsl.tf_qsl_open(models.dephasing_model(1.0), M_MINUS, 0.5,
+                                         times=[]),
+                 "no evaluation times given", id="empty-times"),
 ])
 def test_refusal_type_and_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+# ---------------------------------------------------------------------------
+# tf_qsl_open and the CLI pipeline share one route to L^dag(M) and tau_tf
+
+
+@pytest.mark.parametrize("argv, model, target, t_end", [
+    (["lambda", "--omega1", "1", "--omega2", "1", "--delta-i", "-10", "--delta-f", "10",
+      "--t-final", "4"],
+     dynamics.LindbladModel(models.lambda_hamiltonian(
+         models.LambdaConfig(1.0, 1.0, -10.0, 10.0, 4.0))), operators.basis_state(3, 1),
+     4.0),
+    (["hadamard", "--omega0", "10", "--gamma", "2"], models.hadamard_model(10.0, 2.0).model,
+     operators.plus_state(), np.pi / 10.0),
+    (["dephasing", "--gamma", "1"], models.dephasing_model(1.0), operators.minus_state(),
+     10.0),
+    (["two-level", "--omega0", "1.5"],
+     dynamics.LindbladModel(models.two_level_hamiltonian(
+         models.ControlWaveform.constant(1.5))), operators.basis_state(2, 1), np.pi / 1.5),
+], ids=["lambda", "hadamard", "dephasing", "two-level"])
+def test_tf_qsl_open_is_the_cli_tau_tf(tmp_path, argv, model, target, t_end):
+    assert cli.main([*argv, "--points", "200", "--outdir", str(tmp_path)]) == 0
+    bounds = json.loads((tmp_path / f"{argv[0].replace('-', '_')}_report.json")
+                        .read_text())["bounds"]
+    times = TimeGrid(0.0, t_end, 200).times
+    tau = qsl.tf_qsl_open(model, operators.projector_from_state(target),
+                          bounds["delta_theta"], times=times)
+    assert tau.hex() == bounds["tau_tf"].hex()
+
+
+@pytest.mark.parametrize("argv, model, m, reason", [
+    # returned 0.0: an overflowed trace term made the bound vanish
+    (["hadamard", "--omega0", "1e155"], models.hadamard_model(1e155).model, M_PLUS,
+     "the trace term inf is not a normal float"),
+    # returned 3.535553586323608e+159, 5.6e-6 off the exact 3.5355339059327e+159:
+    # the subnormal trace term had lost digits
+    (["dephasing", "--gamma", "1e-160"], models.dephasing_model(1e-160), M_MINUS,
+     "the trace term 1.99998e-320 is not a normal float"),
+], ids=["hadamard-overflow", "dephasing-subnormal"])
+def test_tf_qsl_open_refuses_the_trace_terms_the_cli_skips(tmp_path, argv, model, m,
+                                                          reason):
+    with pytest.raises(OperatorConstraintError, match=f"^{re.escape(reason)}$"):
+        qsl.tf_qsl_open(model, m, 0.5)
+    assert cli.main([*argv, "--points", "50", "--outdir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / f"{argv[0]}_report.json").read_text())
+    assert report["bounds"] is None
+    assert report["diagnostics"]["skipped"] == {"bounds": reason}
