@@ -4,26 +4,25 @@ Both propagators are classic fixed-step RK4 run by one driver,
 ``_integrate``. Its substep refinement factor is chosen automatically
 from the generator's magnitude and doubled on retry while any of the
 propagator's checks (norm or trace drift, asymmetry) is over budget, so
-results are reproducible for a given grid. Each doubling and a final
-failure are logged at INFO level by the ``tflow.dynamics`` logger, and
-name every check over budget. Trajectories are immutable value objects:
-a grid plus one state per grid point.
+results are reproducible for a given grid; an open attempt aborts on a
+state eigenvalue under -1e-6. Each doubling and a final failure are
+logged at INFO level by the ``tflow.dynamics`` logger, and name every
+check over budget.
 
-The driver keeps one entry: the last propagation that passed, as its
-propagator (closed or open), grid, substeps, generator table, initial
-operands (psi0; or rho0, the jump stack and B/2) and a copy of its grid
-states. A table the schedule sampled into memory of its own is kept as
-it is; the other parts are copied. Each attempt samples its table first.
-When every one of these parts equals the entry's bit for bit (0.0 and
--0.0 differ) and the table does not share the kept one's memory, the
-attempt returns a copy of the stored states and skips the table check,
-the stepping and the attempt's checks, whose results are already known.
-The initial-state check, the substep choice and the Lindblad eigenvalue
-floor still run on every call, and each reuse is logged at INFO level.
-An attempt that passes replaces the entry; a failed propagation leaves
-it. So ``protocol.simulate_protocol`` after a propagation of the same
-inputs does not step again, and the entry holds one table and one state
-array.
+The driver keeps one entry: the last propagation that passed every check,
+as its propagator (closed or open), grid, substeps, generator table,
+initial operands (psi0; or rho0, the jump stack and B/2) and a copy of
+its grid states. A table the schedule sampled into memory of its own is
+kept as it is; the other parts are copied. Each attempt samples its
+table first. When every one of these parts equals the entry's bit for
+bit (0.0 and -0.0 differ) and the table does not share the kept one's
+memory, the attempt returns a copy of the stored states and skips the
+table check, the stepping and the attempt's checks, whose results are
+already known. Only the initial-state check and the substep choice run
+on every call; each reuse is logged at INFO level. An attempt that
+passes replaces the entry; a failed propagation leaves it. So
+``protocol.simulate_protocol`` after a propagation of the same inputs
+does not step again, and the entry holds one table and one state array.
 
 Current-like operators: for a projector M and generator L, the rate of
 population change is d/dt Tr(rho M) = Tr(rho L^dag(M)), built by
@@ -295,10 +294,10 @@ def _same_bits(xs: tuple, ys: tuple) -> bool:
 def _integrate(schedule: HamiltonianSchedule, grid: TimeGrid, substeps: int | None,
                dissipation: float, propagator: str, operands: tuple,
                attempt: Callable) -> np.ndarray:
-    """Grid states from ``attempt(table, r)``, which returns them with its
-    checks, (name, value, budget) triples; it passes when every value is at
-    most its budget (a NaN is not). An automatic r is doubled on failure,
-    and each retry logged; a fixed r has one try. The error names every
+    """Grid states from ``attempt(table, r)``, which raises to abort or
+    returns them with its checks, (name, value, budget) triples; it passes
+    when every value is at most its budget (a NaN is not). An automatic r
+    is doubled on failure; a fixed r has one try. The error names every
     check over budget. An attempt whose propagator, r, grid, table and
     ``operands`` equal the last pass's bit for bit returns its states.
     """
@@ -327,8 +326,7 @@ def _integrate(schedule: HamiltonianSchedule, grid: TimeGrid, substeps: int | No
             states, checks = attempt(table, r)
         over = [check for check in checks if not check[1] <= check[2]]
         if not over:
-            # a table sampled into new memory is kept as it is (a copy would
-            # double its memory); a view, such as a constant H's, is copied
+            # a view, such as a constant H's, is copied; a new table is not
             held = table if table.flags.owndata else table.copy()
             inputs = (grid_key, held) + tuple(a.copy() for a in operands)
             _last = (propagator, r, inputs, states.copy())
@@ -381,8 +379,8 @@ def propagate_lindblad(model: LindbladModel, rho0: np.ndarray, grid: TimeGrid,
     The state is propagated unsymmetrized. At every grid point its
     asymmetry 0.5 * max|rho - rho^dag| must stay below 1e-10 and its
     trace drift below 1e-8; the stored states are then symmetrized and
-    trace-renormalized. Eigenvalues dipping under -1e-6 abort with
-    IntegrationError.
+    trace-renormalized. Once both are within budget, an eigenvalue under
+    -1e-6 aborts the attempt, unretried, with IntegrationError.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (model.dim, model.dim):
@@ -402,18 +400,18 @@ def propagate_lindblad(model: LindbladModel, rho0: np.ndarray, grid: TimeGrid,
         traces = np.real(np.trace(out, axis1=1, axis2=2))
         drift = float(np.max(np.abs(traces - 1.0)))
         out /= traces[:, None, None]
+        if drift <= _DRIFT_BUDGET and asym <= _ASYM_BUDGET:  # so out is finite
+            lo = float(np.min(np.linalg.eigvalsh(out)))
+            if lo < _EIG_FLOOR:  # no retry: a finer r can pass it and be wrong
+                message = f"density matrix eigenvalue {lo:.3e} below {_EIG_FLOOR:.0e}"
+                _log(message)
+                raise IntegrationError(message)
         return out, [("trace drift", drift, _DRIFT_BUDGET),
                      ("asymmetry", asym, _ASYM_BUDGET)]
 
     dissipation = 4.0 * float(np.real(np.trace(half_b)))
-    out = _integrate(model.hamiltonian, grid, substeps, dissipation, "open",
-                     (rho0, jumps, half_b), attempt)
-    lo = float(np.min(np.linalg.eigvalsh(out)))
-    if lo < _EIG_FLOOR:
-        message = f"density matrix eigenvalue {lo:.3e} below {_EIG_FLOOR:.0e}"
-        _log(message)
-        raise IntegrationError(message)
-    return Trajectory(grid, out)
+    return Trajectory(grid, _integrate(model.hamiltonian, grid, substeps, dissipation,
+                                       "open", (rho0, jumps, half_b), attempt))
 
 
 # ---------------------------------------------------------------------------
