@@ -326,7 +326,7 @@ def _integrate(schedule: HamiltonianSchedule, grid: TimeGrid, substeps: int | No
             states, checks = attempt(table, r)
         over = [check for check in checks if not check[1] <= check[2]]
         if not over:
-            # a view, such as a constant H's, is copied; a new table is not
+            # a view (a constant H's) is copied; a new table is kept, not doubled
             held = table if table.flags.owndata else table.copy()
             inputs = (grid_key, held) + tuple(a.copy() for a in operands)
             _last = (propagator, r, inputs, states.copy())

@@ -122,15 +122,15 @@ def _closed_bound(dev: float, delta_theta: float) -> ClosedQslBound:
 
 def chebyshev_spread_bound(pi_max: float) -> float:
     """Minimal spread 1/(3 sqrt(3) pi_max) enforced by the density peak."""
-    if not pi_max > 0.0:  # NaN fails this too
-        raise ValueError("pi_max must be positive")
+    if not 0.0 < pi_max < np.inf:  # NaN fails this too
+        raise ValueError("pi_max must be positive and finite")
     return CHEBYSHEV_FACTOR / pi_max
 
 
 def spread_bound_from_qsl(tau_tf: float) -> float:
     """Minimal spread tau_tf / (3 sqrt(3)) from the transfer-time bound."""
-    if not tau_tf > 0.0:
-        raise ValueError("tau_tf must be positive")
+    if not 0.0 < tau_tf < np.inf:
+        raise ValueError("tau_tf must be positive and finite")
     return CHEBYSHEV_FACTOR * tau_tf
 
 
@@ -156,8 +156,8 @@ def uncertainty_check(delta_t: float, h: np.ndarray, target,
 def mt_dephasing_bound(gamma: float) -> float:
     """Fidelity-based comparison value 1/(sqrt(2) gamma) for the pure
     dephasing transition; quoted, not re-derived."""
-    if not gamma > 0.0:
-        raise ValueError("gamma must be positive")
+    if not 0.0 < gamma < np.inf:
+        raise ValueError("gamma must be positive and finite")
     return 1.0 / (np.sqrt(2.0) * gamma)
 
 
@@ -177,8 +177,11 @@ def build_bounds_report(*, delta_theta: float, trace_term: float,
     trace term of 0); a form that does not apply is None. The CLI's JSON
     writer turns every non-finite value into null. A ``trace_term`` that
     is not 0 or a normal float (NaN, infinite, negative or subnormal) is
-    refused as ``tf_qsl_open`` refuses it, with the reason the CLI writes.
+    refused as ``tf_qsl_open`` refuses it, with the reason the CLI writes,
+    and so is a ``delta_theta`` outside [0, 1], NaN included.
     """
+    if not 0.0 <= delta_theta <= 1.0:
+        raise ValueError("delta_theta must lie in [0, 1]")
     tau = _tau_tf(delta_theta, trace_term)
     cheb = chebyshev_spread_bound(pi_max)
     qsl_spread = spread_bound_from_qsl(tau) if 0.0 < tau < np.inf else 0.0

@@ -457,21 +457,40 @@ def test_bounds_report_refuses_a_trace_term_that_is_not_a_bound(trace_term, mt_b
             measured=tf.Moments(mean=0.3, std=0.2))
 
 
+def _report_of(delta_theta):
+    return qsl.build_bounds_report(delta_theta=delta_theta, trace_term=2.0, pi_max=1.0,
+                                   measured=tf.Moments(mean=1.0, std=0.5))
+
+
 # each refusal that no other test reaches: its exception type and message
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: qsl.tf_qsl_closed(operators.SIGMA_X, 0, 0.0),
                  "delta_theta must lie in (0, 1]", id="zero-delta-theta"),
     pytest.param(lambda: qsl.spread_bound_from_qsl(0.0),
-                 "tau_tf must be positive", id="zero-tau-tf"),
+                 "tau_tf must be positive and finite", id="zero-tau-tf"),
     pytest.param(lambda: qsl.uncertainty_check(-1.0, operators.SIGMA_X, 0, 1.0),
                  "delta_t must be a finite non-negative time", id="negative-delta-t"),
     # each NaN below passed its refusal and came back as a NaN bound or eta
     pytest.param(lambda: qsl.chebyshev_spread_bound(np.nan),
-                 "pi_max must be positive", id="nan-pi-max"),
+                 "pi_max must be positive and finite", id="nan-pi-max"),
     pytest.param(lambda: qsl.spread_bound_from_qsl(np.nan),
-                 "tau_tf must be positive", id="nan-tau-tf"),
+                 "tau_tf must be positive and finite", id="nan-tau-tf"),
     pytest.param(lambda: qsl.mt_dephasing_bound(np.nan),
-                 "gamma must be positive", id="nan-gamma"),
+                 "gamma must be positive and finite", id="nan-gamma"),
+    # each infinite input gave a vacuous bound: 0.0, 0.0 and inf
+    pytest.param(lambda: qsl.chebyshev_spread_bound(np.inf),
+                 "pi_max must be positive and finite", id="inf-pi-max"),
+    pytest.param(lambda: qsl.spread_bound_from_qsl(np.inf),
+                 "tau_tf must be positive and finite", id="inf-tau-tf"),
+    pytest.param(lambda: qsl.mt_dephasing_bound(np.inf),
+                 "gamma must be positive and finite", id="inf-gamma"),
+    # a NaN delta_theta gave tau_tf nan with both flags satisfied
+    pytest.param(lambda: _report_of(np.nan), "delta_theta must lie in [0, 1]",
+                 id="report-nan-delta-theta"),
+    pytest.param(lambda: _report_of(-0.5), "delta_theta must lie in [0, 1]",
+                 id="report-negative-delta-theta"),
+    pytest.param(lambda: _report_of(1.5), "delta_theta must lie in [0, 1]",
+                 id="report-delta-theta-over-1"),
     pytest.param(lambda: qsl.uncertainty_check(1.0, operators.SIGMA_X, 0, np.nan),
                  "delta_theta must lie in [-1, 1]", id="nan-delta-theta"),
     # raised numpy's "zero-size array to reduction operation maximum"
