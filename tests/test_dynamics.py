@@ -502,7 +502,7 @@ def test_schrodinger_retries_are_logged(caplog):
                                    "at substeps=16;")
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP item 1: an open attempt is accepted on trace drift, asymmetry "
     "and the eigenvalue floor alone, with no error estimate"))
 def test_open_narrow_pulse_is_accurate():
