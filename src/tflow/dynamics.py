@@ -97,16 +97,20 @@ class TimeGrid:
 class HamiltonianSchedule:
     """Hermitian generator H(t) of a fixed dimension.
 
-    ``batch(ts)`` returns the (n, d, d) stack of H at n times, and
-    ``sample`` refuses any other shape. ``constant`` is True only on a
-    schedule made by ``constant_hamiltonian``, whose H is one matrix; the
+    ``batch(ts)`` returns the (n, d, d) stack of H at n times; ``sample``
+    refuses any other shape. The read-only ``constant`` is True exactly on
+    a schedule of ``constant_hamiltonian``, whose H is one matrix, and the
     propagators then build the map of one grid interval and reuse it.
     """
 
     def __init__(self, dim: int, *, batch: Callable[[np.ndarray], np.ndarray]):
         self.dim = dim
         self._batch = batch
-        self.constant = False
+        self._constant = False
+
+    @property
+    def constant(self) -> bool:
+        return self._constant
 
     def __call__(self, t: float) -> np.ndarray:
         return self.sample([t])[0]
@@ -125,7 +129,7 @@ def constant_hamiltonian(h: np.ndarray) -> HamiltonianSchedule:
     operators.assert_hermitian(h, name="Hamiltonian")
     schedule = HamiltonianSchedule(
         h.shape[0], batch=lambda ts: np.broadcast_to(h, (len(ts),) + h.shape))
-    schedule.constant = True
+    schedule._constant = True
     return schedule
 
 

@@ -176,7 +176,9 @@ class TwoLevelInitial:
 
 
 def two_level_hamiltonian(waveform: ControlWaveform) -> HamiltonianSchedule:
-    """H(t) = (w(t)/2) sigma_x."""
+    """H(t) = (w(t)/2) sigma_x, a ``constant_hamiltonian`` for a constant drive."""
+    if waveform.kind == "constant":
+        return constant_hamiltonian(0.5 * waveform.omega(0.0) * SIGMA_X)
     return HamiltonianSchedule(
         2, batch=lambda ts: 0.5 * waveform.omega(ts)[:, None, None] * SIGMA_X)
 

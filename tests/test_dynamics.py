@@ -267,6 +267,15 @@ def test_lindblad_adjoint_requires_time_for_schedules():
         dynamics.lindblad_adjoint(model, operators.projector(3, 1))
     adj = dynamics.lindblad_adjoint(model, operators.projector(3, 1), t=1.0)
     operators.assert_hermitian(adj)
+    # a constant drive's H is constant and needs no time; a polynomial's does
+    m = operators.projector(2, 1)
+    model = LindbladModel(models.two_level_hamiltonian(models.ControlWaveform.constant(1.3)))
+    assert np.array_equal(dynamics.lindblad_adjoint(model, m),
+                          dynamics.current_operator(0.65 * operators.SIGMA_X, m))
+    model = LindbladModel(models.two_level_hamiltonian(
+        models.ControlWaveform.polynomial(1.3, [0.0] * 4)))
+    with pytest.raises(ValueError, match="supply the evaluation time t$"):
+        dynamics.lindblad_adjoint(model, m)
 
 
 def test_lindblad_adjoint_refuses_an_unfit_h_or_m():
@@ -358,6 +367,40 @@ def test_only_constant_hamiltonian_makes_a_constant_schedule():
         dynamics.HamiltonianSchedule(2, batch=batch, constant=True)
     assert dynamics.HamiltonianSchedule(2, batch=batch).constant is False
     assert constant_hamiltonian(operators.SIGMA_X).constant is True
+    # nor can an assignment set it: H = (1 + t) sigma_x marked constant was
+    # propagated as H(0) on TimeGrid(0, 2, 201), p_1 0.984 off, with no error
+    for schedule in (dynamics.HamiltonianSchedule(2, batch=batch),
+                     constant_hamiltonian(operators.SIGMA_X)):
+        was = schedule.constant
+        with pytest.raises(AttributeError):
+            schedule.constant = not was
+        assert schedule.constant is was
+    # a constant drive's H is made by constant_hamiltonian; every other
+    # drive's is sampled, a polynomial with all-zero coefficients included
+    wf = models.ControlWaveform
+    assert models.two_level_hamiltonian(wf.constant(1.3)).constant is True
+    for drive in (wf.polynomial(1.3, [0.0] * 4), wf.polynomial(1.3, [0.4, -0.2, 0.05, 0.01]),
+                  wf.gaussian_pulse(0.5, 0.1)):
+        assert models.two_level_hamiltonian(drive).constant is False
+
+
+@pytest.mark.parametrize("grid", [TimeGrid(0.0, np.pi / 1.3, 801), TimeGrid(0.3, 2.0, 57),
+                                  TimeGrid(-1.0, 4.0, 1000)], ids=["pi", "short", "long"])
+def test_constant_drive_propagates_as_its_sampled_schedule_bit_for_bit(grid):
+    # the one-interval map of the constant path is the fold of the same
+    # step maps as on the full table of H(t) = (w(t)/2) sigma_x
+    drive = models.ControlWaveform.constant(1.3)
+    sampled = dynamics.HamiltonianSchedule(
+        2, batch=lambda ts: 0.5 * drive.omega(ts)[:, None, None] * operators.SIGMA_X)
+    psi0 = models.TwoLevelInitial(1.0, 0.5).state()
+    closed = [dynamics.propagate_schrodinger(h, psi0, grid).states
+              for h in (models.two_level_hamiltonian(drive), sampled)]
+    assert np.array_equal(closed[0].view(np.int64), closed[1].view(np.int64))
+    rho0 = np.outer(psi0, psi0.conj())
+    open_ = [dynamics.propagate_lindblad(LindbladModel(h, ((operators.SIGMA_Z, 0.2),)),
+                                         rho0, grid).states
+             for h in (models.two_level_hamiltonian(drive), sampled)]
+    assert np.array_equal(open_[0].view(np.int64), open_[1].view(np.int64))
 
 
 @pytest.mark.parametrize("func", [

@@ -387,6 +387,15 @@ def test_tf_qsl_open_without_times_is_the_batched_bound_at_zero():
         models.LambdaConfig(1.0, 1.0, -1.0, 1.0, 1.0)))
     with pytest.raises(ValueError, match="supply the evaluation times"):
         qsl.tf_qsl_open(model, operators.projector(3, 1), 0.5)
+    # a constant drive's H is constant: tau_TF = dtheta / sqrt(2 (w/2)^2)
+    wf = models.ControlWaveform
+    m = operators.projector(2, 1)
+    model = dynamics.LindbladModel(models.two_level_hamiltonian(wf.constant(1.3)))
+    assert qsl.tf_qsl_open(model, m, 1.0) == pytest.approx(1.0 / (np.sqrt(2.0) * 0.65),
+                                                           rel=1e-15)
+    model = dynamics.LindbladModel(models.two_level_hamiltonian(wf.polynomial(1.3, [0.0] * 4)))
+    with pytest.raises(ValueError, match="supply the evaluation times"):
+        qsl.tf_qsl_open(model, m, 1.0)
 
 
 def test_bounds_report_computes_the_deviation_once(monkeypatch):
